@@ -7,11 +7,9 @@
 //   usage: perf_ninep [threads] [ops-per-thread] [flags]
 //
 //   --read-heavy   90% body reads / 10% bodyapp appends over pre-opened fids
-//                  (the PR 4 shared-read scaling workload) instead of the
-//                  default mixed walk/open/read/write workload
-//   --serialized   force every dispatch through the exclusive lock (the
-//                  PR 1 serialized baseline, for A/B comparison)
-//   --sweep        run thread counts 1,2,4,8 instead of one run
+//                  instead of the default mixed walk/open/read/write workload
+//   --sweep        run thread counts 1,2,4,8 instead of one run, then the
+//                  --pipeline pairs
 //   --json         emit one JSON object as the last line of stdout
 //   --socket       the PR 7 C10K workload: positionals become [conns]
 //                  [ops-per-conn] (default 1000 x 20). Serves over a
@@ -20,19 +18,14 @@
 //                  its own session and pre-opened body fid — and round-robin
 //                  range reads across them. Exits nonzero on any protocol
 //                  error.
-//   --shard        the PR 10 dispatch-shard pairs: positionals become
-//                  [clients] [ops-per-client] (default 4 x 1500). Each
-//                  client streams bodyapp appends over its own Unix-socket
-//                  connection, once with every client on its own window and
-//                  once with all clients on one window, each run sharded
-//                  and with set_disable_sharding — four runs whose speedup
-//                  map (sharded vs unsharded) the CI bench gate checks.
-//                  Appended to --sweep as well.
+//   --pipeline     one Unix-socket connection, [_] [ops] random 512-byte
+//                  body reads (default 4000): a client window of 16 vs 1,
+//                  each with zero-copy and staged Rreads — four runs
 //   --trace FILE   run with request tracing enabled and write the captured
 //                  ring as Chrome trace-event JSON to FILE when the runs
 //                  finish (open it in chrome://tracing or Perfetto; each
-//                  request's phases chain on one rid across the named
-//                  net.loop / net.worker threads)
+//                  request's phases chain on one rid on the net.loop
+//                  thread)
 #include <unistd.h>
 
 #include <atomic>
@@ -70,7 +63,7 @@ struct Lcg {
   }
 };
 
-// The PR 1 mixed workload: index read / bodyapp append / body read /
+// The mixed workload: index read / bodyapp append / body read /
 // walk-open-read-clunk, one window per client.
 void MixedLoop(Help* h, int id, int ops, Totals* totals) {
   NinepServer& srv = h->ninep();
@@ -117,7 +110,7 @@ void MixedLoop(Help* h, int id, int ops, Totals* totals) {
   srv.CloseSession(sid);
 }
 
-// The PR 4 read-scaling workload: every client keeps a read-only body fid and
+// The read-heavy workload: every client keeps a read-only body fid and
 // a write-only bodyapp fid open, seeds the body, then issues 90% single-Tread
 // range reads at pseudo-random offsets and 10% single-Twrite appends. This is
 // the shape the paper's interface produces — browsers and scripts polling
@@ -181,11 +174,9 @@ struct RunResult {
   double secs = 0;
   uint64_t p50_us = 0;
   uint64_t p99_us = 0;
-  uint64_t shared_reads = 0;
-  uint64_t read_retries = 0;
   uint64_t conns = 0;       // --socket: concurrent socket connections held
   uint64_t peak_conns = 0;  // --socket: listener's live gauge at full load
-  // PR 9 pipeline pairs: which config this run measured, plus the zero-copy
+  // --pipeline pairs: which config this run measured, plus the zero-copy
   // accounting. staged_body_delta is ninep.bytes_staged growth across the
   // timed read phase alone — the CI gate pins it to 0 for zero-copy runs
   // (setup traffic like new/ctl reads stages by design).
@@ -193,12 +184,7 @@ struct RunResult {
   uint64_t bytes_zero_copy = 0;
   uint64_t bytes_staged = 0;
   uint64_t staged_body_delta = 0;
-  uint64_t ooo_completions = 0;
   uint64_t writev_calls = 0;
-  // PR 10 dispatch-shard accounting (the lock.* stats rows).
-  uint64_t lock_window_acquires = 0;
-  uint64_t lock_epoch_exclusive = 0;
-  uint64_t lock_shard_wait_p99us = 0;
   double ops_per_sec() const { return static_cast<double>(client_ops) / secs; }
   double msgs_per_sec() const { return static_cast<double>(msgs) / secs; }
 };
@@ -221,9 +207,7 @@ RunResult RunSocketOnce(int conns, int ops) {
   opt.install_userland = false;
   Help h(opt);
   h.ninep().metrics().Reset();  // registry entries are process-global
-  NinepListener::Options lopt;
-  lopt.workers = 4;
-  NinepListener lis(&h.ninep(), lopt);
+  NinepListener lis(&h.ninep());
   std::string path = StrFormat("perf_ninep.%d.sock", getpid());
   RunResult r;
   r.conns = static_cast<uint64_t>(conns);
@@ -233,8 +217,7 @@ RunResult RunSocketOnce(int conns, int ops) {
   }
   RaiseFdLimit(static_cast<uint64_t>(conns) * 2 + 256);
 
-  // Seed one window body for everyone to read (range reads go down the PR 4
-  // shared dispatch path, so the connections genuinely run concurrently).
+  // Seed one window body for everyone to read.
   std::string base;
   constexpr size_t kBodyBytes = 32 * 1024;
   {
@@ -344,21 +327,18 @@ RunResult RunSocketOnce(int conns, int ops) {
   r.msgs = m.total_ops();
   r.p50_us = m.OverallPercentileUs(50);
   r.p99_us = m.OverallPercentileUs(99);
-  r.shared_reads = m.shared_reads();
-  r.read_retries = m.read_retries();
   table.clear();  // closes every client socket
   lis.Stop();
   return r;
 }
 
-// PR 9 pipeline pair runs: one Unix-socket connection, `ops` random 512-byte
-// body reads. `pipelined` issues them through ReadFidPipelined with a
-// 16-deep window against the out-of-order scheduler; the baseline caps the
-// connection at one worker (the pre-PR 9 in-order path) and a window of 1
-// (one RTT per read). `zero_copy` toggles the scatter-gather Rread path vs.
-// the staged escape hatch. On one CPU the pipelined win is syscall and
-// wakeup amortization — the client keeps the window full while the listener
-// drains coalesced replies with one writev per wakeup.
+// Pipeline pair runs: one Unix-socket connection, `ops` random 512-byte body
+// reads. `pipelined` issues them through ReadFidPipelined with a 16-deep
+// client window; the baseline uses a window of 1 (one RTT per read).
+// `zero_copy` toggles the scatter-gather Rread path vs. the staged escape
+// hatch. The pipelined win is syscall and wakeup amortization — the client
+// keeps the window full while the listener answers every frame of a read
+// burst and drains the replies with one sendmsg.
 RunResult RunPipelineOnce(const char* label, bool pipelined, bool zero_copy,
                           int ops) {
   Help::Options opt;
@@ -366,10 +346,7 @@ RunResult RunPipelineOnce(const char* label, bool pipelined, bool zero_copy,
   Help h(opt);
   h.ninep().metrics().Reset();  // registry entries are process-global
   h.ninep().set_disable_zero_copy(!zero_copy);
-  ListenerOptions lopt;
-  lopt.workers = 4;
-  lopt.max_conn_workers = pipelined ? 0 : 1;
-  NinepListener lis(&h.ninep(), lopt);
+  NinepListener lis(&h.ninep());
   std::string path = StrFormat("perf_pipe.%d.sock", getpid());
   RunResult r;
   r.label = label;
@@ -440,146 +417,19 @@ RunResult RunPipelineOnce(const char* label, bool pipelined, bool zero_copy,
   r.msgs = m.total_ops();
   r.p50_us = m.OverallPercentileUs(50);
   r.p99_us = m.OverallPercentileUs(99);
-  r.shared_reads = m.shared_reads();
-  r.read_retries = m.read_retries();
   r.staged_body_delta = m.bytes_staged() - staged0;
   r.bytes_zero_copy = m.bytes_zero_copy();
   r.bytes_staged = m.bytes_staged();
-  r.ooo_completions = m.ooo_completions();
   r.writev_calls = m.net_writev_calls();
   strp.reset();  // close the socket before the listener stops
   lis.Stop();
   return r;
 }
 
-// PR 10 shard pair runs: `clients` socket connections, each streaming `ops`
-// small appends through an open bodyapp fid — the pure mutation workload the
-// per-window dispatch shards exist for. multi_window gives every client its
-// own window, so sharded dispatch can run the writes in parallel under one
-// shared epoch lock; single-window aims every client at ONE window — the
-// contended shape where sharding must not regress. `sharded` toggles the
-// set_disable_sharding escape hatch, making each pair a differential oracle;
-// the speedups map in --json is what the CI bench-smoke gate reads.
-RunResult RunShardOnce(const char* label, int clients, int ops, bool sharded,
-                       bool multi_window) {
-  Help::Options opt;
-  opt.install_userland = false;
-  Help h(opt);
-  h.ninep().metrics().Reset();  // registry entries are process-global
-  h.ninep().set_disable_sharding(!sharded);
-  ListenerOptions lopt;
-  lopt.workers = clients < 8 ? clients : 8;
-  NinepListener lis(&h.ninep(), lopt);
-  std::string path = StrFormat("perf_shard.%d.sock", getpid());
-  RunResult r;
-  r.label = label;
-  r.threads = clients;
-  if (!lis.ListenUnix(path).ok() || !lis.Start().ok()) {
-    r.failures = 1;
-    return r;
-  }
-
-  // Setup outside the timed phase: the windows, one connection per client,
-  // and a pre-opened write fid on each client's target window.
-  std::vector<std::string> bases;
-  {
-    auto tr = SocketTransport::ConnectUnix(path);
-    if (!tr.ok()) {
-      r.failures = 1;
-      return r;
-    }
-    NinepClient seeder(tr.value()->AsTransport());
-    if (!seeder.Connect("seeder").ok()) {
-      r.failures = 1;
-      return r;
-    }
-    int nwin = multi_window ? clients : 1;
-    for (int w = 0; w < nwin; w++) {
-      auto ctl = seeder.ReadFile("/mnt/help/new/ctl");
-      if (!ctl.ok()) {
-        r.failures = 1;
-        return r;
-      }
-      bases.push_back("/mnt/help/" + std::string(TrimSpace(ctl.value())));
-    }
-  }
-  std::vector<std::unique_ptr<SocketTransport>> socks(
-      static_cast<size_t>(clients));
-  std::vector<std::unique_ptr<NinepClient>> conns(
-      static_cast<size_t>(clients));
-  std::vector<uint32_t> fids(static_cast<size_t>(clients), kNoFid);
-  for (int i = 0; i < clients; i++) {
-    auto tr = SocketTransport::ConnectUnix(path);
-    if (!tr.ok()) {
-      r.failures = 1;
-      return r;
-    }
-    socks[static_cast<size_t>(i)] = tr.take();
-    conns[static_cast<size_t>(i)] = std::make_unique<NinepClient>(
-        socks[static_cast<size_t>(i)]->AsTransport());
-    NinepClient& c = *conns[static_cast<size_t>(i)];
-    const std::string& base = bases[multi_window ? static_cast<size_t>(i) : 0];
-    auto fid = c.Connect(StrFormat("shard%d", i)).ok()
-                   ? c.WalkFid(base + "/bodyapp")
-                   : Result<uint32_t>(Status::Error("connect failed"));
-    if (!fid.ok() || !c.OpenFid(fid.value(), kOwrite).ok()) {
-      r.failures = 1;
-      return r;
-    }
-    fids[static_cast<size_t>(i)] = fid.value();
-  }
-
-  std::atomic<uint64_t> total_ok{0};
-  std::atomic<uint64_t> failures{0};
-  auto start = std::chrono::steady_clock::now();
-  {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(clients));
-    for (int i = 0; i < clients; i++) {
-      pool.emplace_back([&, i] {
-        NinepClient& c = *conns[static_cast<size_t>(i)];
-        uint64_t ok = 0;
-        for (int op = 0; op < ops; op++) {
-          if (c.WriteFid(fids[static_cast<size_t>(i)], 0,
-                         "a line of appended body text\n")
-                  .ok()) {
-            ok++;
-          } else {
-            failures++;
-          }
-        }
-        total_ok += ok;
-      });
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
-  r.secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-               .count();
-
-  const NinepMetrics& m = h.ninep().metrics();
-  r.client_ops = total_ok.load();
-  r.failures += failures.load();
-  r.msgs = m.total_ops();
-  r.p50_us = m.OverallPercentileUs(50);
-  r.p99_us = m.OverallPercentileUs(99);
-  r.shared_reads = m.shared_reads();
-  r.read_retries = m.read_retries();
-  r.lock_window_acquires = m.lock_window_acquires();
-  r.lock_epoch_exclusive = m.lock_epoch_exclusive();
-  r.lock_shard_wait_p99us = m.lock_shard_wait_p99us();
-  conns.clear();
-  socks.clear();  // close every client socket before the listener stops
-  lis.Stop();
-  return r;
-}
-
-RunResult RunOnce(int threads, int ops, bool read_heavy, bool serialized) {
+RunResult RunOnce(int threads, int ops, bool read_heavy) {
   Help::Options opt;
   opt.install_userland = false;  // just the file service, no coreutils needed
   Help h(opt);
-  h.ninep().set_force_exclusive(serialized);
   h.ninep().metrics().Reset();  // registry entries are process-global
   Totals totals;
 
@@ -604,12 +454,10 @@ RunResult RunOnce(int threads, int ops, bool read_heavy, bool serialized) {
   r.msgs = m.total_ops();
   r.p50_us = m.OverallPercentileUs(50);
   r.p99_us = m.OverallPercentileUs(99);
-  r.shared_reads = m.shared_reads();
-  r.read_retries = m.read_retries();
   return r;
 }
 
-void PrintHuman(const RunResult& r, const char* workload, bool serialized) {
+void PrintHuman(const RunResult& r, const char* workload) {
   if (!r.label.empty()) {
     std::printf("config             %s\n", r.label.c_str());
   }
@@ -619,8 +467,7 @@ void PrintHuman(const RunResult& r, const char* workload, bool serialized) {
                 static_cast<unsigned long long>(r.conns),
                 static_cast<unsigned long long>(r.peak_conns), r.threads);
   }
-  std::printf("clients            %d  (%s%s)\n", r.threads, workload,
-              serialized ? ", serialized baseline" : "");
+  std::printf("clients            %d  (%s)\n", r.threads, workload);
   std::printf("client ops         %llu (%llu failed)\n",
               static_cast<unsigned long long>(r.client_ops),
               static_cast<unsigned long long>(r.failures));
@@ -631,23 +478,14 @@ void PrintHuman(const RunResult& r, const char* workload, bool serialized) {
   std::printf("latency p50/p99    %llu us / %llu us (all ops)\n",
               static_cast<unsigned long long>(r.p50_us),
               static_cast<unsigned long long>(r.p99_us));
-  std::printf("shared reads       %llu (%llu retried exclusively)\n",
-              static_cast<unsigned long long>(r.shared_reads),
-              static_cast<unsigned long long>(r.read_retries));
   if (!r.label.empty()) {
     std::printf("zero-copy bytes    %llu (%llu staged, %llu staged during "
                 "reads)\n",
                 static_cast<unsigned long long>(r.bytes_zero_copy),
                 static_cast<unsigned long long>(r.bytes_staged),
                 static_cast<unsigned long long>(r.staged_body_delta));
-    std::printf("ooo completions    %llu, writev calls %llu\n",
-                static_cast<unsigned long long>(r.ooo_completions),
+    std::printf("writev calls       %llu\n",
                 static_cast<unsigned long long>(r.writev_calls));
-    std::printf("lock acquires      %llu window, %llu epoch-exclusive, "
-                "shard wait p99 %llu us\n",
-                static_cast<unsigned long long>(r.lock_window_acquires),
-                static_cast<unsigned long long>(r.lock_epoch_exclusive),
-                static_cast<unsigned long long>(r.lock_shard_wait_p99us));
   }
 }
 
@@ -655,15 +493,12 @@ std::string JsonOf(const RunResult& r) {
   std::string json = StrFormat(
       "{\"threads\":%d,\"client_ops\":%llu,\"failures\":%llu,\"msgs\":%llu,"
       "\"elapsed_s\":%.3f,\"ops_per_sec\":%.1f,\"msgs_per_sec\":%.1f,"
-      "\"p50_us\":%llu,\"p99_us\":%llu,\"shared_reads\":%llu,"
-      "\"read_retries\":%llu",
+      "\"p50_us\":%llu,\"p99_us\":%llu",
       r.threads, static_cast<unsigned long long>(r.client_ops),
       static_cast<unsigned long long>(r.failures),
       static_cast<unsigned long long>(r.msgs), r.secs, r.ops_per_sec(),
       r.msgs_per_sec(), static_cast<unsigned long long>(r.p50_us),
-      static_cast<unsigned long long>(r.p99_us),
-      static_cast<unsigned long long>(r.shared_reads),
-      static_cast<unsigned long long>(r.read_retries));
+      static_cast<unsigned long long>(r.p99_us));
   if (r.conns > 0) {
     json += StrFormat(",\"conns\":%llu,\"peak_conns\":%llu",
                       static_cast<unsigned long long>(r.conns),
@@ -672,19 +507,11 @@ std::string JsonOf(const RunResult& r) {
   if (!r.label.empty()) {
     json += StrFormat(
         ",\"label\":\"%s\",\"bytes_zero_copy\":%llu,\"bytes_staged\":%llu,"
-        "\"staged_body_delta\":%llu,\"ooo_completions\":%llu,"
-        "\"writev_calls\":%llu",
+        "\"staged_body_delta\":%llu,\"writev_calls\":%llu",
         r.label.c_str(), static_cast<unsigned long long>(r.bytes_zero_copy),
         static_cast<unsigned long long>(r.bytes_staged),
         static_cast<unsigned long long>(r.staged_body_delta),
-        static_cast<unsigned long long>(r.ooo_completions),
         static_cast<unsigned long long>(r.writev_calls));
-    json += StrFormat(
-        ",\"lock_window_acquires\":%llu,\"lock_epoch_exclusive\":%llu,"
-        "\"lock_shard_wait_p99us\":%llu",
-        static_cast<unsigned long long>(r.lock_window_acquires),
-        static_cast<unsigned long long>(r.lock_epoch_exclusive),
-        static_cast<unsigned long long>(r.lock_shard_wait_p99us));
   }
   return json + "}";
 }
@@ -693,19 +520,15 @@ int Main(int argc, char** argv) {
   int threads = 8;
   int ops = 2000;
   bool read_heavy = false;
-  bool serialized = false;
   bool json = false;
   bool sweep = false;
   bool socket = false;
   bool pipeline = false;
-  bool shard = false;
   std::string trace_path;
   int positional = 0;
   for (int i = 1; i < argc; i++) {
     if (std::strcmp(argv[i], "--read-heavy") == 0) {
       read_heavy = true;
-    } else if (std::strcmp(argv[i], "--serialized") == 0) {
-      serialized = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
     } else if (std::strcmp(argv[i], "--sweep") == 0) {
@@ -714,19 +537,15 @@ int Main(int argc, char** argv) {
       socket = true;
     } else if (std::strcmp(argv[i], "--pipeline") == 0) {
       pipeline = true;
-    } else if (std::strcmp(argv[i], "--shard") == 0) {
-      shard = true;
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr,
                    "usage: perf_ninep [threads] [ops-per-thread] "
-                   "[--read-heavy] [--serialized] [--sweep] [--json]\n"
+                   "[--read-heavy] [--sweep] [--json]\n"
                    "       perf_ninep --socket [conns] [ops-per-conn] "
                    "[--json] [--trace FILE]\n"
-                   "       perf_ninep --pipeline [_] [ops] [--json]\n"
-                   "       perf_ninep --shard [clients] [ops-per-client] "
-                   "[--json]\n");
+                   "       perf_ninep --pipeline [_] [ops] [--json]\n");
       return 2;
     } else if (positional == 0) {
       threads = std::atoi(argv[i]);
@@ -756,22 +575,21 @@ int Main(int argc, char** argv) {
     obs::Tracer::Global().Enable();
   }
 
-  const char* workload = socket     ? "socket"
-                         : pipeline ? "pipeline"
-                         : shard    ? "shard"
+  const char* workload = socket       ? "socket"
+                         : pipeline   ? "pipeline"
                          : read_heavy ? "read-heavy"
                                       : "mixed";
   uint64_t failures = 0;
   std::vector<RunResult> results;
-  if (!pipeline && !shard) {
+  if (!pipeline) {
     std::vector<int> counts = sweep && !socket ? std::vector<int>{1, 2, 4, 8}
                                                : std::vector<int>{threads};
     for (int n : counts) {
       RunResult r = socket ? RunSocketOnce(n, ops)
-                           : RunOnce(n, ops, read_heavy, serialized);
+                           : RunOnce(n, ops, read_heavy);
       failures += r.failures;
       if (!json) {
-        PrintHuman(r, workload, serialized);
+        PrintHuman(r, workload);
         if (sweep) {
           std::printf("\n");
         }
@@ -779,9 +597,9 @@ int Main(int argc, char** argv) {
       results.push_back(r);
     }
   }
-  // The PR 9 comparison pairs: zero-copy vs staged on the pipelined path,
-  // and pipelined vs the pre-PR 9 in-order baseline. `--pipeline` runs just
-  // these; a non-socket `--sweep` appends them after the thread sweep.
+  // The comparison pairs: zero-copy vs staged Rreads, and a client window of
+  // 16 vs 1. `--pipeline` runs just these; a non-socket `--sweep` appends
+  // them after the thread sweep.
   if (pipeline || (sweep && !socket)) {
     int pops = pipeline && positional >= 2 ? ops : 4000;
     struct Cfg {
@@ -800,60 +618,12 @@ int Main(int argc, char** argv) {
                                     pops);
       failures += r.failures;
       if (!json) {
-        PrintHuman(r, "pipeline", false);
+        PrintHuman(r, "pipeline");
         std::printf("\n");
       }
       results.push_back(r);
     }
   }
-  // The PR 10 dispatch-shard pairs: N clients appending over sockets, each
-  // config run sharded and with the set_disable_sharding escape hatch.
-  // `--shard` runs just these; a non-socket `--sweep` appends them too. The
-  // speedups land in the top-level JSON for the CI gate: multi_window must
-  // clear 1.3x, single_window must stay within 5% of the unsharded baseline.
-  double shard_multi_speedup = 0;
-  double shard_single_speedup = 0;
-  bool shard_ran = false;
-  if (shard || (sweep && !socket)) {
-    int sclients = shard && positional >= 1 ? threads : 4;
-    int sops = shard && positional >= 2 ? ops : 1500;
-    struct ShardCfg {
-      const char* label;
-      bool sharded;
-      bool multi_window;
-    };
-    const ShardCfg cfgs[] = {
-        {"shard_multiwin_sharded", true, true},
-        {"shard_multiwin_nosharding", false, true},
-        {"shard_singlewin_sharded", true, false},
-        {"shard_singlewin_nosharding", false, false},
-    };
-    std::vector<RunResult> pair;
-    for (const ShardCfg& cfg : cfgs) {
-      RunResult r = RunShardOnce(cfg.label, sclients, sops, cfg.sharded,
-                                 cfg.multi_window);
-      failures += r.failures;
-      if (!json) {
-        PrintHuman(r, "shard", false);
-        std::printf("\n");
-      }
-      results.push_back(r);
-      pair.push_back(r);
-    }
-    if (pair.size() == 4 && pair[1].ops_per_sec() > 0 &&
-        pair[3].ops_per_sec() > 0) {
-      shard_multi_speedup = pair[0].ops_per_sec() / pair[1].ops_per_sec();
-      shard_single_speedup = pair[2].ops_per_sec() / pair[3].ops_per_sec();
-      shard_ran = true;
-      if (!json) {
-        std::printf("shard speedups     multi-window %.2fx, single-window "
-                    "%.2fx (sharded vs disable_sharding, %u cores)\n",
-                    shard_multi_speedup, shard_single_speedup,
-                    std::thread::hardware_concurrency());
-      }
-    }
-  }
-
   if (!trace_path.empty()) {
     obs::Tracer::Global().Disable();
     std::string trace = obs::Tracer::Global().RenderChromeJson();
@@ -879,22 +649,10 @@ int Main(int argc, char** argv) {
       }
       runs += JsonOf(r);
     }
-    std::string speedups;
-    if (shard_ran) {
-      // cores rides along so the CI gate can tell a real regression from a
-      // runner with no parallelism: speedup thresholds only mean anything
-      // when the sharded writers can actually run on distinct CPUs.
-      speedups = StrFormat(
-          ",\"shard_speedups\":{\"multi_window\":%.3f,\"single_window\":%.3f,"
-          "\"cores\":%u}",
-          shard_multi_speedup, shard_single_speedup,
-          std::thread::hardware_concurrency());
-    }
     std::printf(
-        "{\"bench\":\"perf_ninep\",\"workload\":\"%s\",\"serialized\":%s,"
-        "\"ops_per_thread\":%d,\"runs\":[%s]%s}\n",
-        workload, serialized ? "true" : "false", ops, runs.c_str(),
-        speedups.c_str());
+        "{\"bench\":\"perf_ninep\",\"workload\":\"%s\","
+        "\"ops_per_thread\":%d,\"runs\":[%s]}\n",
+        workload, ops, runs.c_str());
   }
   return failures == 0 ? 0 : 1;
 }

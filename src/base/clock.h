@@ -12,9 +12,10 @@ namespace help {
 class Clock {
  public:
   // Returns the current logical time without advancing it. Internally a
-  // relaxed atomic: trace events are stamped with the tick from worker
-  // threads while the owning thread advances it, and no ordering beyond the
-  // tick value itself is implied (trace readers order by sequence number).
+  // relaxed atomic: trace events are stamped with the tick from other
+  // threads (the socket listener's loop) while the owning thread advances
+  // it, and no ordering beyond the tick value itself is implied (trace
+  // readers order by sequence number).
   uint64_t Now() const { return now_.load(std::memory_order_relaxed); }
   // Advances the clock and returns the new time. Every mutating file
   // operation calls Tick() so that "modified after" relations are total.

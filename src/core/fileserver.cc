@@ -14,12 +14,11 @@ namespace {
 
 // Every /mnt/help handler is wrapped in this decorator: each operation runs
 // under the Help instance's 9P dispatch lock, so handlers keep their
-// single-threaded invariants no matter which thread calls — a 9P worker
-// (which already holds the lock in shared or exclusive mode; re-entry is a
-// detected no-op that inherits the outer mode) or the UI/shell thread
-// touching the same files directly through the Vfs, which acquires it
-// exclusively here. In particular, index and new/ctl snapshot their contents
-// at Open time *under this lock*, so a listing never tears against
+// single-threaded invariants no matter which thread calls — a 9P dispatch
+// (which already holds the lock; re-entry is a detected no-op) or the
+// UI/shell thread touching the same files directly through the Vfs, which
+// acquires it here. In particular, index and new/ctl snapshot their
+// contents at Open time *under this lock*, so a listing never tears against
 // concurrent window creation.
 class SerializedHandler : public FileHandler {
  public:
@@ -50,15 +49,6 @@ class SerializedHandler : public FileHandler {
   uint64_t Length(const Node& n) const override {
     auto lock = h_->ninep().LockDispatch();
     return inner_->Length(n);
-  }
-  // The dispatch classification asks the outermost handler, so the wrapper
-  // must answer for what it wraps. Pure getters — no LockDispatch: they are
-  // called from classification before any lock is decided on.
-  bool OpenNeedsExclusive() const override {
-    return inner_->OpenNeedsExclusive();
-  }
-  WindowShardPtr window_shard() const override {
-    return inner_->window_shard();
   }
 
  private:
@@ -104,9 +94,6 @@ class NewCtlHandler : public FileHandler {
     f.state = StrFormat("%d\n", w->id());
     return Status::Ok();
   }
-  // Open creates a window even when the mode is read-only, so a Topen of
-  // new/ctl must never run under the shared dispatch lock.
-  bool OpenNeedsExclusive() const override { return true; }
   Result<std::string> Read(OpenFile& f, uint64_t offset, uint32_t count) override {
     if (offset >= f.state.size()) {
       return std::string();
@@ -114,13 +101,7 @@ class NewCtlHandler : public FileHandler {
     return f.state.substr(offset, count);
   }
   Result<uint32_t> Write(OpenFile& f, uint64_t offset, std::string_view data) override {
-    Window* w = nullptr;
-    for (Window* cand : h_->AllWindows()) {
-      if (cand->id() == f.state_int) {
-        w = cand;
-        break;
-      }
-    }
+    Window* w = h_->FindWindow(static_cast<int>(f.state_int));
     if (w == nullptr) {
       return Status::Error("window is gone");
     }
@@ -163,66 +144,13 @@ class SnarfHandler : public FileHandler {
   Help* h_;
 };
 
-// Seqlock-validated Text read for the 9P shared-read path. Under the
-// reader–writer discipline no writer can hold the dispatch lock while a
-// shared reader does, so the first attempt virtually always validates; the
-// sequence check is defense in depth against lock-discipline violations
-// (e.g. a thread mutating a Text without LockDispatch). On persistent
-// mismatch the kSharedReadRaced sentinel tells the server to re-run the
-// request under the exclusive lock — it never reaches a client.
-Result<std::string> SeqValidatedSubstr(Help* h, const Text& t, uint64_t offset,
-                                       uint32_t count) {
-  if (!h->ninep().SharedDispatchOnThisThread()) {
-    return t.Utf8Substr(offset, count);  // fully serialized: plain read
-  }
-  for (int attempt = 0; attempt < 3; attempt++) {
-    uint64_t seq = t.edit_seq();
-    if ((seq & 1) != 0) {
-      continue;  // an edit is mid-flight; re-snapshot
-    }
-    std::string data = t.Utf8Substr(offset, count);
-    if (t.edit_seq() == seq) {
-      return data;
-    }
-  }
-  return Status::Error(std::string(kSharedReadRaced));
-}
-
-// Same validation for the O(1) stat length. Length has no error channel, so
-// after bounded retries the last read wins — stat is advisory anyway.
-uint64_t SeqValidatedBytes(Help* h, const Text& t) {
-  if (!h->ninep().SharedDispatchOnThisThread()) {
-    return t.Utf8Bytes();
-  }
-  for (int attempt = 0; attempt < 3; attempt++) {
-    uint64_t seq = t.edit_seq();
-    if ((seq & 1) != 0) {
-      continue;
-    }
-    uint64_t n = t.Utf8Bytes();
-    if (t.edit_seq() == seq) {
-      return n;
-    }
-  }
-  return t.Utf8Bytes();
-}
-
 // Handlers for one window's files. They hold the window id, not the pointer,
 // and look it up per operation so a closed window yields a clean error.
 class WindowFileHandler : public FileHandler {
  public:
   enum class Kind { kTag, kBody, kBodyApp, kCtl };
 
-  WindowFileHandler(Help* h, int id, Kind kind, WindowShardPtr shard)
-      : h_(h), id_(id), kind_(kind), shard_(std::move(shard)) {}
-
-  // tag/body/bodyapp writes only touch this window's texts, so they may run
-  // under the shard. ctl writes reach global Help state (layout, the current
-  // window) and must stay structural — no shard, so classification falls
-  // through to the epoch-exclusive path.
-  WindowShardPtr window_shard() const override {
-    return kind_ == Kind::kCtl ? nullptr : shard_;
-  }
+  WindowFileHandler(Help* h, int id, Kind kind) : h_(h), id_(id), kind_(kind) {}
 
   Status Open(OpenFile& f, uint8_t mode) override {
     Window* w = Win();
@@ -249,9 +177,9 @@ class WindowFileHandler : public FileHandler {
       case Kind::kTag:
         // Indexed range read: a client paging through a big body costs
         // O(log n + count) per read, not a full UTF-8 encode per packet.
-        return SeqValidatedSubstr(h_, *w->tag().text, offset, count);
+        return w->tag().text->Utf8Substr(offset, count);
       case Kind::kBody:
-        return SeqValidatedSubstr(h_, *w->body().text, offset, count);
+        return w->body().text->Utf8Substr(offset, count);
       case Kind::kBodyApp:
         return std::string();  // write-only
       case Kind::kCtl: {
@@ -266,12 +194,8 @@ class WindowFileHandler : public FileHandler {
   }
 
   // Zero-copy body/tag reads: resolve the byte range to the gap buffer's two
-  // rune spans plus owned fringe bytes, with the same seqlock discipline as
-  // SeqValidatedSubstr — in shared mode the view carries a validation token
-  // the server re-checks after encoding; any mismatch falls back to the
-  // staged path (which re-runs validation and, on persistent racing, routes
-  // the request through the exclusive lock). kBodyApp (always empty) and
-  // kCtl (a few bytes) keep the staged path.
+  // rune spans plus owned fringe bytes. kBodyApp (always empty) and kCtl (a
+  // few bytes) keep the staged path.
   bool Gather(OpenFile& f, uint64_t offset, uint32_t count,
               GatherView* out) override {
     Window* w = Win();
@@ -290,32 +214,12 @@ class WindowFileHandler : public FileHandler {
       case Kind::kCtl:
         return false;
     }
-    const bool shared = h_->ninep().SharedDispatchOnThisThread();
-    uint64_t seq = 0;
-    if (shared) {
-      for (int attempt = 0;; attempt++) {
-        seq = t->edit_seq();
-        if ((seq & 1) == 0) {
-          break;
-        }
-        if (attempt >= 2) {
-          return false;  // edit mid-flight: staged fallback handles retries
-        }
-      }
-    }
     Text::GatherResult g = t->GatherUtf8(offset, count);
     *out = GatherView();
     out->prefix = std::move(g.prefix);
     out->runes = g.runes;
     out->suffix = std::move(g.suffix);
     out->bytes = g.bytes;
-    if (shared) {
-      out->seq_source = t->edit_seq_cell();
-      out->seq_expected = seq;
-      if (!out->Validate()) {
-        return false;  // raced during resolve; staged fallback re-runs
-      }
-    }
     return true;
   }
 
@@ -353,28 +257,20 @@ class WindowFileHandler : public FileHandler {
     switch (kind_) {
       case Kind::kTag:
         // O(1): stat never encodes the body.
-        return SeqValidatedBytes(h_, *w->tag().text);
+        return w->tag().text->Utf8Bytes();
       case Kind::kBody:
-        return SeqValidatedBytes(h_, *w->body().text);
+        return w->body().text->Utf8Bytes();
       default:
         return 0;
     }
   }
 
  private:
-  Window* Win() const {
-    for (Window* w : h_->AllWindows()) {
-      if (w->id() == id_) {
-        return w;
-      }
-    }
-    return nullptr;
-  }
+  Window* Win() const { return h_->FindWindow(id_); }
 
   Help* h_;
   int id_;
   Kind kind_;
-  WindowShardPtr shard_;
 };
 
 // Extension: writing "<dir> <name[:addr]>" to /mnt/help/open opens a file
@@ -501,8 +397,8 @@ class ConnFileHandler : public FileHandler {
 // at accept/close time (the listener loop must never touch the tree);
 // instead lookups and listings consult the server's NetState and lazily
 // build a small cached subtree per connection, pruned when the connection
-// dies. Runs under the dispatch lock in *either* mode, so it carries its own
-// mutex. Qids live in a high range so they can't collide with the Vfs's
+// dies. Lookups also run from the UI thread outside the dispatch lock, so it
+// carries its own mutex. Qids live in a high range so they can't collide with the Vfs's
 // sequential ids.
 class NetDirSynth : public DirSynth {
  public:
@@ -716,42 +612,16 @@ void InstallHelpFs(Help* h) {
 // --- Help member functions that form the file-server surface ----------------
 
 void Help::RegisterWindowFiles(Window* w) {
-  // Find or create the window's mutation shard. Windows sharing a body text
-  // (clones, same-file opens) must share a shard — an edit through one is
-  // visible through all, so they are one lock domain; the domain id is the
-  // id of the first window that minted the shard.
-  WindowShardPtr shard;
-  for (const auto& [id, st] : wins_) {
-    if (id != w->id() && st.shard != nullptr && st.window != nullptr &&
-        st.window->body().text == w->body().text) {
-      shard = st.shard;
-      break;
-    }
-  }
-  if (shard == nullptr) {
-    shard = std::make_shared<WindowShard>();
-    shard->domain = static_cast<uint64_t>(w->id());
-  }
-  wins_[w->id()].shard = shard;
   std::string dir = StrFormat("/mnt/help/%d", w->id());
   vfs_.MkdirAll(dir);
   using K = WindowFileHandler::Kind;
-  vfs_.AttachHandler(
-      dir + "/tag",
-      Serialized(this, std::make_shared<WindowFileHandler>(this, w->id(), K::kTag,
-                                                           shard)));
-  vfs_.AttachHandler(
-      dir + "/body",
-      Serialized(this, std::make_shared<WindowFileHandler>(this, w->id(), K::kBody,
-                                                           shard)));
-  vfs_.AttachHandler(
-      dir + "/bodyapp",
-      Serialized(this, std::make_shared<WindowFileHandler>(
-                           this, w->id(), K::kBodyApp, shard)));
-  vfs_.AttachHandler(
-      dir + "/ctl",
-      Serialized(this, std::make_shared<WindowFileHandler>(this, w->id(), K::kCtl,
-                                                           shard)));
+  for (auto [name, kind] : {std::pair{"tag", K::kTag}, std::pair{"body", K::kBody},
+                            std::pair{"bodyapp", K::kBodyApp},
+                            std::pair{"ctl", K::kCtl}}) {
+    vfs_.AttachHandler(dir + "/" + name,
+                       Serialized(this, std::make_shared<WindowFileHandler>(
+                                            this, w->id(), kind)));
+  }
 }
 
 void Help::UnregisterWindowFiles(Window* w) {

@@ -22,7 +22,7 @@
 // with cat/echo redirection — the paper's decl browser is ten lines of rc.
 //
 // Every handler installed here runs under the owning Help instance's 9P
-// dispatch lock (NinepServer::LockDispatch), so concurrent protocol workers
+// dispatch lock (NinepServer::LockDispatch), so the socket listener's loop
 // and the UI thread cannot interleave inside Help; index and new/ctl
 // snapshot their contents at Open time under that lock.
 #ifndef SRC_CORE_FILESERVER_H_

@@ -544,10 +544,8 @@ Status Help::CloneWindow(Window* w) {
   int id = NextWindowId();
   auto tag = std::make_shared<Text>(w->tag().text->Utf8());
   Window* clone = page_->Create(id, tag, w->body().text, -1, w);
-  wins_[id] = {clone,
-               wins_.count(w->id()) != 0 ? wins_[w->id()].filename
-                                         : std::string(),
-               nullptr};
+  wins_[id] = {clone, wins_.count(w->id()) != 0 ? wins_[w->id()].filename
+                                               : std::string()};
   counters_.windows_created++;
   RegisterWindowFiles(clone);
   UpdateDirtyTag(clone);
@@ -632,7 +630,7 @@ Result<Window*> Help::OpenFile(std::string_view name, std::string_view context_d
   int id = NextWindowId();
   auto tag = std::make_shared<Text>(display + " Close! Get!");
   Window* w = page_->Create(id, tag, body, col_hint, near);
-  wins_[id] = {w, key, nullptr};
+  wins_[id] = {w, key};
   counters_.windows_created++;
   RegisterWindowFiles(w);
   if (!fa.addr.empty()) {
@@ -667,7 +665,7 @@ Window* Help::CreateWindow(std::string_view tagline, int col_hint) {
   auto body = std::make_shared<Text>();
   Window* near = current_ != nullptr ? current_->window : nullptr;
   Window* w = page_->Create(id, tag, body, col_hint, near);
-  wins_[id] = {w, std::string(), nullptr};
+  wins_[id] = {w, std::string()};
   counters_.windows_created++;
   RegisterWindowFiles(w);
   return w;
@@ -749,7 +747,7 @@ void Help::AppendErrors(std::string_view text) {
     auto body = std::make_shared<Text>();
     Window* near = current_ != nullptr ? current_->window : nullptr;
     errors_ = page_->Create(id, tag, body, -1, near);
-    wins_[id] = {errors_, std::string(), nullptr};
+    wins_[id] = {errors_, std::string()};
     counters_.windows_created++;
     RegisterWindowFiles(errors_);
   }
@@ -801,6 +799,11 @@ std::vector<Window*> Help::AllWindows() {
     out.push_back(st.window);
   }
   return out;
+}
+
+Window* Help::FindWindow(int id) {
+  auto it = wins_.find(id);
+  return it == wins_.end() ? nullptr : it->second.window;
 }
 
 // ---------------------------------------------------------------------------

@@ -160,6 +160,8 @@ class Help {
 
   // All live windows, in id order.
   std::vector<Window*> AllWindows();
+  // The live window with this id, or nullptr.
+  Window* FindWindow(int id);
 
   // Marks `w`'s tag dirty/clean (adds/removes the Put! word). Public so the
   // ctl file handler can invoke it.
@@ -186,11 +188,6 @@ class Help {
   struct WinState {
     Window* window = nullptr;
     std::string filename;  // full path, empty for unnamed windows
-    // The window's mutation shard (DESIGN.md §17): held by the 9P dispatch
-    // for every window-scoped operation. Windows that share a body text
-    // (clones, same-file opens) share one shard, so an edit through any of
-    // them excludes reads through all of them.
-    WindowShardPtr shard;
   };
 
   // Gesture plumbing.

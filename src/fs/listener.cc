@@ -11,7 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
+#include <deque>
 
 #if defined(__linux__)
 #include <sys/epoll.h>
@@ -141,10 +141,9 @@ std::unique_ptr<Poller> MakePoller(PollerKind kind) {
 
 // --- Connection state --------------------------------------------------------
 
-// One inbound frame plus its request context, minted on the loop thread the
-// moment the FrameReader yields it: the trace id that stamps every phase
-// event of this request, and the arrival time the queue-wait phase starts
-// from.
+// One inbound frame plus its request context, minted the moment the
+// FrameReader yields it: the trace id that stamps every phase event of this
+// request, and the arrival time the queue-wait phase starts from.
 struct InFrame {
   std::string bytes;
   uint64_t rid = 0;
@@ -152,11 +151,11 @@ struct InFrame {
   uint64_t arrive_ns = 0;
 };
 
-// A dispatched reply whose bytes are in (or entering) the outbox but not yet
-// on the wire. end_total is the connection's outbox_appended watermark after
-// this reply; once outbox_written reaches it, the reply — and therefore the
-// request — is complete: the outbox-drain phase event fires and the record
-// goes to the flight recorder.
+// A dispatched reply whose bytes are in the outbox but not yet on the wire.
+// end_total is the connection's outbox_appended watermark after this reply;
+// once outbox_written reaches it, the reply — and therefore the request — is
+// complete: the outbox-drain phase event fires and the record goes to the
+// flight recorder.
 struct PendingReply {
   uint64_t rid = 0;
   uint16_t tag = 0;
@@ -173,94 +172,41 @@ struct PendingReply {
 // One segment of a connection's outbound queue. Replies at least kSealBytes
 // long enter the deque as their own segment via move — a zero-copy Rread's
 // payload is never copied again after encode — while small replies append
-// onto the tail segment so one writev drains many of them.
+// onto the tail segment so one sendmsg drains many of them.
 struct OutSeg {
   std::string bytes;
   size_t off = 0;  // already-written prefix
 };
 
 inline constexpr size_t kSealBytes = 1024;
-// Longest run of consecutive same-fid Twrites popped as one batch.
-inline constexpr size_t kMaxWriteBatch = 8;
 // iovec fan-in per sendmsg call.
 inline constexpr size_t kMaxIov = 64;
 
+// Every field is touched by the loop thread only.
 struct NinepListener::Conn {
   explicit Conn(uint32_t max_frame) : reader(max_frame) {}
 
-  // Loop-only fields: all socket I/O and epoll interest live on the loop
-  // thread, so these need no lock.
   int fd = -1;
   FrameReader reader;
   uint64_t last_active_ms = 0;
-  bool want_read = true;    // interest currently registered
+  bool want_read = true;  // interest currently registered
   bool want_write = false;
   uint64_t next_req_seq = 1;  // per-conn rid sequence; 1 so rid is never 0
+  NinepServer::SessionId sid = 0;
+  std::shared_ptr<ConnInfo> info;  // registered in the server's NetState
 
-  NinepServer::SessionId sid = 0;  // written once before the conn is shared
-  std::shared_ptr<ConnInfo> info;  // ditto; registered in the server's NetState
-
-  // Shared state (worker pool + loop), guarded by mu.
-  std::mutex mu;
-  std::deque<InFrame> inbox;      // complete frames awaiting dispatch
-  std::deque<OutSeg> outbox;      // encoded replies awaiting the wire
-  size_t outbox_pending = 0;      // unwritten bytes across all segments
-  uint64_t outbox_appended = 0;   // lifetime bytes ever appended
-  uint64_t outbox_written = 0;    // lifetime bytes ever sent
+  std::deque<InFrame> inbox;         // complete frames awaiting dispatch
+  std::deque<OutSeg> outbox;         // encoded replies awaiting the wire
+  size_t outbox_pending = 0;         // unwritten bytes across all segments
+  uint64_t outbox_appended = 0;      // lifetime bytes ever appended
+  uint64_t outbox_written = 0;       // lifetime bytes ever sent
   std::deque<PendingReply> pending;  // appended, not yet fully written
-  // PR 9 scheduler state (see the header comment): how many workers hold a
-  // claim on this conn, how many frames are out being dispatched right now,
-  // and whether one of them is a fence (mutation or write batch).
-  int workers_active = 0;
-  int dispatching = 0;
-  bool fence_inflight = false;
-  // Per-window ordering domains (PR 10): in-flight dispatches that read
-  // (shared) or write (exclusive) each nonzero domain. A window-confined
-  // write waits only for in-flight frames of its own domain instead of
-  // fencing the whole connection. Entries are erased when both counts drop
-  // to zero, so the map stays as small as the number of windows in flight.
-  struct DomainUse {
-    int readers = 0;
-    int writers = 0;
-  };
-  std::map<uint64_t, DomainUse> domains_inflight;
+  bool stalled = false;              // backpressure: dispatch and reads parked
+  bool closing = false;              // the socket was torn down
 
-  // Caller holds mu. Whether a frame with this verdict could begin
-  // dispatching right now alongside the connection's in-flight frames.
-  bool CanStartLocked(const NinepServer::FrameVerdict& fv) const {
-    if (fence_inflight) {
-      return false;
-    }
-    if (fv.cls == NinepServer::FrameClass::kReorderable) {
-      if (fv.domain == 0) {
-        return true;
-      }
-      auto it = domains_inflight.find(fv.domain);
-      return it == domains_inflight.end() || it->second.writers == 0;
-    }
-    if (fv.cls == NinepServer::FrameClass::kWrite && fv.domain != 0) {
-      auto it = domains_inflight.find(fv.domain);
-      return it == domains_inflight.end() ||
-             (it->second.readers == 0 && it->second.writers == 0);
-    }
-    // Fences — including domain-0 writes — wait for the whole connection's
-    // in-flight dispatches to drain.
-    return dispatching == 0;
-  }
-  // Arrival-order bookkeeping for ninep.ooo_completions: each popped frame
-  // gets the next seq; a frame whose completion leaves a SMALLER seq still
-  // in flight finished before an earlier-arrived request did.
-  uint64_t next_dispatch_seq = 0;
-  std::set<uint64_t> inflight_seqs;
-  bool stalled = false;           // backpressure: dispatch and reads parked
-  bool closing = false;           // loop tore the socket down
-  bool session_closed = false;    // CloseSession already ran
-
-  size_t outbox_bytes() const { return outbox_pending; }
-
-  // Caller holds mu. Appends one encoded reply to the outbox, sealing large
-  // payloads as their own moved segment.
-  void AppendReplyLocked(std::string&& bytes) {
+  // Appends one encoded reply, sealing large payloads as their own moved
+  // segment.
+  void AppendReply(std::string&& bytes) {
     outbox_pending += bytes.size();
     outbox_appended += bytes.size();
     if (bytes.size() >= kSealBytes || outbox.empty()) {
@@ -274,11 +220,7 @@ struct NinepListener::Conn {
 // --- NinepListener -----------------------------------------------------------
 
 NinepListener::NinepListener(NinepServer* srv, Options opt)
-    : srv_(srv), opt_(opt) {
-  if (opt_.workers < 1) {
-    opt_.workers = 1;
-  }
-}
+    : srv_(srv), opt_(opt) {}
 
 NinepListener::~NinepListener() { Stop(); }
 
@@ -346,10 +288,6 @@ Status NinepListener::Start() {
   stop_.store(false);
   running_.store(true);
   loop_ = std::thread(&NinepListener::LoopMain, this);
-  workers_.reserve(static_cast<size_t>(opt_.workers));
-  for (int i = 0; i < opt_.workers; i++) {
-    workers_.emplace_back(&NinepListener::WorkerMain, this, i);
-  }
   return Status::Ok();
 }
 
@@ -360,19 +298,6 @@ void NinepListener::Stop() {
   stop_.store(true);
   WakeLoop();
   loop_.join();
-  // Let the workers drain every already-queued dispatch and teardown, then
-  // stop them with one sentinel each.
-  {
-    std::lock_guard<std::mutex> lk(ready_mu_);
-    for (size_t i = 0; i < workers_.size(); i++) {
-      ready_.push_back(nullptr);
-    }
-  }
-  ready_cv_.notify_all();
-  for (std::thread& w : workers_) {
-    w.join();
-  }
-  workers_.clear();
   // Single-threaded from here: tear down whatever survived.
   for (int fd : listen_fds_) {
     close(fd);
@@ -388,10 +313,7 @@ void NinepListener::Stop() {
     c->info->set_state(ConnState::kClosing);
     srv_->net().Deregister(c->sid);
     srv_->metrics().RecordDisconnect();
-    if (!c->session_closed) {
-      c->session_closed = true;
-      srv_->CloseSession(c->sid);
-    }
+    srv_->CloseSession(c->sid);
   }
   for (int fd : deferred_close_) {
     close(fd);
@@ -432,20 +354,11 @@ void NinepListener::DrainWakePipe() {
   }
 }
 
-void NinepListener::EnqueueReady(const ConnPtr& c) {
-  {
-    std::lock_guard<std::mutex> lk(ready_mu_);
-    ready_.push_back(c);
-  }
-  ready_cv_.notify_one();
-}
-
 // --- Event loop --------------------------------------------------------------
 
 void NinepListener::LoopMain() {
   obs::Tracer::Global().SetThreadName("net.loop");
   std::vector<Poller::Event> events;
-  uint64_t next_reap_ms = 0;  // 0 or overdue: scan on the next pass
   while (!stop_.load()) {
     events.clear();
     int reap_cadence = opt_.reap_tick_ms > 0
@@ -468,60 +381,22 @@ void NinepListener::LoopMain() {
         HandleAccept(ev.fd);
         continue;
       }
-      ConnPtr c;
-      {
-        std::lock_guard<std::mutex> lk(conns_mu_);
-        auto it = conns_.find(ev.fd);
-        if (it != conns_.end()) {
-          c = it->second;
-        }
-      }
-      if (c == nullptr) {
+      // Only this thread mutates conns_, so the lookup needs no lock.
+      auto it = conns_.find(ev.fd);
+      if (it == conns_.end()) {
         continue;  // closed earlier in this batch (fd close is deferred)
       }
+      ConnPtr c = it->second;
       if (ev.error) {
         CloseConn(c, /*reaped=*/false);
-        continue;
-      }
-      if (ev.readable) {
-        HandleReadable(c);
-      }
-      if (ev.writable) {
-        FlushConn(c);
+      } else if (ev.readable) {
+        HandleReadable(c);  // ends in Pump, which also flushes
+      } else if (ev.writable) {
+        Pump(c);
       }
     }
-    // Worker notifications: replies to flush, stalls to re-arm.
-    std::deque<ConnPtr> pending;
-    {
-      std::lock_guard<std::mutex> lk(notify_mu_);
-      pending.swap(notify_);
-    }
-    for (const ConnPtr& c : pending) {
-      FlushConn(c);
-    }
-    // Idle reaping, on its own cadence: reap_tick_ms > 0 scans at that
-    // deadline-driven interval (prompt with a short tick, amortized with a
-    // long one on busy listeners whose events keep the loop spinning);
-    // reap_tick_ms == 0 keeps the historical scan-every-wakeup behavior.
-    if (opt_.idle_timeout_ms > 0 && NowMs() >= next_reap_ms) {
-      uint64_t now = NowMs();
-      if (opt_.reap_tick_ms > 0) {
-        next_reap_ms = now + static_cast<uint64_t>(opt_.reap_tick_ms);
-      }
-      std::vector<ConnPtr> idle;
-      {
-        std::lock_guard<std::mutex> lk(conns_mu_);
-        for (const auto& [fd, c] : conns_) {
-          if (now - c->last_active_ms >=
-              static_cast<uint64_t>(opt_.idle_timeout_ms)) {
-            idle.push_back(c);
-          }
-        }
-      }
-      for (const ConnPtr& c : idle) {
-        OBS_INSTANT("net.reap", c->sid);
-        CloseConn(c, /*reaped=*/true);
-      }
+    if (opt_.idle_timeout_ms > 0 && NowMs() >= next_reap_ms_) {
+      ReapIdle();
     }
     // Deferred closes: only after the whole batch, so a reused fd number
     // cannot alias a stale event from this batch.
@@ -529,6 +404,27 @@ void NinepListener::LoopMain() {
       close(fd);
     }
     deferred_close_.clear();
+  }
+}
+
+// Idle reaping, on its own cadence: reap_tick_ms > 0 scans at that
+// deadline-driven interval (prompt with a short tick, amortized with a long
+// one on busy listeners whose events keep the loop spinning); reap_tick_ms
+// == 0 scans on every wakeup.
+void NinepListener::ReapIdle() {
+  uint64_t now = NowMs();
+  if (opt_.reap_tick_ms > 0) {
+    next_reap_ms_ = now + static_cast<uint64_t>(opt_.reap_tick_ms);
+  }
+  std::vector<ConnPtr> idle;
+  for (const auto& [fd, c] : conns_) {
+    if (now - c->last_active_ms >= static_cast<uint64_t>(opt_.idle_timeout_ms)) {
+      idle.push_back(c);
+    }
+  }
+  for (const ConnPtr& c : idle) {
+    OBS_INSTANT("net.reap", c->sid);
+    CloseConn(c, /*reaped=*/true);
   }
 }
 
@@ -570,7 +466,6 @@ void NinepListener::HandleAccept(int listen_fd) {
 
 void NinepListener::HandleReadable(const ConnPtr& c) {
   char buf[64 * 1024];
-  std::vector<InFrame> frames;
   bool frame_error = false;
   bool peer_gone = false;
   obs::Tracer& tr = obs::Tracer::Global();
@@ -586,7 +481,7 @@ void NinepListener::HandleReadable(const ConnPtr& c) {
       break;
     }
     if (n == 0) {
-      peer_gone = true;  // EOF: pending replies are discarded by policy
+      peer_gone = true;
       break;
     }
     c->last_active_ms = NowMs();
@@ -596,8 +491,8 @@ void NinepListener::HandleReadable(const ConnPtr& c) {
     std::string frame;
     FrameReader::Next next;
     while ((next = c->reader.Pop(&frame)) == FrameReader::Next::kFrame) {
-      // The request context is born here, on the loop thread, before any
-      // decode: cid + the frame's own tag bytes + a per-conn sequence.
+      // The request context is born here, before any decode: cid + the
+      // frame's own tag bytes + a per-conn sequence.
       InFrame inf;
       inf.tag = FrameTag(frame);
       inf.rid = MakeRequestId(c->sid, inf.tag, c->next_req_seq++);
@@ -608,7 +503,7 @@ void NinepListener::HandleReadable(const ConnPtr& c) {
         tr.EmitAt(obs::EventKind::kInstant, "req.frame", inf.bytes.size(),
                   inf.rid, inf.arrive_ns);
       }
-      frames.push_back(std::move(inf));
+      c->inbox.push_back(std::move(inf));
     }
     if (next == FrameReader::Next::kError) {
       frame_error = true;
@@ -618,122 +513,171 @@ void NinepListener::HandleReadable(const ConnPtr& c) {
       break;  // drained the socket buffer
     }
   }
-  if (!frames.empty()) {
-    std::lock_guard<std::mutex> lk(c->mu);
-    for (InFrame& f : frames) {
-      c->inbox.push_back(std::move(f));
-    }
-    MaybeSpawnWorkerLocked(c);
-  }
   if (frame_error) {
     srv_->metrics().RecordFrameError();
     OBS_INSTANT("net.frame_error", c->sid);
     CloseConn(c, /*reaped=*/false);
   } else if (peer_gone) {
     CloseConn(c, /*reaped=*/false);
+  } else {
+    Pump(c);
   }
 }
 
-void NinepListener::FlushConn(const ConnPtr& c) {
-  bool broken = false;
-  {
-    std::lock_guard<std::mutex> lk(c->mu);
-    if (c->closing) {
+void NinepListener::Pump(const ConnPtr& c) {
+  while (!c->closing) {
+    Dispatch(c);
+    if (!Flush(c)) {
+      return;  // the socket broke; the connection is closed
+    }
+    // Backpressure release at half the bound, so a stream of replies can't
+    // flap the stall on and off per frame.
+    if (!c->stalled || c->outbox_pending > opt_.max_outbox_bytes / 2) {
+      break;
+    }
+    c->stalled = false;
+    c->info->set_state(ConnState::kActive);
+    OBS_INSTANT("net.unstall", c->sid);
+  }
+  if (!c->closing) {
+    UpdateInterest(c);
+  }
+}
+
+void NinepListener::Dispatch(const ConnPtr& c) {
+  obs::Tracer& tr = obs::Tracer::Global();
+  while (!c->inbox.empty()) {
+    if (c->outbox_pending > opt_.max_outbox_bytes) {
+      // Slow reader: park dispatch with the inbox intact. Pump drops read
+      // interest and resumes once the outbox drains.
+      if (!c->stalled) {
+        c->stalled = true;
+        c->info->set_state(ConnState::kStalled);
+        srv_->metrics().RecordBackpressureStall();
+        OBS_INSTANT("net.backpressure_stall", c->sid);
+      }
       return;
     }
-    while (c->outbox_pending > 0) {
-      // Scatter-gather drain: one sendmsg covers up to kMaxIov segments, so
-      // a batch of small replies — or a sealed zero-copy payload sandwiched
-      // between them — leaves in one syscall.
-      struct iovec iov[kMaxIov];
-      size_t niov = 0;
-      for (const OutSeg& s : c->outbox) {
-        if (niov == kMaxIov) {
-          break;
-        }
-        iov[niov].iov_base = const_cast<char*>(s.bytes.data() + s.off);
-        iov[niov].iov_len = s.bytes.size() - s.off;
-        niov++;
-      }
-      msghdr msg{};
-      msg.msg_iov = iov;
-      msg.msg_iovlen = niov;
-      ssize_t n = sendmsg(c->fd, &msg, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) {
-          continue;
-        }
-        if (!WouldBlock()) {
-          broken = true;
-        }
+    InFrame f = std::move(c->inbox.front());
+    c->inbox.pop_front();
+    uint64_t pickup = tr.NowNs();
+    uint64_t queue_ns = pickup - f.arrive_ns;
+    if (tr.enabled() && f.rid != 0) {
+      tr.EmitAt(obs::EventKind::kComplete, "req.queue", queue_ns, f.rid,
+                f.arrive_ns);
+    }
+    RequestObs obs;
+    obs.rid = f.rid;
+    ReplyFrame reply;
+    srv_->HandleBytes(c->sid, f.bytes, &obs, &reply);
+    uint64_t done = tr.NowNs();
+    c->info->RecordOp(obs.op, (done - pickup) / 1000, obs.error);
+    c->info->RecordQueueWait(queue_ns / 1000);
+    srv_->metrics().RecordNetQueueWait(queue_ns / 1000);
+    if (reply.zero_copy) {
+      c->info->AddBytesZeroCopy(reply.payload_bytes);
+    }
+    PendingReply p;
+    p.rid = f.rid;
+    p.tag = f.tag;
+    p.op = obs.op;
+    p.arrive_ns = f.arrive_ns;
+    p.queue_ns = queue_ns;
+    p.lock_ns = obs.lock_wait_ns;
+    p.handler_ns = obs.handler_ns;
+    p.encode_ns = obs.encode_ns;
+    p.append_ns = done;
+    c->AppendReply(std::move(reply.bytes));
+    p.end_total = c->outbox_appended;
+    c->pending.push_back(p);
+  }
+}
+
+bool NinepListener::Flush(const ConnPtr& c) {
+  bool broken = false;
+  while (c->outbox_pending > 0) {
+    // Scatter-gather drain: one sendmsg covers up to kMaxIov segments, so a
+    // batch of small replies — or a sealed zero-copy payload sandwiched
+    // between them — leaves in one syscall.
+    struct iovec iov[kMaxIov];
+    size_t niov = 0;
+    for (const OutSeg& s : c->outbox) {
+      if (niov == kMaxIov) {
         break;
       }
-      srv_->metrics().RecordWritev();
-      c->info->RecordWritev();
-      size_t left = static_cast<size_t>(n);
-      while (left > 0) {
-        OutSeg& s = c->outbox.front();
-        size_t take = std::min(s.bytes.size() - s.off, left);
-        s.off += take;
-        left -= take;
-        if (s.off == s.bytes.size()) {
-          c->outbox.pop_front();
-        }
-      }
-      c->outbox_pending -= static_cast<size_t>(n);
-      c->outbox_written += static_cast<uint64_t>(n);
-      c->last_active_ms = NowMs();
-      srv_->metrics().AddNetBytesOut(static_cast<uint64_t>(n));
-      c->info->AddBytesOut(static_cast<uint64_t>(n));
+      iov[niov].iov_base = const_cast<char*>(s.bytes.data() + s.off);
+      iov[niov].iov_len = s.bytes.size() - s.off;
+      niov++;
     }
-    // Requests whose reply bytes have now fully entered the kernel socket
-    // buffer are complete: close their outbox-drain phase and offer them to
-    // the flight recorder. pending is FIFO in append order and end_total is
-    // monotonic, so a prefix scan is exact.
-    obs::Tracer& tr = obs::Tracer::Global();
-    while (!c->pending.empty() &&
-           c->pending.front().end_total <= c->outbox_written) {
-      PendingReply p = c->pending.front();
-      c->pending.pop_front();
-      uint64_t now = tr.NowNs();
-      uint64_t outbox_ns = now - p.append_ns;
-      if (tr.enabled() && p.rid != 0) {
-        tr.EmitAt(obs::EventKind::kComplete, "req.outbox", outbox_ns, p.rid,
-                  p.append_ns);
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = niov;
+    ssize_t n = sendmsg(c->fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
       }
-      RequestRecord rec;
-      rec.rid = p.rid;
-      rec.cid = c->sid;
-      rec.tag = p.tag;
-      rec.op = p.op;
-      rec.total_ns = now - p.arrive_ns;
-      rec.queue_ns = p.queue_ns;
-      rec.lock_ns = p.lock_ns;
-      rec.handler_ns = p.handler_ns;
-      rec.encode_ns = p.encode_ns;
-      rec.outbox_ns = outbox_ns;
-      srv_->net().recorder().Record(rec);
-    }
-    if (!broken) {
-      // Backpressure release: half the bound, so a stream of replies can't
-      // flap the stall on and off per frame.
-      if (c->stalled && c->outbox_bytes() <= opt_.max_outbox_bytes / 2) {
-        c->stalled = false;
-        c->info->set_state(ConnState::kActive);
-        OBS_INSTANT("net.unstall", c->sid);
-        MaybeSpawnWorkerLocked(c);
+      if (!WouldBlock()) {
+        broken = true;
       }
-      UpdateInterest(c);
+      break;
     }
+    srv_->metrics().RecordWritev();
+    c->info->RecordWritev();
+    size_t left = static_cast<size_t>(n);
+    while (left > 0) {
+      OutSeg& s = c->outbox.front();
+      size_t take = std::min(s.bytes.size() - s.off, left);
+      s.off += take;
+      left -= take;
+      if (s.off == s.bytes.size()) {
+        c->outbox.pop_front();
+      }
+    }
+    c->outbox_pending -= static_cast<size_t>(n);
+    c->outbox_written += static_cast<uint64_t>(n);
+    c->last_active_ms = NowMs();
+    srv_->metrics().AddNetBytesOut(static_cast<uint64_t>(n));
+    c->info->AddBytesOut(static_cast<uint64_t>(n));
+  }
+  // Requests whose reply bytes have now fully entered the kernel socket
+  // buffer are complete: close their outbox-drain phase and offer them to
+  // the flight recorder. pending is FIFO in append order and end_total is
+  // monotonic, so a prefix scan is exact.
+  obs::Tracer& tr = obs::Tracer::Global();
+  while (!c->pending.empty() &&
+         c->pending.front().end_total <= c->outbox_written) {
+    PendingReply p = c->pending.front();
+    c->pending.pop_front();
+    uint64_t now = tr.NowNs();
+    uint64_t outbox_ns = now - p.append_ns;
+    if (tr.enabled() && p.rid != 0) {
+      tr.EmitAt(obs::EventKind::kComplete, "req.outbox", outbox_ns, p.rid,
+                p.append_ns);
+    }
+    RequestRecord rec;
+    rec.rid = p.rid;
+    rec.cid = c->sid;
+    rec.tag = p.tag;
+    rec.op = p.op;
+    rec.total_ns = now - p.arrive_ns;
+    rec.queue_ns = p.queue_ns;
+    rec.lock_ns = p.lock_ns;
+    rec.handler_ns = p.handler_ns;
+    rec.encode_ns = p.encode_ns;
+    rec.outbox_ns = outbox_ns;
+    srv_->net().recorder().Record(rec);
   }
   if (broken) {
     CloseConn(c, /*reaped=*/false);
+    return false;
   }
+  return true;
 }
 
 void NinepListener::UpdateInterest(const ConnPtr& c) {
   bool want_read = !c->stalled;
-  bool want_write = c->outbox_bytes() > 0;
+  bool want_write = c->outbox_pending > 0;
   if (want_read != c->want_read || want_write != c->want_write) {
     c->want_read = want_read;
     c->want_write = want_write;
@@ -742,13 +686,10 @@ void NinepListener::UpdateInterest(const ConnPtr& c) {
 }
 
 void NinepListener::CloseConn(const ConnPtr& c, bool reaped) {
-  {
-    std::lock_guard<std::mutex> lk(c->mu);
-    if (c->closing) {
-      return;
-    }
-    c->closing = true;
+  if (c->closing) {
+    return;
   }
+  c->closing = true;
   poller_->Del(c->fd);
   deferred_close_.push_back(c->fd);
   {
@@ -761,279 +702,12 @@ void NinepListener::CloseConn(const ConnPtr& c, bool reaped) {
   if (reaped) {
     srv_->metrics().RecordReap();
   }
-  // Session teardown happens on a worker: CloseSession waits for the
-  // exclusive dispatch lock (draining any request this connection still has
-  // mid-dispatch), and the loop must never block on that. If workers are
-  // already active on this conn, the next one to loop observes `closing` and
-  // claims the teardown instead.
-  {
-    std::lock_guard<std::mutex> lk(c->mu);
-    MaybeSpawnWorkerLocked(c);
-  }
-}
-
-// --- Worker pool -------------------------------------------------------------
-
-int NinepListener::ConnWorkerCap() const {
-  if (opt_.max_conn_workers <= 0) {
-    return opt_.workers;
-  }
-  return std::min(opt_.max_conn_workers, opt_.workers);
-}
-
-void NinepListener::MaybeSpawnWorkerLocked(const ConnPtr& c) {
-  if (c->workers_active >= ConnWorkerCap()) {
-    return;
-  }
-  if (c->closing) {
-    // Teardown needs exactly one worker; if any is active it will observe
-    // `closing` on its next loop and claim the job.
-    if (c->session_closed || c->workers_active > 0) {
-      return;
-    }
-  } else {
-    if (c->stalled || c->inbox.empty() || c->fence_inflight) {
-      return;
-    }
-    // Beyond the first worker, only spawn when the front frame could
-    // actually start concurrently — a whole-conn fence waits for
-    // dispatching == 0 regardless, so an extra worker would wake just to go
-    // back to sleep.
-    if (c->workers_active > 0) {
-      NinepServer::FrameVerdict fv =
-          srv_->ClassifyFrame(c->sid, c->inbox.front().bytes);
-      bool concurrent =
-          fv.cls == NinepServer::FrameClass::kReorderable ||
-          (fv.cls == NinepServer::FrameClass::kWrite && fv.domain != 0);
-      if (!concurrent || !c->CanStartLocked(fv)) {
-        return;
-      }
-    }
-  }
-  c->workers_active++;
-  EnqueueReady(c);
-}
-
-void NinepListener::WorkerMain(int idx) {
-  {
-    char name[32];
-    snprintf(name, sizeof(name), "net.worker%d", idx);
-    obs::Tracer::Global().SetThreadName(name);
-  }
-  while (true) {
-    ConnPtr c;
-    {
-      std::unique_lock<std::mutex> lk(ready_mu_);
-      ready_cv_.wait(lk, [&] { return !ready_.empty(); });
-      c = std::move(ready_.front());
-      ready_.pop_front();
-    }
-    if (c == nullptr) {
-      return;  // shutdown sentinel
-    }
-    DrainConn(c);
-  }
-}
-
-// One worker's visit: pop whatever the ordering model lets this conn start —
-// a reorderable frame (concurrently with other workers on the same conn), a
-// fence once every in-flight dispatch drains, or a run of consecutive
-// same-fid Twrites as one batch — dispatch it outside c->mu, append the
-// replies, repeat. Returns when nothing is poppable; whichever worker
-// finishes the blocking dispatch resumes the queue, so no frame is stranded.
-void NinepListener::DrainConn(const ConnPtr& c) {
-  obs::Tracer& tr = obs::Tracer::Global();
-  bool teardown = false;
-  while (true) {
-    std::vector<InFrame> batch;  // one frame, or a coalesced Twrite run
-    std::vector<uint64_t> seqs;  // arrival seq of each frame in `batch`
-    bool is_fence = false;
-    uint64_t batch_domain = 0;   // nonzero: this batch holds a domain slot
-    bool batch_is_write = false;  // which DomainUse count the slot is
-    {
-      std::lock_guard<std::mutex> lk(c->mu);
-      if (c->closing) {
-        teardown = !c->session_closed;
-        c->session_closed = true;
-        c->workers_active--;
-        break;
-      }
-      if (c->outbox_bytes() > opt_.max_outbox_bytes) {
-        // Slow reader: park dispatch with the inbox intact. The loop
-        // drops read interest and requeues once the outbox drains.
-        if (!c->stalled) {
-          c->stalled = true;
-          c->info->set_state(ConnState::kStalled);
-          srv_->metrics().RecordBackpressureStall();
-          OBS_INSTANT("net.backpressure_stall", c->sid);
-        }
-        c->workers_active--;
-        break;
-      }
-      if (c->inbox.empty()) {
-        c->workers_active--;
-        break;
-      }
-      NinepServer::FrameVerdict fv =
-          srv_->ClassifyFrame(c->sid, c->inbox.front().bytes);
-      if (!c->CanStartLocked(fv)) {
-        // Whichever dispatch is blocking us loops back here when it
-        // completes.
-        c->workers_active--;
-        break;
-      }
-      auto pop_front = [&] {
-        batch.push_back(std::move(c->inbox.front()));
-        c->inbox.pop_front();
-        seqs.push_back(c->next_dispatch_seq++);
-        c->inflight_seqs.insert(seqs.back());
-        c->dispatching++;
-      };
-      // Coalesce the run of consecutive writes to the same fid; they
-      // dispatch under one lock acquisition in HandleWriteBatch.
-      auto coalesce_writes = [&](uint32_t wfid) {
-        while (batch.size() < kMaxWriteBatch && !c->inbox.empty()) {
-          NinepServer::FrameVerdict nv =
-              srv_->ClassifyFrame(c->sid, c->inbox.front().bytes);
-          if (nv.cls != NinepServer::FrameClass::kWrite ||
-              nv.write_fid != wfid) {
-            break;
-          }
-          pop_front();
-        }
-      };
-      if (fv.cls == NinepServer::FrameClass::kReorderable) {
-        pop_front();
-        if (fv.domain != 0) {
-          batch_domain = fv.domain;
-          c->domains_inflight[fv.domain].readers++;
-        }
-        // Fan out: if the next frame can also start, wake another worker to
-        // run it while we dispatch this one.
-        MaybeSpawnWorkerLocked(c);
-      } else if (fv.cls == NinepServer::FrameClass::kWrite &&
-                 fv.domain != 0) {
-        // A window-confined write run is not a fence: the domain slot it
-        // holds orders it against same-window frames only, so writes to
-        // different windows — and reads of other windows — keep flowing.
-        batch_domain = fv.domain;
-        batch_is_write = true;
-        c->domains_inflight[fv.domain].writers++;
-        pop_front();
-        coalesce_writes(fv.write_fid);  // same fid ⇒ same domain
-        MaybeSpawnWorkerLocked(c);
-      } else {
-        is_fence = true;
-        c->fence_inflight = true;
-        pop_front();
-        if (fv.cls == NinepServer::FrameClass::kWrite) {
-          coalesce_writes(fv.write_fid);
-        }
-      }
-    }
-    // Dispatch outside c->mu.
-    uint64_t pickup = tr.NowNs();
-    std::vector<RequestObs> obsv(batch.size());
-    for (size_t i = 0; i < batch.size(); i++) {
-      obsv[i].rid = batch[i].rid;
-      if (tr.enabled() && batch[i].rid != 0) {
-        tr.EmitAt(obs::EventKind::kComplete, "req.queue",
-                  pickup - batch[i].arrive_ns, batch[i].rid,
-                  batch[i].arrive_ns);
-      }
-    }
-    std::vector<ReplyFrame> replies;
-    if (batch.size() == 1) {
-      replies.resize(1);
-      srv_->HandleBytes(c->sid, batch[0].bytes, &obsv[0], &replies[0]);
-    } else {
-      std::vector<std::string_view> views;
-      std::vector<RequestObs*> obsp;
-      views.reserve(batch.size());
-      obsp.reserve(batch.size());
-      for (size_t i = 0; i < batch.size(); i++) {
-        views.push_back(batch[i].bytes);
-        obsp.push_back(&obsv[i]);
-      }
-      srv_->HandleWriteBatch(c->sid, views, obsp, &replies);
-      srv_->metrics().RecordBodyappCoalesced(batch.size() - 1);
-    }
-    uint64_t done = tr.NowNs();
-    for (size_t i = 0; i < batch.size(); i++) {
-      uint64_t queue_ns = pickup - batch[i].arrive_ns;
-      c->info->RecordOp(obsv[i].op, (done - pickup) / 1000, obsv[i].error);
-      c->info->RecordQueueWait(queue_ns / 1000);
-      srv_->metrics().RecordNetQueueWait(queue_ns / 1000);
-      if (replies[i].zero_copy) {
-        c->info->AddBytesZeroCopy(replies[i].payload_bytes);
-      }
-    }
-    bool notify;
-    {
-      std::lock_guard<std::mutex> lk(c->mu);
-      notify = c->outbox_bytes() == 0;  // loop has nothing armed for us
-      for (size_t i = 0; i < batch.size(); i++) {
-        PendingReply p;
-        p.rid = batch[i].rid;
-        p.tag = batch[i].tag;
-        p.op = obsv[i].op;
-        p.arrive_ns = batch[i].arrive_ns;
-        p.queue_ns = pickup - batch[i].arrive_ns;
-        p.lock_ns = obsv[i].lock_wait_ns;
-        p.handler_ns = obsv[i].handler_ns;
-        p.encode_ns = obsv[i].encode_ns;
-        p.append_ns = done;
-        c->AppendReplyLocked(std::move(replies[i].bytes));
-        p.end_total = c->outbox_appended;
-        c->pending.push_back(p);
-        // Completing while an earlier-arrived request is still in flight is
-        // an out-of-order completion. (A whole-conn fence batch never
-        // records one: it only popped once dispatching hit zero, so the set
-        // holds nothing older than itself. Domain-confined batches can —
-        // they run alongside other domains' frames.)
-        c->inflight_seqs.erase(seqs[i]);
-        if (!c->inflight_seqs.empty() &&
-            *c->inflight_seqs.begin() < seqs[i]) {
-          srv_->metrics().RecordOooCompletion();
-        }
-      }
-      c->dispatching -= static_cast<int>(batch.size());
-      if (is_fence) {
-        c->fence_inflight = false;
-      }
-      if (batch_domain != 0) {
-        auto it = c->domains_inflight.find(batch_domain);
-        if (batch_is_write) {
-          it->second.writers--;
-        } else {
-          it->second.readers--;
-        }
-        if (it->second.readers == 0 && it->second.writers == 0) {
-          c->domains_inflight.erase(it);
-        }
-      }
-    }
-    if (notify) {
-      {
-        std::lock_guard<std::mutex> lk(notify_mu_);
-        notify_.push_back(c);
-      }
-      WakeLoop();
-    }
-  }
-  if (teardown) {
-    // Outside c->mu: CloseSession blocks on the exclusive dispatch lock
-    // (draining this connection's mid-flight requests, if any), and the
-    // loop must stay free to lock c->mu meanwhile.
-    srv_->CloseSession(c->sid);
-  }
-  // A stall or teardown decision above may have raced a FlushConn; one
-  // extra notification is cheap and keeps interest fresh.
-  {
-    std::lock_guard<std::mutex> lk(notify_mu_);
-    notify_.push_back(c);
-  }
-  WakeLoop();
+  // Undispatched frames and unwritten replies go with the connection.
+  c->inbox.clear();
+  c->outbox.clear();
+  c->pending.clear();
+  c->outbox_pending = 0;
+  srv_->CloseSession(c->sid);
 }
 
 }  // namespace help

@@ -1,49 +1,23 @@
-// The C10K front end of the 9P service: one event-loop thread multiplexes
-// every accepted connection with epoll (poll on non-Linux, or on request),
-// and a small worker pool runs the actual protocol dispatch against the
-// NinepServer. One connection == one Session, so fid tables, msize, and tag
-// bookkeeping isolate exactly as they do in-process.
+// The socket front end of the 9P service: one event-loop thread multiplexes
+// every accepted connection with epoll (poll on non-Linux, or on request) and
+// runs each request to completion. One connection == one Session, so fid
+// tables, msize, and tag bookkeeping isolate exactly as they do in-process.
 //
-// Division of labor (see DESIGN.md §14):
+// The loop thread does everything: accept, read, deframe, dispatch, flush,
+// timers, close. Each readable event deframes what arrived, runs the frames
+// through NinepServer::HandleBytes in arrival order, appends every reply to
+// the connection's outbox, and drains the outbox with one scatter-gather
+// sendmsg. Replies therefore leave each connection in request order. A
+// pipelining client still gains from its window: one wakeup and one sendmsg
+// carry many requests and replies. The dispatch lock is still taken per
+// request, because the UI thread and the in-process transports dispatch too.
 //
-//   loop thread    accept, read, write, epoll interest, timers, close —
-//                  ALL fd I/O. Never dispatches, never takes the 9P
-//                  dispatch lock, so a slow handler can't stall the wire.
-//   worker pool    pops a ready connection, drains its inbox one frame at a
-//                  time through NinepServer::HandleBytes (the existing
-//                  shared/exclusive dispatch machinery), appends replies to
-//                  the outbox, and wakes the loop to flush. Also runs
-//                  session teardown (CloseSession blocks on the exclusive
-//                  dispatch lock — not the loop's job).
-//
-// Per-connection ordering (PR 9, DESIGN.md §16; domains PR 10, §17): frames
-// are *picked up* in arrival order, but read-only requests (Tread on a
-// read-only fid, Tstat, fid-minting Twalk) may dispatch on several workers
-// at once and complete out of order between mutation barriers. A mutation
-// (ctl writes, Tclunk, attach/open/...) is a fence: it waits for every
-// in-flight dispatch on the connection to finish and excludes new pickups
-// while it runs, so a read issued after a write always sees that write.
-// Window-confined frames carry a nonzero *domain* (the window id from
-// ClassifyFrame): a Twrite to a window file is NOT a whole-conn fence — it
-// only waits for in-flight frames of its own domain, and blocks only
-// same-domain pickups, so one connection's writes to different windows (and
-// reads of other windows) overlap. The dispatch locks make this safe; the
-// domain accounting preserves per-window read-your-writes ordering on the
-// connection. The scheduler encodes all of this with per-conn fields
-// (dispatching count, fence_inflight flag, per-domain reader/writer counts,
-// workers_active fan-out count) and asks NinepServer::ClassifyFrame — a
-// bytes-level peek, no decode — about the frame at the front of the inbox.
-// Runs of consecutive Twrites to one fid are popped together and dispatched
-// through HandleWriteBatch under a single lock acquisition
-// (ninep.bodyapp_coalesced counts the riders). Different connections'
-// requests run concurrently as before.
-//
-// Backpressure: each connection's outbound queue is bounded. When appending
-// a reply would exceed max_outbox_bytes the worker parks the connection
-// (stalled): dispatch stops with frames still in the inbox, the loop drops
-// read interest so the kernel socket buffer — and eventually the peer —
-// absorbs the pressure. When the loop drains the outbox below half the
-// bound it unstalls, re-arms reads, and requeues pending frames. Counted in
+// Backpressure: each connection's outbound queue is bounded. When the outbox
+// exceeds max_outbox_bytes the loop stops dispatching that connection
+// (stalled) with frames still in its inbox and drops read interest, so the
+// kernel socket buffer — and eventually the peer — absorbs the pressure.
+// Once the outbox drains below half the bound the connection unstalls,
+// dispatches its pending frames, and reads again. Counted in
 // net.backpressure_stalls.
 //
 // Idle reaping: a connection with no traffic for idle_timeout_ms is closed
@@ -54,16 +28,13 @@
 // Hostile-wire policy: a frame header that lies (size < 7 or > max_frame)
 // poisons the stream — the connection is closed immediately, counted in
 // net.frame_errors. There is no resynchronizing a framed stream after a bad
-// length. Disconnects with requests mid-dispatch are safe by construction:
-// the session outlives the socket until a worker's CloseSession completes,
-// and replies to a dead connection are discarded with it.
+// length. On EOF, a poisoned stream, or a broken socket, frames not yet
+// dispatched and replies not yet written are discarded with the connection.
 #ifndef SRC_FS_LISTENER_H_
 #define SRC_FS_LISTENER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -102,11 +73,10 @@ class Poller {
 enum class PollerKind : uint8_t { kAuto, kEpoll, kPoll };
 std::unique_ptr<Poller> MakePoller(PollerKind kind);
 
-// Namespace-scope (not nested) so `NinepListener(&srv, {.workers = 4})` and
+// Namespace-scope (not nested) so `NinepListener(&srv, {.tick_ms = 10})` and
 // the defaulted-argument constructor both work — a nested aggregate's default
 // member initializers are not usable until the enclosing class is complete.
 struct ListenerOptions {
-  int workers = 2;                     // dispatch worker threads
   uint32_t max_frame = kMaxFrameSize;  // inbound frame cap (protocol limit)
   size_t max_outbox_bytes = 1 << 20;   // backpressure high-water per conn
   int idle_timeout_ms = 0;             // 0 = never reap idle connections
@@ -117,10 +87,6 @@ struct ListenerOptions {
   // on busy listeners.
   int reap_tick_ms = 0;
   PollerKind poller = PollerKind::kAuto;
-  // Cap on workers dispatching ONE connection's frames concurrently. 0 means
-  // "no per-conn cap" (bounded by `workers`); 1 restores the pre-PR 9
-  // strictly-in-order dispatch, which the benchmarks use as a baseline.
-  int max_conn_workers = 0;
 };
 
 class NinepListener {
@@ -139,8 +105,8 @@ class NinepListener {
   Status ListenUnix(const std::string& path);
   uint16_t port() const { return port_; }
 
-  // Spawns the event loop and the worker pool. Stop() (or the destructor)
-  // closes every connection, tears down every session, and joins.
+  // Spawns the event-loop thread. Stop() (or the destructor) closes every
+  // connection, tears down every session, and joins it.
   Status Start();
   void Stop();
 
@@ -152,23 +118,23 @@ class NinepListener {
   using ConnPtr = std::shared_ptr<Conn>;
 
   void LoopMain();
-  void WorkerMain(int idx);
   void HandleAccept(int listen_fd);
   void HandleReadable(const ConnPtr& c);
-  // Flushes c->outbox as far as the socket allows (scatter-gather over the
-  // segment deque); updates interest.
-  void FlushConn(const ConnPtr& c);
-  // One worker's visit to a connection: pop/dispatch until nothing poppable.
-  void DrainConn(const ConnPtr& c);
-  // Caller holds c->mu: claims a fan-out slot and enqueues the connection if
-  // work is available and the per-conn worker cap allows another.
-  void MaybeSpawnWorkerLocked(const ConnPtr& c);
-  int ConnWorkerCap() const;
+  // Dispatches c's inbox and flushes its outbox until the inbox is empty,
+  // the connection stalls on a full outbox the socket cannot drain, or it
+  // closes; then updates its poller interest.
+  void Pump(const ConnPtr& c);
+  // Runs inbox frames through the server in order until the inbox is empty
+  // or the outbox exceeds max_outbox_bytes (which stalls the connection).
+  void Dispatch(const ConnPtr& c);
+  // Writes c->outbox as far as the socket allows (scatter-gather over the
+  // segment deque). False when the socket broke and the connection closed.
+  bool Flush(const ConnPtr& c);
   void UpdateInterest(const ConnPtr& c);
-  // Loop-side teardown: deregister + schedule close(fd) after this event
-  // batch, erase from the table, hand session teardown to a worker.
+  // Deregisters the fd (its close(2) waits for the end of this event batch),
+  // erases the connection, and tears its session down.
   void CloseConn(const ConnPtr& c, bool reaped);
-  void EnqueueReady(const ConnPtr& c);  // caller holds c->mu
+  void ReapIdle();
   void WakeLoop();
   void DrainWakePipe();
   uint64_t NowMs() const;
@@ -179,34 +145,24 @@ class NinepListener {
   std::vector<int> listen_fds_;
   std::string unix_path_;  // unlinked on Stop
   uint16_t port_ = 0;
-  int wake_rd_ = -1;
+  int wake_rd_ = -1;  // the wake pipe: Stop() interrupts the loop's wait
   int wake_wr_ = -1;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
 
   std::thread loop_;
-  std::vector<std::thread> workers_;
 
-  // The connection table. Only the loop inserts/erases; the mutex makes
-  // active_conns() and Stop()'s final sweep safe from other threads.
+  // The connection table. Only the loop touches it, except that
+  // active_conns() reads its size from other threads: inserts, erases, and
+  // that read take the mutex.
   mutable std::mutex conns_mu_;
   std::map<int, ConnPtr> conns_;
-
-  // Work queue: connections with frames to dispatch or sessions to tear
-  // down. A null entry is the shutdown sentinel.
-  std::mutex ready_mu_;
-  std::condition_variable ready_cv_;
-  std::deque<ConnPtr> ready_;
-
-  // Loop-notification queue: connections whose outbox/stall state changed
-  // under a worker and need the loop to flush or re-arm interest.
-  std::mutex notify_mu_;
-  std::deque<ConnPtr> notify_;
 
   // fds whose close(2) is deferred to the end of the current event batch, so
   // a just-closed fd cannot be reused by an accept earlier in the same batch
   // and alias a stale event.
   std::vector<int> deferred_close_;
+  uint64_t next_reap_ms_ = 0;  // 0 or overdue: scan on the next pass
 };
 
 }  // namespace help

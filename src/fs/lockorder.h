@@ -1,26 +1,25 @@
-// Debug-build lock-order checking for the dispatch-lock hierarchy
-// (DESIGN.md §17). The hierarchy is strict:
+// Debug-build lock-order checking for the dispatch lock. The order is
+// strict:
 //
-//   level 10  epoch lock        (NinepServer::dispatch_mu_)
-//   level 20  window shard      (WindowShard::mu)
-//   level 30  session lock      (Session::dispatch_mu_)
-//   level 40  leaf locks        (fid_mu_, tag_mu_, state_mu_, Conn::mu, ...)
+//   level 10  dispatch lock     (NinepServer::dispatch_mu_)
+//   level 20  leaf locks        (fid_mu_, tag_mu_, state_mu_, ...)
 //
 // A thread may only acquire a lock whose level is strictly greater than the
-// highest level it already holds; leaves (level 40) never nest with each
-// other. Violations deadlock in production but are timing-dependent and can
-// hide for months — so debug builds (cmake -DHELP_LOCK_ASSERT=ON, wired into
-// the CI sanitizer matrix) record a thread-local stack of held levels and
-// abort on the first out-of-order acquisition instead.
+// highest level it already holds; leaves never nest with each other. A leaf
+// held across a call that takes the dispatch lock deadlocks in production
+// but only under the right timing — so debug builds (cmake
+// -DHELP_LOCK_ASSERT=ON, wired into the CI sanitizer matrix) record a
+// thread-local stack of held levels and abort on the first out-of-order
+// acquisition instead.
 //
-// The hierarchy is per NinepServer INSTANCE. A handler dispatched by one
-// server may serialize against a different server over the same Vfs (the
+// The order is per NinepServer INSTANCE. A handler dispatched by one server
+// may serialize against a different server over the same Vfs (the
 // SerializedHandler wrappers take Help's own server's LockDispatch even when
 // the bytes arrived through a test- or tool-owned NinepServer). That nested
 // acquire starts a fresh *frame*: ordering is enforced within a frame, and a
 // frame boundary resets the comparison point, because locks from different
 // server instances are different hierarchies. Frames are opened explicitly
-// by the one caller that can tell (NinepServer::Acquire sees a foreign
+// by the one caller that can tell (NinepServer::LockDispatch sees a foreign
 // server's dispatch already on this thread).
 //
 // Usage: declare a LockOrderScope on the stack immediately after (or while)
@@ -36,12 +35,10 @@
 
 namespace help {
 
-// Levels in the dispatch-lock hierarchy, in required acquisition order.
+// Lock levels, in required acquisition order.
 enum LockLevel : int {
-  kLockLevelEpoch = 10,
-  kLockLevelShard = 20,
-  kLockLevelSession = 30,
-  kLockLevelLeaf = 40,
+  kLockLevelDispatch = 10,
+  kLockLevelLeaf = 20,
 };
 
 #ifdef HELP_LOCK_ASSERT
@@ -60,8 +57,8 @@ inline thread_local HeldStack tls_held;
 [[noreturn]] inline void LockOrderViolation(int held, int acquiring) {
   std::fprintf(stderr,
                "help: lock-order violation: acquiring level %d while holding "
-               "level %d (required order: epoch=10 < shard=20 < session=30 < "
-               "leaf=40, strictly increasing)\n",
+               "level %d (required order: dispatch=10 < leaf=20, strictly "
+               "increasing)\n",
                acquiring, held);
   std::abort();
 }

@@ -83,8 +83,6 @@ NinepMetrics::NinepMetrics() {
   bytes_out_ = reg.GetCounter("ninep.bytes_out");
   in_flight_ = reg.GetCounter("ninep.in_flight");
   flush_cancels_ = reg.GetCounter("ninep.flush_cancels");
-  shared_reads_ = reg.GetCounter("ninep.read.shared");
-  read_retries_ = reg.GetCounter("ninep.read.retry");
   lock_wait_ = reg.GetHistogram("ninep.lock.wait_us");
   net_accepts_ = reg.GetCounter("net.accepts");
   net_active_ = reg.GetCounter("net.active_conns");
@@ -94,14 +92,9 @@ NinepMetrics::NinepMetrics() {
   net_bytes_in_ = reg.GetCounter("net.bytes_in");
   net_bytes_out_ = reg.GetCounter("net.bytes_out");
   net_queue_wait_ = reg.GetHistogram("net.queue_wait_us");
-  ooo_completions_ = reg.GetCounter("ninep.ooo_completions");
   bytes_zero_copy_ = reg.GetCounter("ninep.bytes_zero_copy");
   bytes_staged_ = reg.GetCounter("ninep.bytes_staged");
-  bodyapp_coalesced_ = reg.GetCounter("ninep.bodyapp_coalesced");
   net_writev_calls_ = reg.GetCounter("net.writev_calls");
-  lock_window_acquires_ = reg.GetCounter("ninep.lock.window_acquires");
-  lock_epoch_exclusive_ = reg.GetCounter("ninep.lock.epoch_exclusive");
-  shard_wait_ = reg.GetHistogram("ninep.lock.shard_wait_us");
 }
 
 void NinepMetrics::RecordOp(NinepOp op, uint64_t latency_us, bool error) {
@@ -159,16 +152,12 @@ std::string NinepMetrics::Render() const {
                 static_cast<unsigned long long>(in_flight()),
                 static_cast<unsigned long long>(flush_cancels()));
   out += line;
-  // PR 4 read-path concurrency counters, appended after the PR 1 block so
-  // existing consumers that parse from the top keep working.
-  std::snprintf(line, sizeof(line),
-                "shared_reads %llu\nread_retries %llu\nlock_wait_p99us %llu\n",
-                static_cast<unsigned long long>(shared_reads()),
-                static_cast<unsigned long long>(read_retries()),
+  // Later blocks are appended after the first one so consumers that parse
+  // from the top keep working.
+  std::snprintf(line, sizeof(line), "lock_wait_p99us %llu\n",
                 static_cast<unsigned long long>(lock_wait_->Percentile(99)));
   out += line;
-  // PR 7 socket transport: the connection layer's own counters, again
-  // appended so byte-format consumers of the older blocks keep working.
+  // The socket transport's connection-layer counters.
   std::snprintf(line, sizeof(line),
                 "net_accepts %llu\nnet_active_conns %llu\nnet_reaped %llu\n",
                 static_cast<unsigned long long>(net_accepts()),
@@ -183,25 +172,12 @@ std::string NinepMetrics::Render() const {
                 static_cast<unsigned long long>(net_bytes_in()),
                 static_cast<unsigned long long>(net_bytes_out()));
   out += line;
-  // PR 9 pipelined dispatch + zero-copy reads, appended last for the same
-  // reason.
+  // Zero-copy reads and outbox drains.
   std::snprintf(line, sizeof(line),
-                "ooo_completions %llu\nbytes_zero_copy %llu\n"
-                "bytes_staged %llu\nbodyapp_coalesced %llu\n"
-                "net_writev_calls %llu\n",
-                static_cast<unsigned long long>(ooo_completions()),
+                "bytes_zero_copy %llu\nbytes_staged %llu\nnet_writev_calls %llu\n",
                 static_cast<unsigned long long>(bytes_zero_copy()),
                 static_cast<unsigned long long>(bytes_staged()),
-                static_cast<unsigned long long>(bodyapp_coalesced()),
                 static_cast<unsigned long long>(net_writev_calls()));
-  out += line;
-  // PR 10 sharded dispatch-lock counters, appended last for the same reason.
-  std::snprintf(line, sizeof(line),
-                "lock_window_acquires %llu\nlock_epoch_exclusive %llu\n"
-                "lock_shard_wait_p99us %llu\n",
-                static_cast<unsigned long long>(lock_window_acquires()),
-                static_cast<unsigned long long>(lock_epoch_exclusive()),
-                static_cast<unsigned long long>(lock_shard_wait_p99us()));
   out += line;
   return out;
 }
@@ -215,8 +191,6 @@ void NinepMetrics::Reset() {
   bytes_in_->Store(0);
   bytes_out_->Store(0);
   flush_cancels_->Store(0);
-  shared_reads_->Store(0);
-  read_retries_->Store(0);
   lock_wait_->Reset();
   net_accepts_->Store(0);
   net_reaped_->Store(0);
@@ -225,14 +199,9 @@ void NinepMetrics::Reset() {
   net_bytes_in_->Store(0);
   net_bytes_out_->Store(0);
   net_queue_wait_->Reset();
-  ooo_completions_->Store(0);
   bytes_zero_copy_->Store(0);
   bytes_staged_->Store(0);
-  bodyapp_coalesced_->Store(0);
   net_writev_calls_->Store(0);
-  lock_window_acquires_->Store(0);
-  lock_epoch_exclusive_->Store(0);
-  shard_wait_->Reset();
   // in_flight_ and net_active_ are live gauges; leave them alone.
 }
 

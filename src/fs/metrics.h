@@ -53,11 +53,7 @@ class NinepMetrics {
   void BeginRequest() { in_flight_->Add(); }
   void EndRequest() { in_flight_->Sub(); }
   void RecordFlushCancel() { flush_cancels_->Add(); }
-  // PR 4 read-path concurrency: a dispatch that ran under the shared lock, a
-  // shared read re-run exclusively after seqlock validation failed, and the
-  // time any dispatch spent waiting for the dispatch lock.
-  void RecordSharedRead() { shared_reads_->Add(); }
-  void RecordReadRetry() { read_retries_->Add(); }
+  // Time a dispatch spent waiting for the dispatch lock.
   void RecordLockWait(uint64_t wait_us) { lock_wait_->Record(wait_us); }
   // PR 7 socket transport: connection-layer counters ("net.*" in the
   // registry), recorded by NinepListener. bytes here are raw wire bytes —
@@ -73,28 +69,16 @@ class NinepMetrics {
   void RecordFrameError() { net_frame_errors_->Add(); }
   void AddNetBytesIn(uint64_t n) { net_bytes_in_->Add(n); }
   void AddNetBytesOut(uint64_t n) { net_bytes_out_->Add(n); }
-  // PR 8 request tracing: time a frame sat in a connection's inbox before a
-  // worker picked it up ("net.queue_wait_us" — the registry/metrics view;
+  // Request tracing: time a frame sat in a connection's inbox before it
+  // was dispatched ("net.queue_wait_us" — the registry/metrics view;
   // per-connection copies live in ConnInfo).
   void RecordNetQueueWait(uint64_t us) { net_queue_wait_->Record(us); }
-  // PR 9 pipelined dispatch + zero-copy reads: a request that completed
-  // while an earlier-arrived request from the same connection was still
-  // mid-dispatch (counted by the listener from arrival seqs); the
-  // Rread payload bytes that reached the wire frame via the gather path vs.
-  // staged through an intermediate string; bodyapp writes that rode a
-  // coalesced batch; and writev() calls draining listener outboxes.
-  void RecordOooCompletion() { ooo_completions_->Add(); }
+  // Zero-copy reads: the Rread payload bytes that reached the wire frame via
+  // the gather path vs. staged through an intermediate string; and
+  // sendmsg() calls draining listener outboxes.
   void AddBytesZeroCopy(uint64_t n) { bytes_zero_copy_->Add(n); }
   void AddBytesStaged(uint64_t n) { bytes_staged_->Add(n); }
-  void RecordBodyappCoalesced(uint64_t n) { bodyapp_coalesced_->Add(n); }
   void RecordWritev() { net_writev_calls_->Add(); }
-  // PR 10 sharded dispatch: a dispatch that took a per-window shard (reader
-  // or writer side), an exclusive acquisition of the namespace epoch lock
-  // (structural ops and LockDispatch), and the time spent waiting for a
-  // window shard.
-  void RecordWindowAcquire() { lock_window_acquires_->Add(); }
-  void RecordEpochExclusive() { lock_epoch_exclusive_->Add(); }
-  void RecordShardWait(uint64_t wait_us) { shard_wait_->Record(wait_us); }
 
   uint64_t count(NinepOp op) const { return ops_[Idx(op)].count->value(); }
   uint64_t errors(NinepOp op) const { return ops_[Idx(op)].errors->value(); }
@@ -102,8 +86,6 @@ class NinepMetrics {
   uint64_t bytes_out() const { return bytes_out_->value(); }
   uint64_t in_flight() const { return in_flight_->value(); }
   uint64_t flush_cancels() const { return flush_cancels_->value(); }
-  uint64_t shared_reads() const { return shared_reads_->value(); }
-  uint64_t read_retries() const { return read_retries_->value(); }
   uint64_t net_accepts() const { return net_accepts_->value(); }
   uint64_t net_active_conns() const { return net_active_->value(); }
   uint64_t net_reaped() const { return net_reaped_->value(); }
@@ -111,14 +93,9 @@ class NinepMetrics {
   uint64_t net_frame_errors() const { return net_frame_errors_->value(); }
   uint64_t net_bytes_in() const { return net_bytes_in_->value(); }
   uint64_t net_bytes_out() const { return net_bytes_out_->value(); }
-  uint64_t ooo_completions() const { return ooo_completions_->value(); }
   uint64_t bytes_zero_copy() const { return bytes_zero_copy_->value(); }
   uint64_t bytes_staged() const { return bytes_staged_->value(); }
-  uint64_t bodyapp_coalesced() const { return bodyapp_coalesced_->value(); }
   uint64_t net_writev_calls() const { return net_writev_calls_->value(); }
-  uint64_t lock_window_acquires() const { return lock_window_acquires_->value(); }
-  uint64_t lock_epoch_exclusive() const { return lock_epoch_exclusive_->value(); }
-  uint64_t lock_shard_wait_p99us() const { return shard_wait_->Percentile(99); }
   uint64_t total_ops() const;
 
   // Approximate percentile (0 < p <= 100) of one op's latency, in
@@ -148,8 +125,6 @@ class NinepMetrics {
   obs::Counter* bytes_out_;
   obs::Counter* in_flight_;
   obs::Counter* flush_cancels_;
-  obs::Counter* shared_reads_;
-  obs::Counter* read_retries_;
   obs::Histogram* lock_wait_;
   obs::Counter* net_accepts_;
   obs::Counter* net_active_;
@@ -159,14 +134,9 @@ class NinepMetrics {
   obs::Counter* net_bytes_in_;
   obs::Counter* net_bytes_out_;
   obs::Histogram* net_queue_wait_;
-  obs::Counter* ooo_completions_;
   obs::Counter* bytes_zero_copy_;
   obs::Counter* bytes_staged_;
-  obs::Counter* bodyapp_coalesced_;
   obs::Counter* net_writev_calls_;
-  obs::Counter* lock_window_acquires_;
-  obs::Counter* lock_epoch_exclusive_;
-  obs::Histogram* shard_wait_;
 };
 
 }  // namespace help

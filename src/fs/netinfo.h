@@ -3,7 +3,7 @@
 // directory under /mnt/help/net/ with `status` and `stats` files, and the N
 // slowest completed requests are a file (`net/slow`) instead of a profiler
 // session. Everything here is updated with relaxed atomics from the listener
-// loop and worker threads and read by synthetic-file handlers WITHOUT the
+// loop and read by synthetic-file handlers on other threads WITHOUT the
 // dispatch lock — a stalled dispatch can always be diagnosed from the very
 // files that would deadlock if they serialized behind it.
 #ifndef SRC_FS_NETINFO_H_
@@ -44,7 +44,7 @@ struct RequestRecord {
   uint16_t tag = 0;
   NinepOp op = NinepOp::kBad;
   uint64_t total_ns = 0;
-  uint64_t queue_ns = 0;    // inbox wait: frame yield → worker pickup
+  uint64_t queue_ns = 0;    // inbox wait: frame yield → dispatch
   uint64_t lock_ns = 0;     // dispatch-lock wait, summed over raced-read retries
   uint64_t handler_ns = 0;  // Session::Dispatch (the handler proper)
   uint64_t encode_ns = 0;   // reply encode
@@ -94,10 +94,9 @@ enum class ConnState : uint8_t { kActive, kStalled, kClosing };
 
 const char* ConnStateName(ConnState s);
 
-// Live counters for one socket connection. Writers are the listener loop
-// thread (bytes, frames, state) and whichever worker dispatched the request
-// (op counts, latencies); readers are the /mnt/help/net/<cid>/{status,stats}
-// handlers. All fields are relaxed atomics or set-once — no lock anywhere.
+// Live counters for one socket connection. The writer is the listener loop
+// thread; readers are the /mnt/help/net/<cid>/{status,stats} handlers. All
+// fields are relaxed atomics or set-once — no lock anywhere.
 class ConnInfo {
  public:
   ConnInfo(NinepServer* srv, uint64_t cid, std::string peer);

@@ -407,199 +407,10 @@ Session::FidState* Session::FindFid(uint32_t fid) {
   return it == fids_.end() ? nullptr : &it->second;
 }
 
-const Session::FidState* Session::FindFid(uint32_t fid) const {
-  std::lock_guard<std::mutex> lk(fid_mu_);
-  LockOrderScope lo(kLockLevelLeaf);
-  auto it = fids_.find(fid);
-  return it == fids_.end() ? nullptr : &it->second;
-}
-
-namespace {
-// The window shard a node's handler reports; null for plain files,
-// directories, and non-window handlers. A pure getter — callable under
-// fid_mu_.
-WindowShardPtr ShardOf(const NodePtr& n) {
-  FileHandler* h = n == nullptr ? nullptr : n->handler();
-  return h == nullptr ? nullptr : h->window_shard();
-}
-}  // namespace
-
-void Session::CacheFidLocked(uint32_t fid, Verdict* v) const {
-  v->fid = fid;
-  auto it = fids_.find(fid);
-  if (it == fids_.end()) {
-    return;
-  }
-  v->present = true;
-  v->node = it->second.node;
-  v->open = it->second.open != nullptr;
-  v->read_only = it->second.read_only;
-  v->shard = it->second.shard;
-}
-
-Session::Verdict Session::Classify(const Fcall& t) const {
-  // Unlike FindFid, classification may race this session's in-flight
-  // dispatch, so every field a case needs is read inside one fid_mu_ hold
-  // (CacheFidLocked) — and cached in the verdict, so the server's under-lock
-  // re-validation (VerdictStale) is one lookup, not a reclassification.
-  Verdict v;
-  switch (t.type) {
-    case MsgType::kTversion:  // resets per-session state only; fid teardown
-    case MsgType::kTattach:   // runs handler Clunks, which never mutate
-    case MsgType::kTwalk:
-    case MsgType::kTclunk:
-      v.cls = OpClass::kReadOnly;
-      return v;
-
-    case MsgType::kTstat: {
-      std::lock_guard<std::mutex> lk(fid_mu_);
-      LockOrderScope lo(kLockLevelLeaf);
-      CacheFidLocked(t.fid, &v);
-      // Stat reads the node's qid version, mtime, and handler length —
-      // state a same-window writer mutates — so window-backed fids stat
-      // under the shard's reader side.
-      v.cls = v.shard != nullptr ? OpClass::kWindowRead : OpClass::kReadOnly;
-      return v;
-    }
-
-    case MsgType::kTread: {
-      std::lock_guard<std::mutex> lk(fid_mu_);
-      LockOrderScope lo(kLockLevelLeaf);
-      CacheFidLocked(t.fid, &v);
-      if (!v.present) {
-        v.cls = OpClass::kReadOnly;  // will answer "unknown fid" — read-only
-      } else if (v.node->dir()) {
-        // Directory reads lazily build this fid's dirbuf snapshot — per-fid
-        // state owned by this session's serialized dispatches; the tree
-        // itself is only read.
-        v.cls = OpClass::kReadOnly;
-      } else if (v.shard != nullptr) {
-        // Window file: read under the shard's reader side, which holds off
-        // same-window writers even when this fid was opened writable.
-        v.cls = OpClass::kWindowRead;
-      } else {
-        v.cls = v.read_only ? OpClass::kReadOnly : OpClass::kStructural;
-      }
-      return v;
-    }
-
-    case MsgType::kTopen: {
-      std::lock_guard<std::mutex> lk(fid_mu_);
-      LockOrderScope lo(kLockLevelLeaf);
-      CacheFidLocked(t.fid, &v);
-      bool writes = (t.mode & 3) != kOread || (t.mode & kOtrunc) != 0;
-      if (!v.present || v.node->dir()) {
-        // Unknown fid or directory: the dispatch answers an error (or a
-        // read-only dir open); a writable mode still runs structurally, as
-        // it always did — the error path is rare and never contended.
-        v.cls = writes ? OpClass::kStructural : OpClass::kReadOnly;
-        return v;
-      }
-      FileHandler* h = v.node->handler();
-      if (h != nullptr && h->OpenNeedsExclusive()) {
-        v.cls = OpClass::kStructural;  // e.g. new/ctl: Open creates a window
-        return v;
-      }
-      if (v.shard != nullptr) {
-        // A truncating or writable open of a window file mutates only that
-        // window (kOtrunc runs the handler's truncate at Open time); a
-        // read-only open still answers the node's qid, which a same-window
-        // writer may be bumping.
-        v.cls = writes ? OpClass::kWindowWrite : OpClass::kWindowRead;
-        return v;
-      }
-      v.cls = writes ? OpClass::kStructural : OpClass::kReadOnly;
-      return v;
-    }
-
-    case MsgType::kTwrite: {
-      std::lock_guard<std::mutex> lk(fid_mu_);
-      LockOrderScope lo(kLockLevelLeaf);
-      CacheFidLocked(t.fid, &v);
-      // Writes to an open window file are confined to that window's shard;
-      // everything else (regular files, ctl files, error replies) may reach
-      // past one window and stays structural.
-      v.cls = v.present && v.open && v.shard != nullptr
-                  ? OpClass::kWindowWrite
-                  : OpClass::kStructural;
-      return v;
-    }
-
-    default:
-      // Tcreate/Tremove, and anything unrecognized, mutate the namespace.
-      v.cls = OpClass::kStructural;
-      return v;
-  }
-}
-
-bool Session::VerdictStale(const Verdict& v) const {
-  if (v.fid == kNoFid) {
-    return false;  // classification depended on no fid state
-  }
-  std::lock_guard<std::mutex> lk(fid_mu_);
-  LockOrderScope lo(kLockLevelLeaf);
-  auto it = fids_.find(v.fid);
-  if (it == fids_.end()) {
-    return v.present;
-  }
-  const FidState& st = it->second;
-  return !v.present || st.node != v.node || (st.open != nullptr) != v.open ||
-         st.read_only != v.read_only;
-}
-
-uint64_t Session::FidDomain(uint32_t fid) const {
-  std::lock_guard<std::mutex> lk(fid_mu_);
-  LockOrderScope lo(kLockLevelLeaf);
-  auto it = fids_.find(fid);
-  return it == fids_.end() || it->second.shard == nullptr
-             ? 0
-             : it->second.shard->domain;
-}
-
-bool Session::ReorderableRead(uint32_t fid) const {
-  std::lock_guard<std::mutex> lk(fid_mu_);
-  LockOrderScope lo(kLockLevelLeaf);
-  auto it = fids_.find(fid);
-  if (it == fids_.end()) {
-    return true;  // "unknown fid" error reply; touches nothing
-  }
-  if (it->second.node->dir()) {
-    return false;  // dir reads lazily rebuild dirbuf scratch under no lock
-  }
-  if (it->second.open == nullptr) {
-    return true;  // "fid not open" error reply
-  }
-  return it->second.read_only;
-}
-
-bool Session::FidAbsent(uint32_t fid) const {
-  std::lock_guard<std::mutex> lk(fid_mu_);
-  LockOrderScope lo(kLockLevelLeaf);
-  return fids_.count(fid) == 0;
-}
-
-bool Session::ReorderOk(const Fcall& t) const {
-  switch (t.type) {
-    case MsgType::kTstat:
-      return true;
-    case MsgType::kTread:
-      return ReorderableRead(t.fid);
-    case MsgType::kTwalk:
-      // Only walks that would insert a fresh fid; a rebind (newfid == fid or
-      // newfid already bound) destroys the old state — a mutation. A racing
-      // reorderable walk on the same newfid is caught at dispatch: the
-      // check-and-insert is atomic under fid_mu_, the loser errors out.
-      return t.newfid != t.fid && FidAbsent(t.newfid);
-    default:
-      return false;
-  }
-}
-
-// fid_mu_ discipline inside Dispatch: the map structure and the fields
-// Classify reads (node, open, read_only) are only touched under fid_mu_, and
-// fid_mu_ is never held across a Vfs or handler call (those can re-enter the
-// server's dispatch lock). Per-fid scratch state Classify never looks at
-// (dirbuf) needs no lock: same-session dispatches are serialized.
+// fid_mu_ discipline inside Dispatch: the map structure is only touched
+// under fid_mu_, and fid_mu_ is never held across a Vfs or handler call
+// (those can re-enter the server's dispatch lock). Per-fid state (node,
+// open, dirbuf) needs no lock: dispatches never overlap.
 Fcall Session::Dispatch(const Fcall& t, ReadSink* sink) {
   Fcall r;
   r.tag = t.tag;
@@ -636,7 +447,6 @@ Fcall Session::Dispatch(const Fcall& t, ReadSink* sink) {
       }
       FidState st;
       st.node = vfs_->root();
-      st.shard = ShardOf(st.node);
       fids_[t.fid] = st;
       attached_ = true;
       uname_ = t.uname;
@@ -687,10 +497,6 @@ Fcall Session::Dispatch(const Fcall& t, ReadSink* sink) {
       }
       FidState st;
       st.node = cur;
-      // Route the window id out of the walk: resolving the shard here, at
-      // fid-bind time, is what lets the dispatch layer know its lock target
-      // before taking any lock.
-      st.shard = ShardOf(cur);
       auto nit = fids_.find(t.newfid);
       if (nit != fids_.end()) {
         replaced = std::move(nit->second);  // newfid == fid: rebind
@@ -720,10 +526,7 @@ Fcall Session::Dispatch(const Fcall& t, ReadSink* sink) {
         if (!f.ok()) {
           return Error(t.tag, f.message());
         }
-        std::lock_guard<std::mutex> lk(fid_mu_);
-        LockOrderScope lo(kLockLevelLeaf);
         st->open = f.take();
-        st->read_only = (t.mode & 3) == kOread && (t.mode & kOtrunc) == 0;
       }
       r.type = MsgType::kRopen;
       r.qid = st->node->qid();
@@ -745,20 +548,12 @@ Fcall Session::Dispatch(const Fcall& t, ReadSink* sink) {
       if (!created.ok()) {
         return Error(t.tag, created.message());
       }
-      {
-        std::lock_guard<std::mutex> lk(fid_mu_);
-        LockOrderScope lo(kLockLevelLeaf);
-        st->node = created.value();
-        st->shard = ShardOf(st->node);
-        st->read_only = false;
-      }
+      st->node = created.value();
       if (!dir) {
         auto f = vfs_->Open(path, t.mode);
         if (!f.ok()) {
           return Error(t.tag, f.message());
         }
-        std::lock_guard<std::mutex> lk(fid_mu_);
-        LockOrderScope lo(kLockLevelLeaf);
         st->open = f.take();
       }
       r.type = MsgType::kRcreate;
@@ -798,10 +593,7 @@ Fcall Session::Dispatch(const Fcall& t, ReadSink* sink) {
         if (st.open->Gather(t.offset, count, &gv)) {
           // Encode the reply packet straight from the borrowed views: header,
           // then one transcode/copy of the payload into the wire bytes. The
-          // spans alias live storage, so validate after consuming them; a
-          // failed validation discards the frame and falls through to the
-          // staged path (whose own validation escalates persistent races to
-          // the exclusive retry).
+          // dispatch lock pins the storage the views alias.
           AppendRreadHeader(t.tag, static_cast<uint32_t>(gv.bytes),
                             &sink->frame);
           sink->frame += gv.prefix;
@@ -811,14 +603,11 @@ Fcall Session::Dispatch(const Fcall& t, ReadSink* sink) {
             AppendUtf8FromRunes(gv.runes, &sink->frame);
           }
           sink->frame += gv.suffix;
-          if (gv.Validate()) {
-            sink->used = true;
-            sink->zero_copy = true;
-            sink->payload_bytes = gv.bytes;
-            r.type = MsgType::kRread;
-            return r;
-          }
-          sink->frame.clear();
+          sink->used = true;
+          sink->zero_copy = true;
+          sink->payload_bytes = gv.bytes;
+          r.type = MsgType::kRread;
+          return r;
         }
         auto data = st.open->Read(t.offset, count);
         if (!data.ok()) {

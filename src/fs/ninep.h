@@ -8,29 +8,20 @@
 // The transport is pluggable; tests and examples use the in-process byte
 // transport, which still exercises the full encode → dispatch → decode path.
 //
-// Concurrency model (see also DESIGN.md §11):
+// Concurrency model (DESIGN.md §8):
 //   * This header holds the codec, the per-connection Session, and the
 //     synchronous NinepClient. The multi-client front end lives in
 //     src/fs/server.h (NinepServer).
 //   * A Session owns one connection's protocol state: its fid table, its
 //     negotiated msize, and its attach identity. N concurrent clients each
 //     hold an independent Session against the same Vfs tree, so fid 7 in one
-//     session and fid 7 in another never collide. Per-session bookkeeping is
-//     guarded by the session's own fine-grained locks, so sessions never
-//     contend with each other on fid or tag state.
-//   * Dispatch classification: every T-message is classified read-only
-//     (cannot mutate anything), window-read / window-write (confined to one
-//     window's shard — see Session::OpClass), or structural (may mutate
-//     beyond one window). NinepServer maps the classes onto its two-level
-//     lock hierarchy (DESIGN.md §17): read-only and window-scoped dispatches
-//     share the namespace epoch lock and window writes serialize only on
-//     their window's shard, so mutations of different windows run
-//     concurrently; structural ops take the epoch exclusively and run alone.
-//     One session's dispatches are additionally serialized against each
-//     other, per the protocol's one-logical-client-per-connection
-//     assumption.
+//     session and fid 7 in another never collide.
+//   * NinepServer runs every Session::Dispatch under its one dispatch lock,
+//     so dispatches never overlap. The session's own leaf locks exist for
+//     the callers outside that lock: the fid count read by /mnt/help/net
+//     status files, and the tag table.
 //   * Tflush lets a client cancel an in-flight tagged request: a request
-//     still waiting for the dispatch path when its tag is flushed is answered
+//     still waiting for the dispatch lock when its tag is flushed is answered
 //     with Rerror "interrupted" instead of running (the byte transport is
 //     one-reply-per-request, so a cancelled request still gets a reply).
 //     Duplicate in-flight tags on one session are rejected, per the protocol.
@@ -43,7 +34,6 @@
 #include <map>
 #include <mutex>
 #include <set>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -141,94 +131,19 @@ struct ReadSink {
 // ---------------------------------------------------------------------------
 
 // One client connection's protocol state: fid table, negotiated msize,
-// auth/attach identity, and in-flight tag bookkeeping. One session's
-// Dispatch calls are serialized by NinepServer through dispatch_mu(); the
-// fid table additionally carries its own lock so the lock-free-of-dispatch
-// classification path (Classify) can inspect it while a dispatch is in
-// flight, and the tag methods lock internally so Tflush never waits behind
-// a dispatch.
+// auth/attach identity, and in-flight tag bookkeeping. NinepServer runs
+// Dispatch under its dispatch lock. The fid table additionally carries a
+// leaf lock so open_fids() may be read from outside that lock, and the tag
+// methods lock internally so Tflush never waits behind a dispatch.
 class Session {
  public:
-  // How an operation fits the dispatch-lock hierarchy (DESIGN.md §17):
-  //   kReadOnly    cannot mutate anything — epoch lock shared, no shard.
-  //   kWindowRead  reads state a same-window writer may be mutating (window
-  //                file bytes, the node's qid/length) — epoch shared, window
-  //                shard shared.
-  //   kWindowWrite mutates exactly one window (a clone group counts as one) —
-  //                epoch shared, window shard exclusive.
-  //   kStructural  may mutate beyond one window (create/remove, ctl writes,
-  //                window lifecycle, regular-file writes) — epoch exclusive.
-  enum class OpClass : uint8_t {
-    kReadOnly,
-    kWindowRead,
-    kWindowWrite,
-    kStructural,
-  };
-
-  // A classification plus the parsed target it was derived from. The cached
-  // fid state lets the server re-validate the verdict under the locks with
-  // one map lookup (VerdictStale) instead of recomputing the full
-  // classification — and hands it the shard to lock before dispatch.
-  struct Verdict {
-    OpClass cls = OpClass::kStructural;
-    WindowShardPtr shard;    // lock target for the window classes
-    uint32_t fid = kNoFid;   // fid whose state the verdict depends on
-    NodePtr node;            // that fid's node at classification time
-    bool present = false;    // cached fid-table parse, compared by
-    bool open = false;       //   VerdictStale against the live entry
-    bool read_only = false;
-  };
-
   Session(Vfs* vfs, uint64_t id) : vfs_(vfs), id_(id) {}
 
   // Handles one T-message (everything except Tflush, which the server
-  // answers without entering the dispatch path). Callers must hold
-  // dispatch_mu() — NinepServer does; shared for ReorderOk requests,
-  // exclusive otherwise — and the dispatch lock of the server in the mode
-  // Classify(t) demands. With a non-null `sink`, successful file Treads
+  // answers without entering the dispatch path). Callers must hold the
+  // server's dispatch lock. With a non-null `sink`, successful file Treads
   // encode their complete reply packet into it (see ReadSink).
   Fcall Dispatch(const Fcall& t, ReadSink* sink = nullptr);
-
-  // Classifies `t` without dispatching it: version/attach/walk/clunk are
-  // always read-only; Tstat and Tread of a window-backed fid are window
-  // reads (shard shared); Twrite and truncating/writable Topen of a
-  // window-backed fid are window writes (shard exclusive); everything that
-  // can mutate beyond one window — other writes, creates, removes, opens
-  // that reach a mutating handler — is structural. Classification is
-  // advisory concurrency control, not correctness: it may race this
-  // session's own in-flight ops (fid tables only change under
-  // dispatch_mu()), and a misprediction is caught by VerdictStale under the
-  // locks and costs one retry on the structural path, never a torn read —
-  // the seqlock validation in the read handlers backstops even that.
-  Verdict Classify(const Fcall& t) const;
-
-  // One fid_mu_ lookup comparing the live fid entry against the state the
-  // verdict cached: true when the entry changed (fid bound/unbound, node
-  // rebound, opened, or its read-only mark flipped) and the verdict must not
-  // be trusted. Called by the server under the locks the verdict asked for;
-  // fid mutators hold the session lock exclusively, so the answer is stable
-  // for the rest of the dispatch. Verdicts that depend on no fid state
-  // (fid == kNoFid) are never stale.
-  bool VerdictStale(const Verdict& v) const;
-
-  // --- Out-of-order dispatch classification (fid_mu_ only) -----------------
-  // True when `t` may dispatch under this session's dispatch_mu() in shared
-  // mode, out of order with its neighbors: Tstat always; Tread when the fid
-  // is absent, unopened (both error replies that touch nothing), or an open
-  // read-only file — directory reads lazily rebuild per-fid dirbuf scratch,
-  // so they fence; Twalk when it would insert a fresh fid (rebinding an
-  // existing newfid destroys its open file — a mutation). Everything else
-  // fences. Like Classify this is advisory: fid state it reads can only be
-  // changed by fences, which never run concurrently with reorderable ops,
-  // and concurrent reorderable Twalks keep their check-and-insert atomic
-  // under fid_mu_ (the loser gets "newfid in use").
-  bool ReorderOk(const Fcall& t) const;
-  bool ReorderableRead(uint32_t fid) const;
-  bool FidAbsent(uint32_t fid) const;
-  // The window domain (shard id) `fid` resolves to, 0 when the fid is
-  // absent or not window-backed. The listener's scheduler uses this to fence
-  // only same-window frames instead of the whole connection.
-  uint64_t FidDomain(uint32_t fid) const;
 
   uint64_t id() const { return id_; }
   // Relaxed load: read by /mnt/help/net status handlers on other threads
@@ -238,12 +153,6 @@ class Session {
   bool attached() const { return attached_; }
   const std::string& uname() const { return uname_; }
   size_t open_fids() const;
-
-  // Orders this session's dispatches (held by NinepServer around every
-  // Dispatch call, after the server-wide dispatch lock): shared for
-  // ReorderOk requests — which therefore complete out of order between
-  // fences — exclusive for everything else.
-  std::shared_mutex& dispatch_mu() { return dispatch_mu_; }
 
   // --- In-flight tag bookkeeping (thread-safe; tag_mu_ is a leaf lock) -----
   // Registers `tag` as in flight; false if that tag is already in flight
@@ -262,24 +171,14 @@ class Session {
   struct FidState {
     NodePtr node;
     OpenFilePtr open;
-    // The window shard the node's handler reported when the fid was bound
-    // (attach/walk/create) — "the window-id routed out of Walk", so the
-    // dispatch layer knows its lock target before taking any lock. Null for
-    // non-window files.
-    WindowShardPtr shard;
-    std::string dirbuf;     // snapshot of directory listing for reads
+    std::string dirbuf;  // snapshot of directory listing for reads
     bool dirbuf_valid = false;
-    bool read_only = false;  // opened with kOread and no kOtrunc
   };
 
   // Looks up a fid under fid_mu_. The returned pointer stays valid after the
   // lock drops: only this session's own dispatches mutate the map, and they
-  // are serialized by dispatch_mu_ (std::map never relocates nodes anyway).
+  // never overlap (std::map never relocates nodes anyway).
   FidState* FindFid(uint32_t fid);
-  const FidState* FindFid(uint32_t fid) const;
-  // Copies `fid`'s classification-relevant state into `v`. Caller holds
-  // fid_mu_.
-  void CacheFidLocked(uint32_t fid, Verdict* v) const;
 
   Vfs* vfs_;
   uint64_t id_;
@@ -290,11 +189,7 @@ class Session {
   std::set<uint16_t> inflight_;
   std::set<uint16_t> flushed_;
 
-  // Orders Dispatch calls (guards msize_, attached_, per-fid dirbuf — all
-  // only touched by exclusive holders). Reorderable read-only requests hold
-  // it shared and rely on fid_mu_ for the map.
-  std::shared_mutex dispatch_mu_;
-  mutable std::mutex fid_mu_;   // guards the fids_ map structure
+  mutable std::mutex fid_mu_;   // guards the fids_ map structure; leaf
   mutable std::mutex tag_mu_;   // guards inflight_/flushed_; leaf
 };
 
@@ -337,11 +232,11 @@ class NinepClient {
   Status Flush(uint16_t oldtag);
 
   // Issues one Tread per range on `fid`, keeping up to `window` requests in
-  // flight, and returns the replies in issue order. Replies may arrive in
-  // any order — the server completes read-only requests out of order — and
-  // are matched by tag; a reply carrying a tag that was never issued (or
-  // already answered) fails the whole call, the same hostile-peer check the
-  // lockstep Rpc applies. Without PipeIo, degrades to sequential ReadFid.
+  // flight, and returns the replies in issue order. Replies are matched by
+  // tag, so the helper does not depend on the server answering in order; a
+  // reply carrying a tag that was never issued (or already answered) fails
+  // the whole call, the same hostile-peer check the lockstep Rpc applies.
+  // Without PipeIo, degrades to sequential ReadFid.
   struct ReadRange {
     uint64_t offset = 0;
     uint32_t count = 0;

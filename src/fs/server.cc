@@ -1,7 +1,6 @@
 #include "src/fs/server.h"
 
 #include <chrono>
-#include <optional>
 
 #include "src/fs/lockorder.h"
 #include "src/obs/trace.h"
@@ -10,20 +9,15 @@ namespace help {
 
 namespace {
 
-// Which server the calling thread currently holds the dispatch lock of, and
-// in which mode. One entry suffices even when a handler serializes against a
-// *different* server mid-dispatch (SerializedHandler taking Help's own
-// server's LockDispatch while the bytes arrived through another NinepServer
-// over the same Vfs): the inner guard saves the outer holder and restores it
-// on release.
-struct TlsHolder {
-  const NinepServer* srv = nullptr;
-  NinepServer::LockMode mode = NinepServer::LockMode::kNone;
-};
-thread_local TlsHolder tls_holder;
+// Which server the calling thread currently holds the dispatch lock of. One
+// entry suffices even when a handler serializes against a *different* server
+// mid-dispatch (SerializedHandler taking Help's own server's LockDispatch
+// while the bytes arrived through another NinepServer over the same Vfs): the
+// inner guard saves the outer holder and restores it on release.
+thread_local const NinepServer* tls_holder = nullptr;
 
 // The RequestObs of the request this thread is currently dispatching, set by
-// HandleBytes around Process so Acquire and DispatchUnderLock can attribute
+// HandleBytes around Process so LockDispatch and Process can attribute
 // lock-wait and handler time to it without threading a parameter through the
 // dispatch chain. Null on the in-process transports and the UI thread.
 thread_local RequestObs* tls_req_obs = nullptr;
@@ -48,9 +42,8 @@ NinepServer::SessionId NinepServer::OpenSession() {
 }
 
 void NinepServer::CloseSession(SessionId id) {
-  // Take the dispatch lock exclusively so a session is never erased while a
-  // worker is mid-dispatch on it (every dispatch holds at least shared mode).
-  DispatchGuard dl = Acquire(LockMode::kExclusive);
+  // Under the dispatch lock, so a session is never erased mid-dispatch.
+  DispatchGuard dl = LockDispatch();
   std::shared_ptr<Session> doomed;
   {
     std::lock_guard<std::mutex> lk(state_mu_);
@@ -63,8 +56,8 @@ void NinepServer::CloseSession(SessionId id) {
       default_session_ = 0;
     }
   }
-  // doomed dies here — outside state_mu_ but still under the exclusive
-  // dispatch lock, so handler Clunks for its open fids re-enter cleanly.
+  // doomed dies here — outside state_mu_ but still under the dispatch lock,
+  // so handler Clunks for its open fids re-enter cleanly.
   doomed.reset();
 }
 
@@ -101,40 +94,26 @@ void NinepServer::DispatchGuard::Release() {
   if (srv_ == nullptr) {
     return;
   }
-  tls_holder = TlsHolder{prev_srv_, prev_mode_};
+  tls_holder = prev_srv_;
   LockOrderReleased();
-  if (mode_ == LockMode::kExclusive) {
-    srv_->dispatch_mu_.unlock();
-  } else {
-    srv_->dispatch_mu_.unlock_shared();
-  }
+  srv_->dispatch_mu_.unlock();
   srv_ = nullptr;
-  mode_ = LockMode::kNone;
   prev_srv_ = nullptr;
-  prev_mode_ = LockMode::kNone;
 }
 
-NinepServer::DispatchGuard NinepServer::Acquire(LockMode mode) {
-  if (tls_holder.srv == this) {
+NinepServer::DispatchGuard NinepServer::LockDispatch() {
+  if (tls_holder == this) {
     // Re-entry: a handler invoked from a dispatch already holding the lock.
-    // Nothing to acquire — and nothing to release when the guard dies. The
-    // classification layer guarantees a mutating handler is never reached
-    // from a shared-mode dispatch, so inheriting the outer mode is sound.
+    // Nothing to acquire — and nothing to release when the guard dies.
     return DispatchGuard();
   }
-  // Entering a different server's hierarchy mid-dispatch starts a new
-  // lock-order frame (lockorder.h): the two servers' locks are independent
+  // Entering a different server's lock mid-dispatch starts a new lock-order
+  // frame (lockorder.h): the two servers' locks are independent
   // hierarchies, and the outer holder is restored when this guard releases.
-  const TlsHolder prev = tls_holder;
-  const bool nested = prev.srv != nullptr;
+  const NinepServer* prev = tls_holder;
   auto start = std::chrono::steady_clock::now();
-  if (mode == LockMode::kExclusive) {
-    dispatch_mu_.lock();
-    metrics_.RecordEpochExclusive();
-  } else {
-    dispatch_mu_.lock_shared();
-  }
-  LockOrderAcquired(kLockLevelEpoch, nested);
+  dispatch_mu_.lock();
+  LockOrderAcquired(kLockLevelDispatch, /*new_frame=*/prev != nullptr);
   auto wait_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
@@ -148,176 +127,13 @@ NinepServer::DispatchGuard NinepServer::Acquire(LockMode mode) {
                 tls_req_obs->rid, tr.NowNs() - wait_ns);
     }
   }
-  tls_holder = TlsHolder{this, mode};
-  return DispatchGuard(this, mode, prev.srv, prev.mode);
-}
-
-NinepServer::DispatchGuard NinepServer::LockDispatch() {
-  return Acquire(LockMode::kExclusive);
-}
-
-bool NinepServer::SharedDispatchOnThisThread() const {
-  return tls_holder.srv == this && tls_holder.mode == LockMode::kShared;
-}
-
-void NinepServer::Deshard(const Fcall& t, Session::Verdict* v) {
-  using OpClass = Session::OpClass;
-  if (v->cls == OpClass::kWindowWrite) {
-    v->cls = OpClass::kStructural;
-  } else if (v->cls == OpClass::kWindowRead) {
-    // PR 4 ran reads of writable fids exclusively; stats and read-only-fid
-    // reads shared.
-    v->cls = t.type == MsgType::kTread && !v->read_only ? OpClass::kStructural
-                                                        : OpClass::kReadOnly;
-  }
-  v->shard.reset();
-}
-
-Fcall NinepServer::DispatchUnderLock(const std::shared_ptr<Session>& s,
-                                     SessionId id, const Fcall& t,
-                                     ReadSink* sink) {
-  using OpClass = Session::OpClass;
-  bool force = force_exclusive_.load(std::memory_order_relaxed);
-  Session::Verdict v;  // defaults to kStructural — what force wants
-  if (!force) {
-    v = s->Classify(t);
-    if (disable_sharding_.load(std::memory_order_relaxed)) {
-      Deshard(t, &v);
-    }
-  }
-  // Whether this request may hold the session lock shared and complete out
-  // of order with its same-session neighbors (fences hold it exclusively).
-  bool reorder = !force && v.cls != OpClass::kStructural && s->ReorderOk(t);
-  while (true) {
-    Fcall r;
-    bool stale = false;
-    {
-      LockMode mode = v.cls == OpClass::kStructural ? LockMode::kExclusive
-                                                    : LockMode::kShared;
-      DispatchGuard dl = Acquire(mode);
-      // The session may have been closed while this request waited; the
-      // membership check is stable for the rest of the dispatch because
-      // CloseSession needs the exclusive lock and we hold at least shared.
-      if (FindSession(id) == nullptr) {
-        return ErrorFcall(t.tag, "unknown session");
-      }
-      // The window shard: reader side for window reads, writer side for
-      // window writes. The wait is the shard-contention signal
-      // (lock.shard_wait_us); structural dispatches never get here.
-      std::shared_lock<std::shared_mutex> shard_r;
-      std::unique_lock<std::shared_mutex> shard_w;
-      std::optional<LockOrderScope> lo_shard;
-      if (v.cls == OpClass::kWindowRead || v.cls == OpClass::kWindowWrite) {
-        // Fast path: an uncontended shard costs one try_lock, no clock reads.
-        // Only a blocked acquire is timed — the wait IS the contention signal.
-        uint64_t wait_us = 0;
-        if (v.cls == OpClass::kWindowRead) {
-          if (v.shard->mu.try_lock_shared()) {
-            shard_r = std::shared_lock<std::shared_mutex>(v.shard->mu,
-                                                          std::adopt_lock);
-          } else {
-            auto w0 = std::chrono::steady_clock::now();
-            shard_r = std::shared_lock<std::shared_mutex>(v.shard->mu);
-            wait_us = static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - w0)
-                    .count());
-          }
-        } else {
-          if (v.shard->mu.try_lock()) {
-            shard_w = std::unique_lock<std::shared_mutex>(v.shard->mu,
-                                                          std::adopt_lock);
-          } else {
-            auto w0 = std::chrono::steady_clock::now();
-            shard_w = std::unique_lock<std::shared_mutex>(v.shard->mu);
-            wait_us = static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - w0)
-                    .count());
-          }
-        }
-        lo_shard.emplace(kLockLevelShard);
-        metrics_.RecordWindowAcquire();
-        metrics_.RecordShardWait(wait_us);
-      }
-      // Order against this session's other in-flight requests: shared for
-      // reorderable read-only requests and sharded window writes (the shard
-      // already serializes same-window writes, and cross-window write
-      // parallelism within one connection is the point of sharding),
-      // exclusive for fences. The flush check sits under this lock — the
-      // blocking point — so a Tflush issued while we queued here still
-      // cancels us.
-      bool shared_session =
-          reorder ||
-          (v.cls == OpClass::kWindowWrite && t.type == MsgType::kTwrite);
-      std::shared_lock<std::shared_mutex> ssl(s->dispatch_mu(),
-                                              std::defer_lock);
-      std::unique_lock<std::shared_mutex> usl(s->dispatch_mu(),
-                                              std::defer_lock);
-      if (shared_session) {
-        ssl.lock();
-      } else {
-        usl.lock();
-      }
-      LockOrderScope lo_session(kLockLevelSession);
-      if (s->ConsumeFlushed(t.tag)) {
-        metrics_.RecordFlushCancel();
-        OBS_INSTANT("ninep.flush_cancel", t.tag);
-        return ErrorFcall(t.tag, "interrupted");
-      }
-      // Classification ran before this session's earlier in-flight requests
-      // finished, so it may be stale (e.g. a pipelined Twalk + Topen of
-      // new/ctl: the fid didn't exist at classification time). One cheap
-      // fid-table lookup against the verdict's cached parse decides — no
-      // reclassification walk; fid mutators are fences, so the answer is
-      // stable while we hold the session lock. A stale verdict re-runs on
-      // the structural path rather than mutating under the wrong lock.
-      if (v.cls != OpClass::kStructural && s->VerdictStale(v)) {
-        stale = true;
-      } else {
-        OBS_SPAN("ninep.dispatch");
-        if (tls_req_obs != nullptr) {
-          obs::Tracer& tr = obs::Tracer::Global();
-          uint64_t h0 = tr.NowNs();
-          r = s->Dispatch(t, sink);
-          uint64_t dur = tr.NowNs() - h0;
-          tls_req_obs->handler_ns += dur;
-          if (tls_req_obs->rid != 0 && tr.enabled()) {
-            tr.EmitAt(obs::EventKind::kComplete, "req.handler", dur,
-                      tls_req_obs->rid, h0);
-          }
-        } else {
-          r = s->Dispatch(t, sink);
-        }
-      }
-    }
-    if (stale) {
-      v = Session::Verdict();  // escalate: structural is always sufficient
-      reorder = false;
-      continue;
-    }
-    if (v.cls == OpClass::kReadOnly || v.cls == OpClass::kWindowRead) {
-      metrics_.RecordSharedRead();
-      if (r.type == MsgType::kRerror && r.ename == kSharedReadRaced) {
-        // A shared-mode read observed a concurrent edit (seqlock mismatch).
-        // With window reads holding their shard this cannot happen through
-        // the 9P path — the validation stays as defense-in-depth against
-        // writers that bypass the lock discipline. Re-run fully serialized;
-        // the sentinel never reaches the client.
-        metrics_.RecordReadRetry();
-        OBS_INSTANT("ninep.read.retry", t.tag);
-        v = Session::Verdict();
-        reorder = false;
-        continue;
-      }
-    }
-    return r;
-  }
+  tls_holder = this;
+  return DispatchGuard(this, prev);
 }
 
 Fcall NinepServer::Process(SessionId id, const Fcall& t, ReadSink* sink) {
   // Tag bookkeeping and Tflush run against the session's tag table only —
-  // never under any dispatch lock — so a client can cancel or be rejected
+  // never under the dispatch lock — so a client can cancel or be rejected
   // while another request is executing.
   std::shared_ptr<Session> s = FindSession(id);
   if (s == nullptr) {
@@ -333,7 +149,35 @@ Fcall NinepServer::Process(SessionId id, const Fcall& t, ReadSink* sink) {
   if (!s->BeginTag(t.tag)) {
     return ErrorFcall(t.tag, "duplicate tag");
   }
-  Fcall r = DispatchUnderLock(s, id, t, sink);
+  Fcall r;
+  {
+    DispatchGuard dl = LockDispatch();
+    if (FindSession(id) == nullptr) {
+      // Closed while this request waited for the lock.
+      r = ErrorFcall(t.tag, "unknown session");
+    } else if (s->ConsumeFlushed(t.tag)) {
+      // The flush check sits under the lock — the blocking point — so a
+      // Tflush issued while we waited still cancels us.
+      metrics_.RecordFlushCancel();
+      OBS_INSTANT("ninep.flush_cancel", t.tag);
+      r = ErrorFcall(t.tag, "interrupted");
+    } else {
+      OBS_SPAN("ninep.dispatch");
+      if (tls_req_obs != nullptr) {
+        obs::Tracer& tr = obs::Tracer::Global();
+        uint64_t h0 = tr.NowNs();
+        r = s->Dispatch(t, sink);
+        uint64_t dur = tr.NowNs() - h0;
+        tls_req_obs->handler_ns += dur;
+        if (tls_req_obs->rid != 0 && tr.enabled()) {
+          tr.EmitAt(obs::EventKind::kComplete, "req.handler", dur,
+                    tls_req_obs->rid, h0);
+        }
+      } else {
+        r = s->Dispatch(t, sink);
+      }
+    }
+  }
   s->EndTag(t.tag);
   return r;
 }
@@ -442,254 +286,6 @@ void NinepServer::HandleBytes(SessionId id, std::string_view packet,
 
 std::string NinepServer::HandleBytes(std::string_view packet) {
   return HandleBytes(EnsureDefaultSession(), packet);
-}
-
-void NinepServer::HandleWriteBatch(SessionId id,
-                                   const std::vector<std::string_view>& packets,
-                                   const std::vector<RequestObs*>& obs,
-                                   std::vector<ReplyFrame>* replies) {
-  replies->clear();
-  replies->resize(packets.size());
-  std::shared_ptr<Session> s = FindSession(id);
-  // Decode outside the locks; undecodable packets answer immediately.
-  std::vector<Fcall> ts(packets.size());
-  std::vector<bool> bad(packets.size(), false);
-  for (size_t i = 0; i < packets.size(); i++) {
-    metrics_.AddBytesIn(packets[i].size());
-    auto d = [&] {
-      OBS_SPAN("ninep.decode");
-      return DecodeFcall(packets[i]);
-    }();
-    if (!d.ok()) {
-      bad[i] = true;
-      (*replies)[i].bytes = EncodeFcall(ErrorFcall(kNoTag, d.message()));
-      metrics_.RecordOp(NinepOp::kBad, 0, true);
-      metrics_.AddBytesOut((*replies)[i].bytes.size());
-      if (obs[i] != nullptr) {
-        obs[i]->error = true;
-      }
-    } else {
-      ts[i] = d.take();
-    }
-  }
-  // One lock acquisition for the run. The listener only coalesces same-fid
-  // write runs, so the first decodable request's verdict covers every rider:
-  // a window write takes the epoch lock shared + that window's shard
-  // exclusive + the session lock shared, letting batches aimed at different
-  // windows flow in parallel. Anything else keeps the serialized path —
-  // epoch and session both exclusive. The first request owns the real lock
-  // wait (Acquire attributes it through tls_req_obs); riders get
-  // zero-duration req.lock events below so each rid's phase chain stays
-  // complete.
-  Session::Verdict v;  // defaults to kStructural
-  if (s != nullptr && !force_exclusive_.load(std::memory_order_relaxed) &&
-      !disable_sharding_.load(std::memory_order_relaxed)) {
-    for (size_t i = 0; i < packets.size(); i++) {
-      if (!bad[i]) {
-        Session::Verdict first = s->Classify(ts[i]);
-        if (first.cls == Session::OpClass::kWindowWrite) {
-          v = first;
-        }
-        break;
-      }
-    }
-  }
-  while (true) {
-    const bool windowed = v.cls == Session::OpClass::kWindowWrite;
-    tls_req_obs = obs.empty() ? nullptr : obs[0];
-    DispatchGuard dl =
-        Acquire(windowed ? LockMode::kShared : LockMode::kExclusive);
-    tls_req_obs = nullptr;
-    const bool session_ok = s != nullptr && FindSession(id) != nullptr;
-    std::unique_lock<std::shared_mutex> shard_w;
-    std::optional<LockOrderScope> lo_shard;
-    if (windowed) {
-      // Same uncontended fast path as DispatchUnderLock: time the acquire
-      // only when it actually blocks.
-      uint64_t wait_us = 0;
-      if (v.shard->mu.try_lock()) {
-        shard_w =
-            std::unique_lock<std::shared_mutex>(v.shard->mu, std::adopt_lock);
-      } else {
-        auto w0 = std::chrono::steady_clock::now();
-        shard_w = std::unique_lock<std::shared_mutex>(v.shard->mu);
-        wait_us = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - w0)
-                .count());
-      }
-      lo_shard.emplace(kLockLevelShard);
-      metrics_.RecordWindowAcquire();
-      metrics_.RecordShardWait(wait_us);
-    }
-    std::shared_lock<std::shared_mutex> ssl;
-    std::unique_lock<std::shared_mutex> usl;
-    std::optional<LockOrderScope> lo_session;
-    if (session_ok) {
-      if (windowed) {
-        ssl = std::shared_lock<std::shared_mutex>(s->dispatch_mu());
-      } else {
-        usl = std::unique_lock<std::shared_mutex>(s->dispatch_mu());
-      }
-      lo_session.emplace(kLockLevelSession);
-    }
-    // The verdict was resolved before earlier in-flight requests finished;
-    // if the fid's binding changed since, re-run the whole batch on the
-    // structural path (always sufficient). No replies have been written yet
-    // for good packets, so the retry is invisible to the client.
-    if (windowed && session_ok && s->VerdictStale(v)) {
-      v = Session::Verdict();
-      continue;
-    }
-    DispatchBatchLocked(s, session_ok, packets, ts, bad, obs, replies);
-    return;
-  }
-}
-
-void NinepServer::DispatchBatchLocked(
-    const std::shared_ptr<Session>& s, bool session_ok,
-    const std::vector<std::string_view>& packets, const std::vector<Fcall>& ts,
-    const std::vector<bool>& bad, const std::vector<RequestObs*>& obs,
-    std::vector<ReplyFrame>* replies) {
-  obs::Tracer& tr = obs::Tracer::Global();
-  for (size_t i = 0; i < packets.size(); i++) {
-    if (bad[i]) {
-      continue;
-    }
-    const Fcall& t = ts[i];
-    RequestObs* ro = obs[i];
-    metrics_.BeginRequest();
-    auto start = std::chrono::steady_clock::now();
-    Fcall r;
-    if (!session_ok) {
-      r = ErrorFcall(t.tag, "unknown session");
-    } else if (t.type == MsgType::kTflush) {
-      s->FlushTag(t.oldtag);
-      r.type = MsgType::kRflush;
-      r.tag = t.tag;
-    } else if (!s->BeginTag(t.tag)) {
-      r = ErrorFcall(t.tag, "duplicate tag");
-    } else {
-      if (s->ConsumeFlushed(t.tag)) {
-        metrics_.RecordFlushCancel();
-        OBS_INSTANT("ninep.flush_cancel", t.tag);
-        r = ErrorFcall(t.tag, "interrupted");
-      } else {
-        if (ro != nullptr && i > 0 && ro->rid != 0 && tr.enabled()) {
-          tr.EmitAt(obs::EventKind::kComplete, "req.lock", 0, ro->rid,
-                    tr.NowNs());
-        }
-        OBS_SPAN("ninep.dispatch");
-        uint64_t h0 = tr.NowNs();
-        r = s->Dispatch(t);
-        uint64_t dur = tr.NowNs() - h0;
-        if (ro != nullptr) {
-          ro->handler_ns += dur;
-          if (ro->rid != 0 && tr.enabled()) {
-            tr.EmitAt(obs::EventKind::kComplete, "req.handler", dur, ro->rid,
-                      h0);
-          }
-        }
-      }
-      s->EndTag(t.tag);
-    }
-    auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
-    metrics_.RecordOp(OpOfMsgType(t.type), static_cast<uint64_t>(us),
-                      r.type == MsgType::kRerror);
-    metrics_.EndRequest();
-    uint64_t e0 = tr.NowNs();
-    {
-      OBS_SPAN("ninep.encode");
-      (*replies)[i].bytes = EncodeFcall(r);
-    }
-    if (ro != nullptr) {
-      ro->op = OpOfMsgType(t.type);
-      ro->error = r.type == MsgType::kRerror;
-      ro->encode_ns = tr.NowNs() - e0;
-      if (ro->rid != 0 && tr.enabled()) {
-        tr.EmitAt(obs::EventKind::kComplete, "req.encode", ro->encode_ns,
-                  ro->rid, e0);
-      }
-    }
-    metrics_.AddBytesOut((*replies)[i].bytes.size());
-  }
-}
-
-NinepServer::FrameVerdict NinepServer::ClassifyFrame(
-    SessionId id, std::string_view frame) const {
-  FrameVerdict fv;  // defaults to kFence, domain 0
-  if (frame.size() < 7 || force_exclusive_.load(std::memory_order_relaxed)) {
-    return fv;
-  }
-  auto u32at = [&frame](size_t off) {
-    return static_cast<uint32_t>(static_cast<uint8_t>(frame[off])) |
-           static_cast<uint32_t>(static_cast<uint8_t>(frame[off + 1])) << 8 |
-           static_cast<uint32_t>(static_cast<uint8_t>(frame[off + 2])) << 16 |
-           static_cast<uint32_t>(static_cast<uint8_t>(frame[off + 3])) << 24;
-  };
-  std::shared_ptr<Session> s = FindSession(id);
-  if (s == nullptr) {
-    return fv;
-  }
-  // With sharding disabled every frame reports domain 0, which restores the
-  // PR 9 whole-connection write fences in the listener.
-  const bool sharded = !disable_sharding_.load(std::memory_order_relaxed);
-  switch (static_cast<MsgType>(static_cast<uint8_t>(frame[4]))) {
-    case MsgType::kTstat:
-      if (frame.size() < 11) {
-        return fv;
-      }
-      fv.cls = FrameClass::kReorderable;
-      if (sharded) {
-        fv.domain = s->FidDomain(u32at(7));
-      }
-      return fv;
-    case MsgType::kTflush:
-      // Answered from the tag table without any dispatch lock; letting it
-      // overtake queued requests is the point — that is what makes a flush
-      // able to cancel them.
-      fv.cls = FrameClass::kReorderable;
-      return fv;
-    case MsgType::kTread: {
-      if (frame.size() < 11) {
-        return fv;
-      }
-      uint32_t fid = u32at(7);
-      if (!s->ReorderableRead(fid)) {
-        return fv;
-      }
-      fv.cls = FrameClass::kReorderable;
-      if (sharded) {
-        fv.domain = s->FidDomain(fid);
-      }
-      return fv;
-    }
-    case MsgType::kTwalk: {
-      if (frame.size() < 15) {
-        return fv;
-      }
-      uint32_t fid = u32at(7);
-      uint32_t newfid = u32at(11);
-      if (newfid != fid && s->FidAbsent(newfid)) {
-        fv.cls = FrameClass::kReorderable;
-      }
-      return fv;
-    }
-    case MsgType::kTwrite:
-      if (frame.size() < 11) {
-        return fv;
-      }
-      fv.write_fid = u32at(7);
-      fv.cls = FrameClass::kWrite;
-      if (sharded) {
-        fv.domain = s->FidDomain(fv.write_fid);
-      }
-      return fv;
-    default:
-      return fv;
-  }
 }
 
 NinepClient::Transport NinepServer::TransportFor(SessionId id) {

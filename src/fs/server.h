@@ -1,51 +1,25 @@
-// The multi-client 9P service front end. A NinepServer accepts any number of
+// The multi-client 9P service front end. A NinepServer serves any number of
 // transports — each client connection is a Session (see ninep.h) — and may be
-// driven from many threads at once: workers decode T-messages and encode
-// replies in parallel, and dispatch itself runs under a two-level lock
-// hierarchy (PR 4 added the reader–writer epoch lock, PR 10 the per-window
-// shards; DESIGN.md §17): read-only operations hold the namespace epoch lock
-// in shared mode and run in parallel across sessions; window-scoped
-// operations additionally take their window's shard (shared for reads,
-// exclusive for writes), so mutations of *different* windows run
-// concurrently; structural operations (create, remove, window lifecycle, ctl
-// writes) take the epoch exclusively and still see the single-threaded tree
-// the Vfs and Help's synthetic-file handlers were built around.
+// driven from any thread: the socket listener's loop, the in-process
+// transports, and the UI thread touching /mnt/help files directly.
 //
-//   client thread:  bytes in ─ decode ─┐            ┌─ Tread ────┐ (epoch shared,
-//   client thread:  bytes in ─ decode ─┼─ classify ─┼─ Twrite w1 ┤  parallel across
-//   client thread:  bytes in ─ decode ─┼────────────┼─ Twrite w2 ┤  windows)
-//   client thread:  bytes in ─ decode ─┘            └─ Tcreate ──┘ (epoch exclusive)
-//                                        encode + bytes out (parallel again)
+// Every dispatch runs under one exclusive dispatch lock, so the Vfs and
+// Help's synthetic-file handlers always see a single-threaded tree. Decode
+// and encode run outside it. The listener serves all sockets from one
+// thread, so on the socket path the lock is uncontended unless the UI
+// thread or an in-process transport holds it.
 //
-// Read-path consistency is seqlock-style, the same discipline as the obs
-// trace ring: every Text carries a monotonically increasing edit sequence
-// (odd while a mutation is in progress), readers snapshot it, copy, and
-// revalidate; a reader that observes a concurrent edit answers with the
-// kSharedReadRaced sentinel and the server re-runs the request under the
-// exclusive lock (counted as ninep.read.retry).
-//
-// Tflush and duplicate-tag rejection happen against the session's in-flight
-// tag table before any dispatch lock, so a client can cancel a queued request
-// even while another request holds the dispatch path. Per-op counters and
-// latency histograms — plus the shared-read / retry counters and the
+// Tflush and duplicate-tag rejection happen against the session's tag table
+// before the dispatch lock, so a client can cancel a request that is still
+// waiting for the lock; the waiting request checks its cancellation mark
+// once it holds the lock. Per-op counters and latency histograms — plus the
 // lock-wait histogram — are recorded into a NinepMetrics (a view over the
 // process-wide obs::Registry) which /mnt/help/stats serves.
 //
 // Lock order (acquire strictly downward — enforced in debug builds by
-// src/fs/lockorder.h when HELP_LOCK_ASSERT is on; leaves may be taken under
-// anything above them but never hold anything themselves):
-//   1. dispatch_mu_          the namespace *epoch* lock (shared or exclusive;
-//                            never upgraded while held). Shared by read-only
-//                            and window-scoped dispatches, exclusive for
-//                            structural ops and LockDispatch.
-//   2. WindowShard::mu       the per-window mutation lock (src/fs/vfs.h),
-//                            owned by the fileserver's window file handlers;
-//                            shared by window reads, exclusive by window
-//                            writes. Never taken by structural dispatches.
-//   3. Session::dispatch_mu_ per-session ordering of Dispatch (reader–writer
-//                            since PR 9: read-only requests — and since PR 10
-//                            window writes — hold it shared and complete out
-//                            of order, fences exclusively)
+// src/fs/lockorder.h when HELP_LOCK_ASSERT is on):
+//   1. dispatch_mu_          the dispatch lock, held around each dispatch
+//                            and by LockDispatch
 //   leaf: Session::fid_mu_   per-session fid-table bookkeeping; held only
 //                            around map lookups/mutations, never across a
 //                            handler call
@@ -56,10 +30,7 @@
 //                            behind a dispatch)
 // A thread never takes dispatch_mu_ twice: re-entry (a /mnt/help handler
 // invoked from a dispatch that already holds the lock) is detected with a
-// thread-local holder check and becomes a no-op, which is what replaced the
-// PR 1 recursive_mutex. The no-op inherits the outer mode, so classification
-// must route any op that can reach a handler that mutates beyond its own
-// window to the structural (epoch-exclusive) path.
+// thread-local holder check and becomes a no-op.
 #ifndef SRC_FS_SERVER_H_
 #define SRC_FS_SERVER_H_
 
@@ -68,9 +39,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string_view>
-#include <vector>
 
 #include "src/fs/metrics.h"
 #include "src/fs/netinfo.h"
@@ -87,15 +56,10 @@ struct RequestObs {
   uint64_t rid = 0;                // in: trace id (0 = unscoped)
   NinepOp op = NinepOp::kBad;      // out: decoded op
   bool error = false;              // out: reply was Rerror
-  uint64_t lock_wait_ns = 0;       // out: dispatch-lock wait, summed over retries
-  uint64_t handler_ns = 0;         // out: Session::Dispatch, summed over retries
+  uint64_t lock_wait_ns = 0;       // out: dispatch-lock wait
+  uint64_t handler_ns = 0;         // out: Session::Dispatch
   uint64_t encode_ns = 0;          // out: reply encode
 };
-
-// Error string a shared-mode read handler returns when its seqlock
-// validation observed a concurrent edit; never reaches a client — the server
-// consumes it and retries the request under the exclusive dispatch lock.
-inline constexpr std::string_view kSharedReadRaced = "help: shared read raced an edit";
 
 // One complete reply packet plus how its payload got there, so the listener
 // can splice large zero-copy Rreads into its outbox as owned segments (moved,
@@ -110,35 +74,23 @@ class NinepServer {
  public:
   using SessionId = uint64_t;
 
-  // How a dispatch (or a /mnt/help handler invocation) holds the lock.
-  enum class LockMode : uint8_t { kNone, kShared, kExclusive };
-
   // RAII ownership of one acquisition of the dispatch lock. A
   // default-constructed (or re-entrant) guard owns nothing.
   class DispatchGuard {
    public:
     DispatchGuard() = default;
     DispatchGuard(DispatchGuard&& o) noexcept
-        : srv_(o.srv_),
-          mode_(o.mode_),
-          prev_srv_(o.prev_srv_),
-          prev_mode_(o.prev_mode_) {
+        : srv_(o.srv_), prev_srv_(o.prev_srv_) {
       o.srv_ = nullptr;
-      o.mode_ = LockMode::kNone;
       o.prev_srv_ = nullptr;
-      o.prev_mode_ = LockMode::kNone;
     }
     DispatchGuard& operator=(DispatchGuard&& o) noexcept {
       if (this != &o) {
         Release();
         srv_ = o.srv_;
-        mode_ = o.mode_;
         prev_srv_ = o.prev_srv_;
-        prev_mode_ = o.prev_mode_;
         o.srv_ = nullptr;
-        o.mode_ = LockMode::kNone;
         o.prev_srv_ = nullptr;
-        o.prev_mode_ = LockMode::kNone;
       }
       return *this;
     }
@@ -148,19 +100,16 @@ class NinepServer {
 
    private:
     friend class NinepServer;
-    DispatchGuard(NinepServer* srv, LockMode mode, const NinepServer* prev_srv,
-                  LockMode prev_mode)
-        : srv_(srv), mode_(mode), prev_srv_(prev_srv), prev_mode_(prev_mode) {}
+    DispatchGuard(NinepServer* srv, const NinepServer* prev_srv)
+        : srv_(srv), prev_srv_(prev_srv) {}
     void Release();
 
-    NinepServer* srv_ = nullptr;       // nullptr: owns no lock
-    LockMode mode_ = LockMode::kNone;  // the mode this guard owns
-    // The thread's dispatch-holder state to restore on release. Normally
-    // empty; non-null when this guard nested inside a different server's
-    // dispatch (a handler serializing against Help's own server while the
-    // request arrived through another NinepServer over the same Vfs).
+    NinepServer* srv_ = nullptr;  // nullptr: owns no lock
+    // The thread's dispatch holder to restore on release. Normally null;
+    // non-null when this guard nested inside a different server's dispatch
+    // (a handler serializing against Help's own server while the request
+    // arrived through another NinepServer over the same Vfs).
     const NinepServer* prev_srv_ = nullptr;
-    LockMode prev_mode_ = LockMode::kNone;
   };
 
   explicit NinepServer(Vfs* vfs);
@@ -174,56 +123,18 @@ class NinepServer {
   void CloseSession(SessionId id);
   size_t session_count() const;
 
-  // Full byte path for one client: decode, dispatch (shared or exclusive per
-  // the op classification), encode. Thread-safe; any thread may drive any
-  // session. One session's requests are serialized against each other (the
-  // protocol assumes one logical client per connection); different sessions'
-  // read-only requests run in parallel.
+  // Full byte path for one client: decode, dispatch under the dispatch
+  // lock, encode. Thread-safe; any thread may drive any session.
   std::string HandleBytes(SessionId id, std::string_view packet);
   // As above, with a request-observability context (see RequestObs). The
-  // listener's workers pass one per frame; `obs` may be null.
+  // listener passes one per frame; `obs` may be null.
   std::string HandleBytes(SessionId id, std::string_view packet, RequestObs* obs);
   // The primary form the other two wrap: fills a ReplyFrame so callers can
   // see how the payload was produced. File Treads encode their reply packet
   // inside the dispatch (zero-copy from gatherable files); everything else
-  // encodes from the Fcall as before — the bytes are identical either way.
+  // encodes from the Fcall — the bytes are identical either way.
   void HandleBytes(SessionId id, std::string_view packet, RequestObs* obs,
                    ReplyFrame* out);
-
-  // Dispatches a run of same-session requests (the listener batches
-  // consecutive Twrites on one fid) under a single exclusive dispatch-lock +
-  // session-lock acquisition. Per-request tag bookkeeping, flush checks,
-  // metrics, and phase events still happen individually; riders after the
-  // first get zero-duration req.lock events so every rid keeps the full
-  // phase chain. `obs` entries may be null; `obs.size()` must equal
-  // `packets.size()`. Coalesced riders are counted in
-  // ninep.bodyapp_coalesced by the caller (which knows what it batched).
-  void HandleWriteBatch(SessionId id,
-                        const std::vector<std::string_view>& packets,
-                        const std::vector<RequestObs*>& obs,
-                        std::vector<ReplyFrame>* replies);
-
-  // Raw-frame dispatch classification for the listener's scheduler: peeks
-  // the fixed-offset type/fid fields (no full decode) and asks the session.
-  // kReorderable requests may run concurrently with each other and complete
-  // out of order; kWrite requests (Twrite only — write_fid carries the fid)
-  // may coalesce into one HandleWriteBatch; everything else is a kFence: it
-  // must run alone, after every earlier request from the session completed.
-  // Undecodable or unknown frames classify as fences.
-  //
-  // `domain` is the window the frame is confined to (0 = none): for a
-  // kReorderable frame the window it *reads*, for a kWrite frame the window
-  // it *writes*. A kWrite with a nonzero domain need not fence the whole
-  // connection — the listener only orders it against in-flight frames of the
-  // same domain, which is what lets one connection's writes to different
-  // windows run in parallel. With sharding disabled, domains are always 0.
-  enum class FrameClass : uint8_t { kReorderable, kWrite, kFence };
-  struct FrameVerdict {
-    FrameClass cls = FrameClass::kFence;
-    uint32_t write_fid = kNoFid;  // kWrite only: the target fid
-    uint64_t domain = 0;          // nonzero: confined to this window
-  };
-  FrameVerdict ClassifyFrame(SessionId id, std::string_view frame) const;
 
   // A Transport for NinepClient bound to one session of this server.
   NinepClient::Transport TransportFor(SessionId id);
@@ -245,32 +156,15 @@ class NinepServer {
   uint32_t session_msize(SessionId id) const;
 
   // Serializes arbitrary work with protocol dispatch: acquires the dispatch
-  // lock exclusively, or — when this thread already holds it in either mode
-  // (a /mnt/help handler invoked from a dispatch) — returns a no-op guard
-  // instead of deadlocking. The /mnt/help handlers take this so UI-thread
-  // file access and 9P workers cannot interleave inside Help.
+  // lock, or — when this thread already holds it (a /mnt/help handler
+  // invoked from a dispatch) — returns a no-op guard instead of
+  // deadlocking. The /mnt/help handlers take this so UI-thread file access
+  // and socket dispatch cannot interleave inside Help.
   DispatchGuard LockDispatch();
 
-  // True iff the calling thread currently holds the dispatch lock in shared
-  // mode. Read handlers use this to decide whether they must seqlock-validate
-  // (shared: concurrent readers, validation required) or are fully serialized
-  // (exclusive: plain read).
-  bool SharedDispatchOnThisThread() const;
-
-  // Test/bench hook: classify every operation exclusive, restoring PR 1's
-  // fully serialized dispatch. The perf_ninep --serialized baseline.
-  void set_force_exclusive(bool on) { force_exclusive_ = on; }
-
-  // Escape hatch and differential oracle: disable per-window sharding,
-  // restoring PR 4's two-mode classification (window writes become
-  // structural, window reads fall back to the plain shared/exclusive split)
-  // and whole-connection write fencing in the listener. The perf_ninep
-  // --shard baseline.
-  void set_disable_sharding(bool on) { disable_sharding_ = on; }
-
   // Bench hook: stage every Rread payload through an intermediate string
-  // (the pre-PR 9 encode path) instead of gathering into the wire frame.
-  // The perf_ninep zero-copy-vs-staged baseline.
+  // instead of gathering into the wire frame. The perf_ninep
+  // zero-copy-vs-staged baseline.
   void set_disable_zero_copy(bool on) { disable_zero_copy_ = on; }
 
   NinepMetrics& metrics() { return metrics_; }
@@ -287,43 +181,19 @@ class NinepServer {
  private:
   std::shared_ptr<Session> FindSession(SessionId id) const;
   SessionId EnsureDefaultSession();
+  // Tag bookkeeping and Tflush, then the dispatch itself under the lock.
   Fcall Process(SessionId id, const Fcall& t, ReadSink* sink = nullptr);
-  // One locked dispatch attempt chain: classify, acquire the epoch lock (and
-  // the window shard, for window-scoped verdicts), validate the verdict
-  // against the live fid table (VerdictStale — one lookup, not a
-  // reclassification), run, and retry on the structural path if the verdict
-  // went stale or a shared read raced an edit. The session lock is held
-  // shared for ReorderOk requests and sharded window writes (out-of-order
-  // completion between fences), exclusive otherwise.
-  Fcall DispatchUnderLock(const std::shared_ptr<Session>& s, SessionId id,
-                          const Fcall& t, ReadSink* sink = nullptr);
-  // Acquires the epoch lock in `mode` (no-op guard on re-entry), timing the
-  // wait into ninep.lock.wait and counting exclusive acquisitions.
-  DispatchGuard Acquire(LockMode mode);
-  // Maps a verdict back to the PR 4 two-mode classification when sharding is
-  // disabled (the escape hatch / differential oracle).
-  static void Deshard(const Fcall& t, Session::Verdict* v);
-  // Runs a decoded write batch under locks already held by HandleWriteBatch
-  // (epoch + optional window shard + session lock).
-  void DispatchBatchLocked(const std::shared_ptr<Session>& s, bool session_ok,
-                           const std::vector<std::string_view>& packets,
-                           const std::vector<Fcall>& ts,
-                           const std::vector<bool>& bad,
-                           const std::vector<RequestObs*>& obs,
-                           std::vector<ReplyFrame>* replies);
 
   Vfs* vfs_;
   NinepMetrics metrics_;
   NetState net_{this};
-  std::atomic<bool> force_exclusive_{false};
   std::atomic<bool> disable_zero_copy_{false};
-  std::atomic<bool> disable_sharding_{false};
 
   // state_mu_ guards the session table only; per-session bookkeeping lives
   // behind each Session's own locks (see ninep.h), so sessions never contend
   // with each other on fid or tag bookkeeping.
   mutable std::mutex state_mu_;
-  std::shared_mutex dispatch_mu_;
+  std::mutex dispatch_mu_;
   std::map<SessionId, std::shared_ptr<Session>> sessions_;
   SessionId next_session_ = 1;
   SessionId default_session_ = 0;  // 0 = not yet created

@@ -67,7 +67,7 @@ bool OpenFile::Gather(uint64_t offset, uint32_t count, GatherView* out) {
     return node_->handler()->Gather(*this, offset, count, out);
   }
   // Regular file: borrow the node's payload directly. The view is stable for
-  // the dispatch because tree mutations run under the exclusive lock.
+  // the dispatch because tree mutations run under the dispatch lock.
   const std::string& data = node_->data();
   *out = GatherView();
   if (offset < data.size()) {

@@ -10,14 +10,9 @@
 //
 // Threading: the VFS carries no locks of its own — nodes, handlers, and the
 // clock are unsynchronized. Concurrent 9P clients are safe because
-// NinepServer (src/fs/server.h) guards every tree-touching dispatch with a
-// two-level lock hierarchy (DESIGN.md §17): a namespace epoch lock held
-// shared by window-scoped and read-only operations and exclusively by
-// structural mutations (create/remove, window lifecycle, ctl writes), plus
-// per-window shards (WindowShard below) that serialize mutations of one
-// window against each other and against that window's readers. Anything
-// else that shares a Vfs with a live NinepServer must serialize through
-// NinepServer::LockDispatch(), which takes the epoch lock's exclusive side.
+// NinepServer (src/fs/server.h) runs every tree-touching dispatch under its
+// dispatch lock. Anything else that shares a Vfs with a live NinepServer
+// must serialize through NinepServer::LockDispatch().
 #ifndef SRC_FS_VFS_H_
 #define SRC_FS_VFS_H_
 
@@ -26,7 +21,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -70,41 +64,14 @@ class OpenFile;
 // from the wire) or a borrowed byte view (`raw`, regular-file payloads);
 // prefix/suffix carry owned fringe bytes where a byte range splits a rune's
 // encoding. Borrowed views alias live storage: they are valid only while the
-// dispatch context that produced them pins the data — under the exclusive
-// dispatch lock unconditionally, or in shared mode until Validate() says a
-// concurrent edit intervened (seqlock discipline: the producer records the
-// edit sequence it read under; consumers encode, then call Validate() and
-// throw the bytes away on mismatch).
+// dispatch lock that was held when they were produced stays held.
 struct GatherView {
   std::string prefix;    // owned bytes before the spans (may be empty)
   RuneSpans runes;       // borrowed rune middle (empty when raw is set)
   std::string suffix;    // owned bytes after the spans (may be empty)
   std::string_view raw;  // borrowed byte middle (regular files)
   uint64_t bytes = 0;    // total payload size in bytes
-
-  // Seqlock validation token. Null seq_source means the view is stable for
-  // the current dispatch (exclusive lock held, or nothing borrowed).
-  const std::atomic<uint64_t>* seq_source = nullptr;
-  uint64_t seq_expected = 0;
-  bool Validate() const {
-    return seq_source == nullptr ||
-           seq_source->load(std::memory_order_acquire) == seq_expected;
-  }
 };
-
-// The per-window mutation lock. Windows are the unit of sharding in the
-// dispatch-lock hierarchy (DESIGN.md §17): every file of one window — and of
-// every clone sharing its body Text — reports the same shard, so mutations of
-// *different* windows run concurrently while mutations of the *same* window
-// (or its clones) serialize. Readers of a window's files take the shard
-// shared; writers take it exclusive. `domain` is the owning window's id
-// (nonzero — window ids start at 1), used by the listener scheduler to fence
-// only same-window frames.
-struct WindowShard {
-  std::shared_mutex mu;
-  uint64_t domain = 0;
-};
-using WindowShardPtr = std::shared_ptr<WindowShard>;
 
 // Behaviour hook for synthetic files. One handler instance may serve many
 // nodes; per-open state lives in the OpenFile. Handlers receive the OpenFile
@@ -119,9 +86,9 @@ class FileHandler {
   virtual Result<std::string> Read(OpenFile& f, uint64_t offset, uint32_t count) = 0;
   // Zero-copy read: describe the bytes as a GatherView instead of staging
   // them. Returns false when the handler has no gather path (callers fall
-  // back to Read). Implementations populate *out with borrowed views and the
-  // validation token; they must not allocate a middle copy — that is the
-  // whole point. Wrappers must delegate.
+  // back to Read). Implementations populate *out with borrowed views; they
+  // must not allocate a middle copy — that is the whole point. Wrappers
+  // must delegate.
   virtual bool Gather(OpenFile& f, uint64_t offset, uint32_t count,
                       GatherView* out) {
     return false;
@@ -132,29 +99,15 @@ class FileHandler {
   virtual void Clunk(OpenFile& f) {}
   // Length reported by stat (synthetic files often report 0).
   virtual uint64_t Length(const Node& n) const { return 0; }
-  // True when Open has side effects even for a read-only open (e.g.
-  // /mnt/help/new/ctl creates a window). The 9P dispatch classification uses
-  // this to route such opens through the exclusive lock; handlers whose Open
-  // only computes a snapshot keep the default and stay on the shared path.
-  // Wrappers must delegate to the handler they wrap.
-  virtual bool OpenNeedsExclusive() const { return false; }
-  // The window shard this file's mutations are confined to, or nullptr when
-  // the file is not window-scoped (regular files, ctl files, stats — anything
-  // whose writes can touch state outside one window). The 9P dispatch
-  // classification resolves this once at fid-bind time (Walk/Attach/Create)
-  // so the lock target is known before any lock is taken. The returned
-  // pointer must be immutable for the handler's lifetime. Wrappers must
-  // delegate to the handler they wrap.
-  virtual WindowShardPtr window_shard() const { return nullptr; }
 };
 
 // Synthesizes a directory's children on demand — the Plan 9 /net and /proc
 // idiom, where a listing reflects live objects (one numbered directory per
 // connection) instead of nodes something had to create and destroy. A
 // directory with a DirSynth answers Child() and ListDir() from the synth
-// after its static children. Lookups run under the 9P dispatch lock in
-// either mode and from the UI thread, so implementations must be internally
-// thread-safe and must never acquire the dispatch lock.
+// after its static children. Lookups run under the 9P dispatch lock and
+// from the UI thread, so implementations must be internally thread-safe and
+// must never acquire the dispatch lock.
 class DirSynth {
  public:
   virtual ~DirSynth() = default;
@@ -170,10 +123,10 @@ class Node : public std::enable_shared_from_this<Node> {
 
   const std::string& name() const { return name_; }
   bool dir() const { return qid_.dir; }
-  // vers and mtime are stored in relaxed atomics: a shard-holding writer may
-  // Touch a window file's node while another session Twalks past it or
-  // Ropens it under the shared epoch lock, and those readers only need *a*
-  // consistent value, not ordering. qid() therefore returns by value.
+  // vers and mtime are stored in relaxed atomics: a stat through the Vfs
+  // from outside the dispatch lock may read them while a dispatch Touches
+  // the node, and such readers only need *a* consistent value, not
+  // ordering. qid() therefore returns by value.
   Qid qid() const {
     Qid q = qid_;
     q.vers = vers_.load(std::memory_order_relaxed);

@@ -350,8 +350,8 @@ std::string Tracer::RenderChromeJson() const {
   std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   char buf[320];
   bool first = true;
-  // Metadata first: name the process and every registered thread so loop vs.
-  // worker lanes are readable.
+  // Metadata first: name the process and every registered thread so the
+  // lanes are readable.
   std::snprintf(buf, sizeof(buf),
                 "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
                 "\"args\":{\"name\":\"help\"}}");
@@ -366,7 +366,7 @@ std::string Tracer::RenderChromeJson() const {
   }
   // Request trace ids become flow events: the first sighting of a rid opens
   // the flow ("s"), every later phase continues it ("t"), so one request
-  // renders as a connected arrow chain across the loop and worker lanes.
+  // renders as a connected arrow chain across its phases.
   std::map<uint64_t, bool> seen_rid;
   for (const TraceEvent& e : Snapshot()) {
     double ts_us = static_cast<double>(e.ns) / 1000.0;

@@ -107,9 +107,9 @@ class Registry {
 // --- Trace events and the ring buffer ----------------------------------------
 
 // kComplete is a retroactive span: emitted once at phase end with the start
-// time in `ns` and the duration in `arg`, so a phase that begins on one
-// thread (a frame arriving on the event loop) and ends on another (a worker
-// picking it up) still renders as a single slice in Chrome tracing.
+// time in `ns` and the duration in `arg`, so phases of requests that overlap
+// (one reply waiting in the outbox while the next request runs) still render
+// as single slices in Chrome tracing.
 enum class EventKind : uint8_t { kBegin, kEnd, kInstant, kCounter, kComplete };
 
 struct TraceEvent {
@@ -159,8 +159,8 @@ class Tracer {
   void EmitAt(EventKind kind, const char* name, uint64_t arg, uint64_t rid,
               uint64_t ns);
 
-  // Names the calling thread in Chrome trace output ("net.loop",
-  // "net.worker0"). Idempotent; later calls for the same thread win.
+  // Names the calling thread in Chrome trace output ("net.loop").
+  // Idempotent; later calls for the same thread win.
   void SetThreadName(std::string name);
   std::map<uint32_t, std::string> ThreadNames() const;
 

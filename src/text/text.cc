@@ -11,18 +11,14 @@ namespace help {
 // branch when tracing is off), never unconditional counters.
 void Text::DoInsert(size_t pos, RuneStringView s) {
   OBS_INSTANT("text.insert", s.size());
-  edit_seq_.fetch_add(1, std::memory_order_acq_rel);  // odd: edit in progress
   buf_.Insert(pos, s);
   lines_.OnInsert(buf_, pos, s);
-  edit_seq_.fetch_add(1, std::memory_order_release);  // even: quiescent
 }
 
 RuneString Text::DoDelete(size_t pos, size_t n) {
   OBS_INSTANT("text.delete", n);
-  edit_seq_.fetch_add(1, std::memory_order_acq_rel);
   RuneString removed = buf_.Delete(pos, n);
   lines_.OnDelete(pos, removed);
-  edit_seq_.fetch_add(1, std::memory_order_release);
   return removed;
 }
 
@@ -74,11 +70,9 @@ void Text::DeleteNoUndo(size_t pos, size_t n) {
 
 void Text::SetAll(std::string_view utf8) {
   OBS_SPAN("text.setall");
-  edit_seq_.fetch_add(1, std::memory_order_acq_rel);  // mutates buf_ directly
   buf_.Delete(0, size());
   buf_.Insert(0, RunesFromUtf8(utf8));
   lines_.Reset(buf_);  // wholesale replacement: rebuild instead of two diffs
-  edit_seq_.fetch_add(1, std::memory_order_release);
   undo_.clear();
   redo_.clear();
   dirty_ = false;

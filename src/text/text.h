@@ -5,7 +5,6 @@
 #ifndef SRC_TEXT_TEXT_H_
 #define SRC_TEXT_TEXT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -30,30 +29,6 @@ class Text {
  public:
   Text() = default;
   explicit Text(std::string_view utf8) { InsertNoUndo(0, RunesFromUtf8(utf8)); }
-
-  // Movable (the atomic edit sequence travels by value): moving a Text is
-  // inherently exclusive — no reader may validate against it concurrently.
-  Text(Text&& o) noexcept
-      : buf_(std::move(o.buf_)),
-        lines_(std::move(o.lines_)),
-        undo_(std::move(o.undo_)),
-        redo_(std::move(o.redo_)),
-        change_id_(o.change_id_),
-        version_(o.version_),
-        edit_seq_(o.edit_seq_.load(std::memory_order_relaxed)),
-        dirty_(o.dirty_) {}
-  Text& operator=(Text&& o) noexcept {
-    buf_ = std::move(o.buf_);
-    lines_ = std::move(o.lines_);
-    undo_ = std::move(o.undo_);
-    redo_ = std::move(o.redo_);
-    change_id_ = o.change_id_;
-    version_ = o.version_;
-    edit_seq_.store(o.edit_seq_.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-    dirty_ = o.dirty_;
-    return *this;
-  }
 
   size_t size() const { return buf_.size(); }
   Rune At(size_t pos) const { return buf_.At(pos); }
@@ -84,9 +59,7 @@ class Text {
 
   // Scatter-gather form of Utf8Substr: resolves the byte range to borrowed
   // gap-buffer spans plus owned fringe bytes where the range splits a rune.
-  // The spans alias buf_ and are valid only until the next mutation — callers
-  // must hold the exclusive dispatch lock, or bracket use with edit_seq()
-  // validation (snapshot before, compare after the spans are consumed).
+  // The spans alias buf_ and are valid only until the next mutation.
   struct GatherResult {
     std::string prefix;  // owned tail bytes of a rune split by the range start
     RuneSpans runes;     // whole runes fully inside the range (borrowed)
@@ -161,19 +134,6 @@ class Text {
   // whether to re-layout.
   uint64_t version() const { return version_; }
 
-  // Seqlock edit sequence (the 9P shared-read validation; same discipline as
-  // the obs trace ring): even while quiescent, odd while a mutation is in
-  // progress. Shared-mode 9P readers snapshot it, perform the
-  // Utf8Substr/Utf8Bytes read, and revalidate; any change means a concurrent
-  // edit and the read is re-run under the exclusive dispatch lock. Mutations
-  // themselves happen under that exclusive lock (or on the single UI
-  // thread), so a validation failure marks a lock-discipline violation being
-  // caught, not a normal mode of operation.
-  uint64_t edit_seq() const { return edit_seq_.load(std::memory_order_acquire); }
-  // Address of the sequence cell, for validation tokens that outlive the call
-  // frame (the zero-copy gather path re-validates after encoding).
-  const std::atomic<uint64_t>* edit_seq_cell() const { return &edit_seq_; }
-
   // Test hook: verifies the line index against a full recount of the buffer.
   // O(n); the differential property suite calls it periodically.
   bool CheckLineIndex() const { return lines_.CheckConsistent(buf_); }
@@ -200,7 +160,6 @@ class Text {
   std::vector<Change> redo_;
   uint64_t change_id_ = 0;
   uint64_t version_ = 0;
-  std::atomic<uint64_t> edit_seq_{0};
   bool dirty_ = false;
 };
 

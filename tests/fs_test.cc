@@ -14,6 +14,12 @@ struct CleanCase {
   const char* out;
 };
 
+// Spells the case out in test names; gtest's default printer would dump
+// the struct's pointer bytes, which change every build.
+void PrintTo(const CleanCase& c, std::ostream* os) {
+  *os << '\'' << c.in << "' to '" << c.out << '\'';
+}
+
 class PathClean : public ::testing::TestWithParam<CleanCase> {};
 
 TEST_P(PathClean, Cleans) { EXPECT_EQ(CleanPath(GetParam().in), GetParam().out); }

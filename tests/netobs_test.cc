@@ -165,20 +165,16 @@ TEST(StatsMetricsParity, EveryStatsEntrySurfacesInMetrics) {
   }
   m.RecordLockWait(1);
   m.RecordNetQueueWait(1);
-  m.RecordShardWait(1);
 
   auto metrics = h.vfs().ReadFile("/mnt/help/metrics");
   ASSERT_TRUE(metrics.ok());
   std::vector<std::string> expected = {
-      "ninep.bytes_in",  "ninep.bytes_out",         "ninep.in_flight",
-      "ninep.flush_cancels", "ninep.read.shared",   "ninep.read.retry",
-      "ninep.lock.wait_us",  "net.accepts",         "net.active_conns",
-      "net.reaped",      "net.backpressure_stalls", "net.frame_errors",
-      "net.bytes_in",    "net.bytes_out",           "net.queue_wait_us",
-      "ninep.ooo_completions", "ninep.bytes_zero_copy", "ninep.bytes_staged",
-      "ninep.bodyapp_coalesced", "net.writev_calls",
-      "ninep.lock.window_acquires", "ninep.lock.epoch_exclusive",
-      "ninep.lock.shard_wait_us",
+      "ninep.bytes_in",      "ninep.bytes_out",       "ninep.in_flight",
+      "ninep.flush_cancels", "ninep.lock.wait_us",    "net.accepts",
+      "net.active_conns",    "net.reaped",            "net.backpressure_stalls",
+      "net.frame_errors",    "net.bytes_in",          "net.bytes_out",
+      "net.queue_wait_us",   "ninep.bytes_zero_copy", "ninep.bytes_staged",
+      "net.writev_calls",
   };
   for (size_t i = 0; i < kNinepOpCount; i++) {
     const char* op = NinepOpName(static_cast<NinepOp>(i));
@@ -441,7 +437,6 @@ TEST(RequestTrace, OneRidChainsEveryPhaseInOrder) {
   std::string json = tr.RenderChromeJson();
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
   EXPECT_NE(json.find("net.loop"), std::string::npos);
-  EXPECT_NE(json.find("net.worker0"), std::string::npos);
   EXPECT_NE(json.find("\"rid\":"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);

@@ -1,8 +1,8 @@
-// Property test for PR 9's ordering model (DESIGN.md §16): randomized mixes
-// of pipelined reads and mutation barriers over a real socket, checked
-// against a byte-exact oracle. The invariant under test: a read's Rread
-// payload equals the body as of the last mutation barrier that preceded it
-// in arrival order — no matter how the scheduler interleaves completions.
+// Property test for the socket path's ordering model (DESIGN.md §8):
+// randomized mixes of pipelined reads and mutation barriers over a real
+// socket, checked against a byte-exact oracle. The invariant under test: a
+// read's Rread payload equals the body as of the last mutation barrier that
+// preceded it in arrival order.
 //
 // Two phases:
 //   1. Client-level: ReadFidPipelined batches between AppendFile barriers.
@@ -78,9 +78,7 @@ TEST(NinepPipelineProperty, PipelinedReadsMatchOracleAcrossBarriers) {
   hopt.install_userland = false;
   Help h(hopt);
   NinepServer& srv = h.ninep();
-  ListenerOptions lopt;
-  lopt.workers = 4;
-  NinepListener lis(&srv, lopt);
+  NinepListener lis(&srv);
   std::string path = SockPath("prop1");
   ASSERT_TRUE(lis.ListenUnix(path).ok());
   ASSERT_TRUE(lis.Start().ok());
@@ -138,9 +136,7 @@ TEST(NinepPipelineProperty, WireBurstsRespectMutationBarriers) {
   hopt.install_userland = false;
   Help h(hopt);
   NinepServer& srv = h.ninep();
-  ListenerOptions lopt;
-  lopt.workers = 4;
-  NinepListener lis(&srv, lopt);
+  NinepListener lis(&srv);
   std::string path = SockPath("prop2");
   ASSERT_TRUE(lis.ListenUnix(path).ok());
   ASSERT_TRUE(lis.Start().ok());

@@ -323,9 +323,9 @@ TEST(ObsTracer, ChromeJsonIsWellFormed) {
 
 // The /mnt/help/stats byte format, pinned exactly: header line, one
 // "op count errs p50us p99us" row per op with traffic (enum order), the
-// four PR 1 scalar totals, the PR 4 read-path concurrency lines, then the
-// PR 10 dispatch-sharding lines. NinepMetrics is a registry view now; its
-// Render() must not drift.
+// four scalar totals, the lock-wait line, the socket-layer lines, then the
+// zero-copy lines. NinepMetrics is a registry view; its Render() must not
+// drift.
 TEST(NinepMetricsCompat, StatsByteFormatPinnedExactly) {
   Registry::Global().Reset();
   NinepMetrics m;
@@ -335,7 +335,6 @@ TEST(NinepMetricsCompat, StatsByteFormatPinnedExactly) {
   m.AddBytesIn(5);
   m.AddBytesOut(7);
   m.RecordFlushCancel();
-  m.RecordSharedRead();
   EXPECT_EQ(m.Render(),
             "op count errs p50us p99us\n"
             "walk 2 1 127 127\n"
@@ -344,8 +343,6 @@ TEST(NinepMetricsCompat, StatsByteFormatPinnedExactly) {
             "bytes_out 7\n"
             "in_flight 0\n"
             "flush_cancels 1\n"
-            "shared_reads 1\n"
-            "read_retries 0\n"
             "lock_wait_p99us 0\n"
             "net_accepts 0\n"
             "net_active_conns 0\n"
@@ -354,14 +351,9 @@ TEST(NinepMetricsCompat, StatsByteFormatPinnedExactly) {
             "net_frame_errors 0\n"
             "net_bytes_in 0\n"
             "net_bytes_out 0\n"
-            "ooo_completions 0\n"
             "bytes_zero_copy 0\n"
             "bytes_staged 0\n"
-            "bodyapp_coalesced 0\n"
-            "net_writev_calls 0\n"
-            "lock_window_acquires 0\n"
-            "lock_epoch_exclusive 0\n"
-            "lock_shard_wait_p99us 0\n");
+            "net_writev_calls 0\n");
   // And the same numbers are visible through the registry's own file format.
   std::string metrics = Registry::Global().RenderText();
   EXPECT_NE(metrics.find("ninep.walk.count 2\n"), std::string::npos);
@@ -372,14 +364,11 @@ TEST(NinepMetricsCompat, StatsByteFormatPinnedExactly) {
   EXPECT_EQ(m.Render(),
             "op count errs p50us p99us\n"
             "bytes_in 0\nbytes_out 0\nin_flight 0\nflush_cancels 0\n"
-            "shared_reads 0\nread_retries 0\nlock_wait_p99us 0\n"
+            "lock_wait_p99us 0\n"
             "net_accepts 0\nnet_active_conns 0\nnet_reaped 0\n"
             "net_backpressure_stalls 0\nnet_frame_errors 0\n"
             "net_bytes_in 0\nnet_bytes_out 0\n"
-            "ooo_completions 0\nbytes_zero_copy 0\nbytes_staged 0\n"
-            "bodyapp_coalesced 0\nnet_writev_calls 0\n"
-            "lock_window_acquires 0\nlock_epoch_exclusive 0\n"
-            "lock_shard_wait_p99us 0\n");
+            "bytes_zero_copy 0\nbytes_staged 0\nnet_writev_calls 0\n");
 }
 
 TEST(ObsTracer, RenderTextLinesCarryAllStamps) {

@@ -28,6 +28,31 @@ struct MatchCase {
   const char* expect;  // matched substring or "<none>"
 };
 
+// Writes `s` single-quoted with control bytes escaped. The case printers
+// below use it so that test names spell out the case: gtest's default
+// printer would dump the struct's pointer bytes, which change every build.
+void PrintQuoted(const char* s, std::ostream* os) {
+  *os << '\'';
+  for (const char* p = s; *p != '\0'; p++) {
+    if (*p == '\n') {
+      *os << "\\n";
+    } else if (*p == '\t') {
+      *os << "\\t";
+    } else {
+      *os << *p;
+    }
+  }
+  *os << '\'';
+}
+
+void PrintTo(const MatchCase& c, std::ostream* os) {
+  PrintQuoted(c.pattern, os);
+  *os << " in ";
+  PrintQuoted(c.text, os);
+  *os << " is ";
+  PrintQuoted(c.expect, os);
+}
+
 class RegexpMatch : public ::testing::TestWithParam<MatchCase> {};
 
 TEST_P(RegexpMatch, Matches) {
@@ -136,6 +161,8 @@ TEST(Regexp, UnicodeRunes) {
 struct ErrorCase {
   const char* pattern;
 };
+
+void PrintTo(const ErrorCase& c, std::ostream* os) { PrintQuoted(c.pattern, os); }
 
 class RegexpErrors : public ::testing::TestWithParam<ErrorCase> {};
 

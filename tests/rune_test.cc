@@ -17,7 +17,12 @@ TEST(Rune, AsciiRoundTrip) {
 }
 
 struct RoundTripCase {
+  RoundTripCase(Rune rune, size_t n) : r(rune), bytes(n) {}
   Rune r;
+  // The padding between r and bytes, named so that it is always zero: test
+  // names print the case's bytes, and unnamed padding holds whatever the
+  // stack held, so the names changed from run to run.
+  uint32_t pad = 0;
   size_t bytes;
 };
 

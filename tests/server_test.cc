@@ -223,10 +223,7 @@ struct GateRig {
 };
 
 // Tflush cancels a request that is still waiting for the dispatch lock: the
-// flushed request is answered "interrupted" instead of running. Since PR 9 a
-// read-only request would dispatch concurrently with the parked gate read
-// instead of queueing, so the queued request is a mutation — a fence that
-// genuinely waits for the shared holders to drain.
+// flushed request is answered "interrupted" instead of running.
 TEST(NinepServerConcurrent, FlushCancelsQueuedRequest) {
   GateRig rig;
   // The metrics registry is process-global now, so the counter may carry
@@ -289,53 +286,7 @@ TEST(NinepServerConcurrent, FlushCancelsQueuedRequest) {
   EXPECT_EQ(rig.srv.metrics().flush_cancels(), cancels_before + 1);
 }
 
-// PR 4 reader–writer dispatch: while one session's shared-mode read is
-// parked inside the gate handler (holding the dispatch lock shared), a
-// second session's read-only traffic — version, attach, walk, open, read —
-// completes in parallel instead of queueing behind it.
-TEST(NinepServerConcurrent, SharedReadsRunInParallelAcrossSessions) {
-  GateRig rig;
-  uint64_t shared_before = rig.srv.metrics().shared_reads();
-  std::thread blocker([&] {
-    Fcall r = rig.Send(TreadOf(rig.gate_fid, 50));
-    EXPECT_EQ(r.type, MsgType::kRread);
-    EXPECT_EQ(r.data, "gate");
-  });
-  rig.gate->WaitEntered();
-
-  // The gate read is mid-dispatch and holds the lock in shared mode; a whole
-  // read-only conversation on another session must finish before release.
-  auto sid2 = rig.srv.OpenSession();
-  NinepClient c2(rig.srv.TransportFor(sid2));
-  ASSERT_TRUE(c2.Connect("parallel").ok());
-  auto r = c2.ReadFile("/f");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value(), "plain");
-
-  rig.gate->Release();
-  blocker.join();
-  EXPECT_GT(rig.srv.metrics().shared_reads(), shared_before);
-  rig.srv.CloseSession(sid2);
-}
-
-// The perf_ninep --serialized baseline hook: with force_exclusive on, the
-// same read-only traffic never takes the shared path.
-TEST(NinepServerConcurrent, ForceExclusiveDisablesSharedReads) {
-  Vfs vfs;
-  vfs.WriteFile("/f", "x");
-  NinepServer srv(&vfs);
-  srv.set_force_exclusive(true);
-  uint64_t shared_before = srv.metrics().shared_reads();
-  NinepClient c(srv.TransportFor(srv.OpenSession()));
-  ASSERT_TRUE(c.Connect().ok());
-  ASSERT_TRUE(c.ReadFile("/f").ok());
-  EXPECT_EQ(srv.metrics().shared_reads(), shared_before);
-  srv.set_force_exclusive(false);
-  ASSERT_TRUE(c.ReadFile("/f").ok());
-  EXPECT_GT(srv.metrics().shared_reads(), shared_before);
-}
-
-// Tflush racing an in-flight shared-mode Tread: whichever way the race
+// Tflush racing an in-flight Tread: whichever way the race
 // lands, the reply is exactly one of {Rread with the file's bytes, Rerror
 // "interrupted"} — never a torn payload, never a dropped reply — and the
 // Tflush itself is always answered Rflush. (The deterministic gate-based
@@ -531,9 +482,7 @@ TEST(Observability, StatsStillServedOverTheWire) {
   EXPECT_EQ(stats.value().rfind("op count errs p50us p99us\n", 0), 0u) << stats.value();
   EXPECT_NE(stats.value().find("\nbytes_in "), std::string::npos);
   EXPECT_NE(stats.value().find("\nflush_cancels "), std::string::npos);
-  // PR 4: the read-path concurrency counters ride the same file.
-  EXPECT_NE(stats.value().find("\nshared_reads "), std::string::npos);
-  EXPECT_NE(stats.value().find("\nread_retries "), std::string::npos);
+  EXPECT_NE(stats.value().find("\nlock_wait_p99us "), std::string::npos);
   // PR 7: the socket connection layer's counters, appended after the older
   // blocks so byte-offset consumers of those keep working.
   EXPECT_NE(stats.value().find("\nnet_accepts "), std::string::npos);
@@ -543,11 +492,9 @@ TEST(Observability, StatsStillServedOverTheWire) {
   EXPECT_NE(stats.value().find("\nnet_frame_errors "), std::string::npos);
   EXPECT_NE(stats.value().find("\nnet_bytes_in "), std::string::npos);
   EXPECT_NE(stats.value().find("\nnet_bytes_out "), std::string::npos);
-  // PR 9: pipelined dispatch + zero-copy read counters, appended last.
-  EXPECT_NE(stats.value().find("\nooo_completions "), std::string::npos);
+  // The zero-copy read counters, appended last.
   EXPECT_NE(stats.value().find("\nbytes_zero_copy "), std::string::npos);
   EXPECT_NE(stats.value().find("\nbytes_staged "), std::string::npos);
-  EXPECT_NE(stats.value().find("\nbodyapp_coalesced "), std::string::npos);
   EXPECT_NE(stats.value().find("\nnet_writev_calls "), std::string::npos);
   srv.CloseSession(sid);
 }

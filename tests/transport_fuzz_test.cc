@@ -151,9 +151,7 @@ TEST(TransportFuzz, HostileStreamsNeverCrashLeakOrDeadlock) {
   NinepServer& srv = h.ninep();
   size_t sessions0 = srv.session_count();
 
-  NinepListener::Options lopt;
-  lopt.workers = 2;
-  NinepListener lis(&srv, lopt);
+  NinepListener lis(&srv);
   std::string path = StrFormat("fuzz.%d.sock", getpid());
   ASSERT_TRUE(lis.ListenUnix(path).ok());
   ASSERT_TRUE(lis.Start().ok());

@@ -1,15 +1,14 @@
 // Socket soak: the server_property_test oracle pushed through the real
 // transport. 64 concurrent socket clients — each its own connection, its own
 // Session — race range Treads against one appender, over Unix-domain sockets
-// through the epoll listener and the worker pool. The body only ever grows
+// through the epoll listener. The body only ever grows
 // by appending a deterministic byte pattern, so every Rread byte must match
 // the pattern at its absolute offset no matter how the event loop interleaves
 // connections; one disagreeing byte is a torn read somewhere between the
 // socket and the gap buffer.
 //
 // Runs under the `property` ctest label. The TSan CI job is the other half
-// of the contract: loop thread, worker pool, and 65 client threads with no
-// data races.
+// of the contract: the loop thread and 65 client threads with no data races.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -57,9 +56,7 @@ TEST(TransportSoak, SixtyFourSocketClientsReadConsistentlyUnderAppends) {
   Help h(opt);
   NinepServer& srv = h.ninep();
 
-  NinepListener::Options lopt;
-  lopt.workers = 4;
-  NinepListener lis(&srv, lopt);
+  NinepListener lis(&srv);
   std::string path = StrFormat("soak.%d.sock", getpid());
   ASSERT_TRUE(lis.ListenUnix(path).ok());
   ASSERT_TRUE(lis.Start().ok());
@@ -153,7 +150,7 @@ TEST(TransportSoak, SixtyFourSocketClientsReadConsistentlyUnderAppends) {
   for (Window* w : h.AllWindows()) {
     EXPECT_TRUE(w->body().text->CheckLineIndex());
   }
-  EXPECT_GT(srv.metrics().shared_reads(), 0u);
+  EXPECT_GT(srv.metrics().count(NinepOp::kRead), 0u);
   EXPECT_GE(srv.metrics().net_accepts(), static_cast<uint64_t>(kClients) + 1);
   writer.Clunk(app.value());
 

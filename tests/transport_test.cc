@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <thread>
@@ -216,6 +217,56 @@ TEST(NinepListenerTest, UnixSocketRoundTrip) {
   EXPECT_EQ(lis.active_conns(), 0u);
   EXPECT_EQ(srv.session_count(), 0u);
 }
+
+#if defined(__linux__)
+size_t ThreadCount() {
+  size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)e;
+    n++;
+  }
+  return n;
+}
+
+// The thread count once threads that earlier tests joined have also left
+// /proc/self/task (a joined thread can linger there for a moment).
+size_t SettledThreadCount() {
+  size_t n = ThreadCount();
+  for (int i = 0; i < 100; i++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    size_t m = ThreadCount();
+    if (m == n) {
+      break;
+    }
+    n = m;
+  }
+  return n;
+}
+
+// The listener serves every connection from its one loop thread: Start adds
+// exactly one thread to the process, and serving traffic adds none.
+TEST(NinepListenerTest, StartsExactlyOneThread) {
+  Help::Options opt;
+  opt.install_userland = false;
+  Help h(opt);
+  NinepListener lis(&h.ninep());
+  std::string path = SockPath("one_thread");
+  ASSERT_TRUE(lis.ListenUnix(path).ok());
+  size_t before = SettledThreadCount();
+  ASSERT_TRUE(lis.Start().ok());
+  EXPECT_EQ(ThreadCount(), before + 1);
+
+  auto tr = SocketTransport::ConnectUnix(path);
+  ASSERT_TRUE(tr.ok()) << tr.message();
+  NinepClient client(tr.value()->AsTransport());
+  ASSERT_TRUE(client.Connect("one").ok());
+  EXPECT_TRUE(client.ReadFile("/mnt/help/index").ok());
+  EXPECT_EQ(ThreadCount(), before + 1);
+
+  lis.Stop();
+  EXPECT_TRUE(WaitFor([&] { return ThreadCount() == before; }));
+}
+#endif
 
 TEST(NinepListenerTest, TcpSocketRoundTrip) {
   Help::Options opt;
@@ -456,7 +507,6 @@ TEST(NinepListenerTest, BackpressureStallsSlowReaderAndRecovers) {
 
   NinepListener::Options lopt;
   lopt.max_outbox_bytes = 8 * 1024;  // tiny bound so one big reply stalls
-  lopt.max_conn_workers = 1;  // strict in-order so the tag check below holds
   NinepListener lis(&srv, lopt);
   std::string path = SockPath("bp");
   ASSERT_TRUE(lis.ListenUnix(path).ok());
@@ -485,7 +535,7 @@ TEST(NinepListenerTest, BackpressureStallsSlowReaderAndRecovers) {
   ASSERT_NE(body, kNoFid);
 
   // Pipeline 20 whole-body reads and read back NOTHING: ~1MB of replies must
-  // squeeze through an 8KB outbox, so the worker must park the connection.
+  // squeeze through an 8KB outbox, so the listener must park the connection.
   constexpr int kReads = 20;
   std::string burst;
   for (int i = 0; i < kReads; i++) {
@@ -523,7 +573,7 @@ TEST(NinepListenerTest, BackpressureStallsSlowReaderAndRecovers) {
   close(fd.value());
 }
 
-// --- PR 9: pipelined dispatch and zero-copy reads ----------------------------
+// --- Pipelined requests and zero-copy reads ----------------------------------
 
 class SlowReadHandler : public FileHandler {
  public:
@@ -549,11 +599,12 @@ class FastReadHandler : public FileHandler {
   }
 };
 
-// The tentpole's ordering half: two Treads pipelined on ONE connection, the
-// first against a handler that sleeps 100ms. Under the PR 9 scheduler the
-// second read dispatches on another worker, so its reply overtakes the slow
-// one — and ninep.ooo_completions records the overlap.
-TEST(PipelinedDispatch, ReadsCompleteOutOfOrderWithinOneConnection) {
+// Requests pipelined on ONE connection are answered in request order: a
+// slow read (its handler sleeps 100ms) followed by a fast read, a stat, and
+// a read of a regular file, all sent in one write. The listener runs each
+// request to completion before the next, so the replies come back in
+// exactly the order the requests went out.
+TEST(PipelinedDispatch, PipelinedRepliesComeBackInRequestOrder) {
   Help::Options opt;
   opt.install_userland = false;
   Help h(opt);
@@ -562,10 +613,11 @@ TEST(PipelinedDispatch, ReadsCompleteOutOfOrderWithinOneConnection) {
       h.vfs().AttachHandler("/mnt/help/slow9", std::make_shared<SlowReadHandler>()).ok());
   ASSERT_TRUE(
       h.vfs().AttachHandler("/mnt/help/fast9", std::make_shared<FastReadHandler>()).ok());
-  uint64_t ooo0 = srv.metrics().ooo_completions();
+  ASSERT_TRUE(h.vfs().MkdirAll("/tmp").ok());
+  ASSERT_TRUE(h.vfs().WriteFile("/tmp/plain9", "plain\n").ok());
 
-  NinepListener lis(&srv);  // default two workers, no per-conn cap
-  std::string path = SockPath("ooo");
+  NinepListener lis(&srv);
+  std::string path = SockPath("order");
   ASSERT_TRUE(lis.ListenUnix(path).ok());
   ASSERT_TRUE(lis.Start().ok());
 
@@ -574,8 +626,10 @@ TEST(PipelinedDispatch, ReadsCompleteOutOfOrderWithinOneConnection) {
   ASSERT_TRUE(RawHandshake(fd.value()));
   uint32_t slow = RawOpenRead(fd.value(), {"mnt", "help", "slow9"}, 1);
   uint32_t fast = RawOpenRead(fd.value(), {"mnt", "help", "fast9"}, 2);
+  uint32_t plain = RawOpenRead(fd.value(), {"tmp", "plain9"}, 3);
   ASSERT_NE(slow, kNoFid);
   ASSERT_NE(fast, kNoFid);
+  ASSERT_NE(plain, kNoFid);
 
   Fcall t1;
   t1.type = MsgType::kTread;
@@ -586,17 +640,31 @@ TEST(PipelinedDispatch, ReadsCompleteOutOfOrderWithinOneConnection) {
   Fcall t2 = t1;
   t2.tag = 11;
   t2.fid = fast;
-  ASSERT_TRUE(WriteFull(fd.value(), EncodeFcall(t1) + EncodeFcall(t2)).ok());
+  Fcall t3;
+  t3.type = MsgType::kTstat;
+  t3.tag = 12;
+  t3.fid = fast;
+  Fcall t4 = t1;
+  t4.tag = 13;
+  t4.fid = plain;
+  ASSERT_TRUE(WriteFull(fd.value(), EncodeFcall(t1) + EncodeFcall(t2) +
+                                        EncodeFcall(t3) + EncodeFcall(t4))
+                  .ok());
 
-  auto first = DecodeFcall(RecvFrame(fd.value()));
-  auto second = DecodeFcall(RecvFrame(fd.value()));
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first.value().tag, 11) << "fast read did not overtake the slow one";
-  EXPECT_EQ(first.value().data, "fast\n");
-  EXPECT_EQ(second.value().tag, 10);
-  EXPECT_EQ(second.value().data, "slow\n");
-  EXPECT_GT(srv.metrics().ooo_completions(), ooo0);
+  std::vector<Fcall> replies;
+  for (int i = 0; i < 4; i++) {
+    auto r = DecodeFcall(RecvFrame(fd.value()));
+    ASSERT_TRUE(r.ok()) << "reply " << i;
+    replies.push_back(r.take());
+  }
+  EXPECT_EQ(replies[0].tag, 10);
+  EXPECT_EQ(replies[0].data, "slow\n");
+  EXPECT_EQ(replies[1].tag, 11);
+  EXPECT_EQ(replies[1].data, "fast\n");
+  EXPECT_EQ(replies[2].tag, 12);
+  EXPECT_EQ(replies[2].type, MsgType::kRstat);
+  EXPECT_EQ(replies[3].tag, 13);
+  EXPECT_EQ(replies[3].data, "plain\n");
   close(fd.value());
   lis.Stop();
   ::unlink(path.c_str());
@@ -732,94 +800,6 @@ TEST(PipelinedDispatch, ReadFidPipelinedRejectsUnknownTags) {
   ASSERT_FALSE(got.ok());
   EXPECT_NE(got.status().message().find("never issued"), std::string::npos)
       << got.status().message();
-}
-
-// Consecutive Twrites to one fid arriving together dispatch as one batch
-// under a single dispatch-lock acquisition; ninep.bodyapp_coalesced counts
-// the riders and the bytes all land, in order.
-TEST(PipelinedDispatch, ConsecutiveBodyappWritesCoalesce) {
-  Help::Options opt;
-  opt.install_userland = false;
-  Help h(opt);
-  NinepServer& srv = h.ninep();
-  uint64_t co0 = srv.metrics().bodyapp_coalesced();
-
-  NinepListener lis(&srv);
-  std::string path = SockPath("coal");
-  ASSERT_TRUE(lis.ListenUnix(path).ok());
-  ASSERT_TRUE(lis.Start().ok());
-
-  // Seed a window, then speak raw 9P so the writes really pipeline.
-  std::string wid;
-  {
-    auto str = SocketTransport::ConnectUnix(path);
-    ASSERT_TRUE(str.ok());
-    NinepClient seeder(str.value()->AsTransport());
-    ASSERT_TRUE(seeder.Connect("seed").ok());
-    auto ctl = seeder.ReadFile("/mnt/help/new/ctl");
-    ASSERT_TRUE(ctl.ok());
-    wid = std::string(TrimSpace(ctl.value()));
-  }
-  auto fd = DialUnix(path);
-  ASSERT_TRUE(fd.ok());
-  ASSERT_TRUE(RawHandshake(fd.value()));
-  // Walk + open bodyapp for writing.
-  Fcall tw;
-  tw.type = MsgType::kTwalk;
-  tw.tag = 2;
-  tw.fid = 0;
-  tw.newfid = 1;
-  tw.wname = {"mnt", "help", wid, "bodyapp"};
-  auto rw = RawRpc(fd.value(), tw);
-  ASSERT_TRUE(rw.ok());
-  ASSERT_EQ(rw.value().wqid.size(), 4u) << rw.value().ename;
-  Fcall to;
-  to.type = MsgType::kTopen;
-  to.tag = 2;
-  to.fid = 1;
-  to.mode = kOwrite;
-  auto ro = RawRpc(fd.value(), to);
-  ASSERT_TRUE(ro.ok());
-  ASSERT_EQ(ro.value().type, MsgType::kRopen) << ro.value().ename;
-
-  constexpr int kWrites = 12;
-  std::string burst;
-  std::string mirror;
-  for (int i = 0; i < kWrites; i++) {
-    Fcall t;
-    t.type = MsgType::kTwrite;
-    t.tag = static_cast<uint16_t>(50 + i);
-    t.fid = 1;
-    t.offset = 0;  // bodyapp appends regardless
-    t.data = StrFormat("row %02d\n", i);
-    mirror += t.data;
-    burst += EncodeFcall(t);
-  }
-  ASSERT_TRUE(WriteFull(fd.value(), burst).ok());
-  for (int i = 0; i < kWrites; i++) {
-    auto r = DecodeFcall(RecvFrame(fd.value()));
-    ASSERT_TRUE(r.ok());
-    ASSERT_EQ(r.value().type, MsgType::kRwrite) << r.value().ename;
-    EXPECT_EQ(r.value().tag, 50 + i);  // writes stay strictly ordered
-  }
-  // One 64KB recv ingests the whole burst, so at least one batch formed.
-  EXPECT_GT(srv.metrics().bodyapp_coalesced(), co0);
-
-  uint32_t body = RawOpenRead(fd.value(), {"mnt", "help", wid, "body"}, 3);
-  ASSERT_NE(body, kNoFid);
-  Fcall tr9;
-  tr9.type = MsgType::kTread;
-  tr9.tag = 4;
-  tr9.fid = body;
-  tr9.offset = 0;
-  tr9.count = 4096;
-  auto rr = RawRpc(fd.value(), tr9);
-  ASSERT_TRUE(rr.ok());
-  ASSERT_EQ(rr.value().type, MsgType::kRread) << rr.value().ename;
-  EXPECT_EQ(rr.value().data, mirror);
-  close(fd.value());
-  lis.Stop();
-  ::unlink(path.c_str());
 }
 
 }  // namespace
