@@ -1,14 +1,28 @@
 // P-5: C front-end performance — lexing, preprocessing, whole-corpus
-// browsing (the `uses` query path).
+// browsing (the `uses` query path), and the two commands the gesture path
+// runs: Figure 10's `help/rcc -u` and the `vc` that Figure 12's mk drives.
+//
+// Passing --json (stripped before google-benchmark parses flags) appends one
+// JSON object as the last line of stdout, one entry per run with its real
+// and CPU time per iteration in ns — the CI bench-smoke artifact.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "src/base/strings.h"
 #include "src/cc/browser.h"
 #include "src/cc/clex.h"
 #include "src/cc/cpp.h"
+#include "src/tools/demo.h"
 #include "src/tools/tools.h"
 
 namespace help {
 namespace {
+
+constexpr char kDir[] = "/usr/rob/src/help";
 
 struct Corpus {
   Corpus() {
@@ -77,7 +91,87 @@ void BM_BrowserResolveAt(benchmark::State& state) {
 }
 BENCHMARK(BM_BrowserResolveAt);
 
+// Runs `cmd` through the shell of a booted PaperDemo in the help source
+// directory, once per iteration, and checks its output every time.
+void RunCommand(benchmark::State& state, const char* cmd, const char* want) {
+  PaperDemo demo;
+  Env env;
+  std::string out;
+  std::string err;
+  Io io;
+  io.out = &out;
+  io.err = &err;
+  for (auto _ : state) {
+    out.clear();
+    auto r = demo.help().shell().Run(cmd, &env, kDir, {}, io);
+    if (!r.ok() || r.value() != 0 || out != want) {
+      state.SkipWithError(("unexpected result: " + out + err).c_str());
+      break;
+    }
+  }
+}
+
+// Figure 10, exactly as the uses script runs it after `cd $dir`.
+void BM_RccUsesCommand(benchmark::State& state) {
+  RunCommand(state, "help/rcc -u -in -n213 -fexec.c *.c",
+             "./dat.h:136\nexec.c:213\nexec.c:252\nhelp.c:35\n");
+}
+BENCHMARK(BM_RccUsesCommand);
+
+// The compile mk runs for exec.c in Figure 12.
+void BM_VcExecC(benchmark::State& state) { RunCommand(state, "vc -w exec.c", ""); }
+BENCHMARK(BM_VcExecC);
+
+// Console output as usual, plus a (name, real ns, CPU ns) record per run for
+// the trailing JSON line.
+class JsonLineReporter : public benchmark::ConsoleReporter {
+ public:
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      if (run.error_occurred) {
+        continue;
+      }
+      double to_ns = 1e9 / benchmark::GetTimeUnitMultiplier(run.time_unit);
+      if (!json_.empty()) {
+        json_ += ",";
+      }
+      json_ += StrFormat("{\"name\":\"%s\",\"real_ns\":%.1f,\"cpu_ns\":%.1f}",
+                         run.benchmark_name().c_str(), run.GetAdjustedRealTime() * to_ns,
+                         run.GetAdjustedCPUTime() * to_ns);
+    }
+    ConsoleReporter::ReportRuns(runs);
+  }
+
+  const std::string& json() const { return json_; }
+
+ private:
+  std::string json_;
+};
+
 }  // namespace
 }  // namespace help
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  bool json = false;
+  // Strip --json before google-benchmark sees (and rejects) it.
+  std::vector<char*> args;
+  for (int i = 0; i < argc; i++) {
+    if (std::strcmp(argv[i], "--json") == 0) {
+      json = true;
+    } else {
+      args.push_back(argv[i]);
+    }
+  }
+  int filtered_argc = static_cast<int>(args.size());
+  benchmark::Initialize(&filtered_argc, args.data());
+  if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
+    return 1;
+  }
+  help::JsonLineReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  if (json) {
+    std::printf("{\"bench\":\"perf_cc\",\"runs\":[%s]}\n", reporter.json().c_str());
+  }
+  benchmark::Shutdown();
+  return 0;
+}

@@ -1,9 +1,8 @@
 #include "src/cc/browser.h"
 
 #include <algorithm>
+#include <tuple>
 
-#include "src/base/strings.h"
-#include "src/cc/clex.h"
 #include "src/cc/cpp.h"
 
 namespace help {
@@ -11,11 +10,11 @@ namespace help {
 namespace {
 
 bool IsSpecifierKeyword(std::string_view s) {
-  static const std::set<std::string, std::less<>> kSpec = {
-      "void",   "char",     "short",  "int",    "long",  "float",
-      "double", "signed",   "unsigned", "struct", "union", "enum",
-      "const",  "volatile", "static", "extern", "register", "auto"};
-  return kSpec.count(s) != 0;
+  static constexpr std::string_view kSpec[] = {
+      "void",   "char",     "short",    "int",    "long",   "float",    "double",
+      "signed", "unsigned", "struct",   "union",  "enum",   "const",    "volatile",
+      "static", "extern",   "register", "auto"};
+  return std::find(std::begin(kSpec), std::end(kSpec), s) != std::end(kSpec);
 }
 
 }  // namespace
@@ -52,22 +51,23 @@ class CParser {
       pos_++;
     }
   }
-  bool IsPunct(std::string_view p) const {
-    return Cur().kind == CTok::kPunct && Cur().text == p;
+  // Every punctuator the parser asks about is a single character.
+  bool IsPunct(char p) const {
+    return Cur().kind == CTok::kPunct && Cur().text.size() == 1 && Cur().text[0] == p;
   }
   bool IsKw(std::string_view k) const {
     return Cur().kind == CTok::kKeyword && Cur().text == k;
   }
-  void SkipTo(std::string_view p) {  // error recovery
+  void SkipTo(char p) {  // error recovery
     int depth = 0;
     while (!AtEof()) {
       if (depth == 0 && IsPunct(p)) {
         Next();
         return;
       }
-      if (IsPunct("{") || IsPunct("(") || IsPunct("[")) {
+      if (IsPunct('{') || IsPunct('(') || IsPunct('[')) {
         depth++;
-      } else if (IsPunct("}") || IsPunct(")") || IsPunct("]")) {
+      } else if (IsPunct('}') || IsPunct(')') || IsPunct(']')) {
         depth--;
       }
       Next();
@@ -78,60 +78,60 @@ class CParser {
     if (Cur().kind == CTok::kKeyword) {
       return IsSpecifierKeyword(Cur().text) || Cur().text == "typedef";
     }
-    if (Cur().kind == CTok::kIdent && b_->typedefs_.count(Cur().text) != 0) {
+    if (Cur().kind == CTok::kIdent && IsTypedef(Cur().text)) {
       // A typedef name starts a declaration only if what follows looks like
       // a declarator ("Page *q;", "Rune r;"), not an expression ("Page + 1").
+      // "T *x" is taken as a declaration: "T * x" as an expression is
+      // vanishingly rare in real code.
       const CToken& nx = Ahead(1);
-      if (nx.kind == CTok::kIdent) {
-        return true;
-      }
-      if (nx.kind == CTok::kPunct && (nx.text == "*" || nx.text == "(")) {
-        // "T *x" is a declaration at statement start; "T * x" as expression
-        // is vanishingly rare in real code — accept as declaration.
-        return true;
-      }
-      return false;
+      return nx.kind == CTok::kIdent ||
+             (nx.kind == CTok::kPunct && (nx.text == "*" || nx.text == "("));
     }
     return false;
   }
 
-  // --- scopes ---
-  void PushScope() { scopes_.emplace_back(); }
+  // --- names and scopes ---
+  // A typedef name counts only in the unit that declared it.
+  bool IsTypedef(std::string_view name) const {
+    auto it = b_->names_.find(name);
+    return it != b_->names_.end() && it->second.typedef_unit == b_->unit_;
+  }
+
+  // Block scopes are one stack of bindings; a scope is the suffix that
+  // starts at its mark. Lookup scans from the innermost binding out.
+  void PushScope() { scope_marks_.push_back(bindings_.size()); }
   void PopScope() {
-    if (!scopes_.empty()) {
-      scopes_.pop_back();
+    if (!scope_marks_.empty()) {
+      bindings_.resize(scope_marks_.back());
+      scope_marks_.pop_back();
     }
   }
-  void Bind(const std::string& name, int sym) {
-    if (!scopes_.empty()) {
-      scopes_.back()[name] = sym;
+  void Bind(std::string_view name, int sym) {
+    if (!scope_marks_.empty()) {
+      bindings_.emplace_back(name, sym);
     }
   }
-  int Lookup(const std::string& name) const {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      auto hit = it->find(name);
-      if (hit != it->end()) {
-        return hit->second;
+  int Lookup(std::string_view name) const {
+    for (auto it = bindings_.rbegin(); it != bindings_.rend(); ++it) {
+      if (it->first == name) {
+        return it->second;
       }
     }
-    auto hit = b_->file_scope_.find(name);
-    return hit == b_->file_scope_.end() ? -1 : hit->second;
+    auto it = b_->names_.find(name);
+    return it == b_->names_.end() ? -1 : it->second.global;
   }
 
   int DeclareSymbol(const CToken& tok, CSymKind kind) {
-    CSymbol s;
-    s.name = tok.text;
-    s.kind = kind;
-    s.file = tok.file;
-    s.line = tok.line;
-    s.col = tok.col;
-    s.func = current_func_;
-    int id = b_->Intern(s);
-    b_->RecordUse(id, tok.file, tok.line, tok.col, /*is_decl=*/true);
+    return Declare(tok.text, kind, tok, current_func_);
+  }
+  int Declare(std::string_view name, CSymKind kind, const CToken& at, int func,
+              bool is_definition = false) {
+    int id = b_->Intern(name, kind, at, func, is_definition);
+    b_->RecordUse(id, at, /*is_decl=*/true);
     if (kind == CSymKind::kParam || kind == CSymKind::kLocal) {
-      Bind(tok.text, id);
+      Bind(name, id);
     } else if (kind != CSymKind::kField) {
-      b_->file_scope_[tok.text] = id;
+      b_->NameOf(name).global = id;
     }
     return id;
   }
@@ -141,84 +141,79 @@ class CParser {
     if (id < 0) {
       // Implicit extern (strlen, print, ...): declare lazily at first use so
       // later references unify.
-      CSymbol s;
-      s.name = tok.text;
-      s.kind = CSymKind::kImplicit;
-      s.file = tok.file;
-      s.line = tok.line;
-      s.col = tok.col;
-      id = b_->Intern(s);
-      b_->file_scope_[tok.text] = id;
+      id = b_->Intern(tok.text, CSymKind::kImplicit, tok);
+      b_->NameOf(tok.text).global = id;
     }
-    b_->RecordUse(id, tok.file, tok.line, tok.col, /*is_decl=*/false);
+    b_->RecordUse(id, tok, /*is_decl=*/false);
+  }
+
+  // Is the current identifier a member name after . or ->, that is, a field
+  // reference and not a name use?
+  bool AfterMemberOp() const {
+    return pos_ > 0 && toks_[pos_ - 1].kind == CTok::kPunct &&
+           (toks_[pos_ - 1].text == "." || toks_[pos_ - 1].text == "->");
   }
 
   // --- grammar ---
 
   void ParseTopLevel() {
-    if (IsPunct(";")) {
+    if (IsPunct(';')) {
       Next();
       return;
     }
     if (IsKw("typedef")) {
       Next();
       ParseDeclSpecifiers();
-      while (!AtEof() && !IsPunct(";")) {
+      while (!AtEof() && !IsPunct(';')) {
         Declarator d = ParseDeclarator(/*in_params=*/false);
-        if (!d.name.empty()) {
-          b_->typedefs_.insert(d.name);
-          DeclareSymbol(d.name_tok, CSymKind::kTypedef);
+        if (d.name != nullptr) {
+          b_->NameOf(d.name->text).typedef_unit = b_->unit_;
+          DeclareSymbol(*d.name, CSymKind::kTypedef);
         }
-        if (IsPunct(",")) {
+        if (IsPunct(',')) {
           Next();
           continue;
         }
         break;
       }
-      SkipTo(";");
+      SkipTo(';');
       return;
     }
     if (!AtTypeStart()) {
       // Not a declaration we understand (stray macro call, etc.): skip the
       // statement conservatively.
-      SkipTo(";");
+      SkipTo(';');
       return;
     }
     ParseDeclSpecifiers();
-    if (IsPunct(";")) {  // pure struct/enum definition
+    if (IsPunct(';')) {  // pure struct/enum definition
       Next();
       return;
     }
     while (!AtEof()) {
       Declarator d = ParseDeclarator(/*in_params=*/false);
-      if (d.is_func && IsPunct("{")) {
-        CSymbol s;
-        s.name = d.name;
-        s.kind = CSymKind::kFunc;
-        s.file = d.name_tok.file;
-        s.line = d.name_tok.line;
-        s.col = d.name_tok.col;
-        s.is_definition = true;
-        int id = b_->Intern(s);
-        b_->RecordUse(id, s.file, s.line, s.col, /*is_decl=*/true);
-        b_->file_scope_[d.name] = id;
+      if (d.is_func && IsPunct('{')) {
+        // Junk such as "int ()() {" has no name; its body is read all the same.
+        static const CToken kNoName;
+        const CToken& name = d.name != nullptr ? *d.name : kNoName;
+        int id = Declare(name.text, CSymKind::kFunc, name, -1, /*is_definition=*/true);
         ParseFunctionBody(id, d.params);
         return;
       }
-      if (!d.name.empty()) {
-        DeclareSymbol(d.name_tok, d.is_func ? CSymKind::kFunc : CSymKind::kGlobalVar);
+      if (d.name != nullptr) {
+        DeclareSymbol(*d.name, d.is_func ? CSymKind::kFunc : CSymKind::kGlobalVar);
       }
-      if (IsPunct("=")) {
+      if (IsPunct('=')) {
         Next();
         ScanInitializer();
       }
-      if (IsPunct(",")) {
+      if (IsPunct(',')) {
         Next();
         continue;
       }
       break;
     }
-    SkipTo(";");
+    SkipTo(';');
   }
 
   // Consumes declaration specifiers, handling struct/union/enum bodies.
@@ -231,18 +226,16 @@ class CParser {
         if (aggregate || is_enum) {
           if (Cur().kind == CTok::kIdent) {
             // Tag: declaration if a body follows, use otherwise.
-            const CToken tag = Cur();
+            const CToken& tag = Cur();
+            tag_name_.assign("struct ").append(tag.text);
             Next();
-            if (IsPunct("{")) {
-              DeclareTag(tag);
-            } else {
-              int id = Lookup("struct " + tag.text);
-              if (id >= 0) {
-                b_->RecordUse(id, tag.file, tag.line, tag.col, false);
-              }
+            if (IsPunct('{')) {
+              Declare(tag_name_, CSymKind::kStructTag, tag, -1);
+            } else if (int id = Lookup(tag_name_); id >= 0) {
+              b_->RecordUse(id, tag, false);
             }
           }
-          if (IsPunct("{")) {
+          if (IsPunct('{')) {
             if (is_enum) {
               ParseEnumBody();
             } else {
@@ -252,12 +245,11 @@ class CParser {
         }
         continue;
       }
-      if (Cur().kind == CTok::kIdent && b_->typedefs_.count(Cur().text) != 0 &&
+      if (Cur().kind == CTok::kIdent && IsTypedef(Cur().text) &&
           !type_seen_guard_) {
         // Typedef name as base type; record the use of the typedef.
-        int id = Lookup(Cur().text);
-        if (id >= 0) {
-          b_->RecordUse(id, Cur().file, Cur().line, Cur().col, false);
+        if (int id = Lookup(Cur().text); id >= 0) {
+          b_->RecordUse(id, Cur(), false);
         }
         Next();
         type_seen_guard_ = true;
@@ -268,65 +260,53 @@ class CParser {
     type_seen_guard_ = false;
   }
 
-  void DeclareTag(const CToken& tag) {
-    CSymbol s;
-    s.name = "struct " + tag.text;
-    s.kind = CSymKind::kStructTag;
-    s.file = tag.file;
-    s.line = tag.line;
-    s.col = tag.col;
-    int id = b_->Intern(s);
-    b_->RecordUse(id, tag.file, tag.line, tag.col, true);
-    b_->file_scope_[s.name] = id;
-  }
-
   void ParseStructBody() {
     // At '{'. Fields are declarations; nested aggregates recurse.
     Next();
-    while (!AtEof() && !IsPunct("}")) {
-      if (IsPunct(";")) {
+    while (!AtEof() && !IsPunct('}')) {
+      if (IsPunct(';')) {
         Next();
         continue;
       }
       size_t before = pos_;
       ParseDeclSpecifiers();
-      while (!AtEof() && !IsPunct(";") && !IsPunct("}")) {
+      while (!AtEof() && !IsPunct(';') && !IsPunct('}')) {
         Declarator d = ParseDeclarator(/*in_params=*/false);
-        if (!d.name.empty()) {
-          DeclareSymbol(d.name_tok, CSymKind::kField);
+        if (d.name != nullptr) {
+          DeclareSymbol(*d.name, CSymKind::kField);
         }
-        if (IsPunct(":")) {  // bitfield width
+        if (IsPunct(':')) {  // bitfield width
           Next();
           if (!AtEof()) {
             Next();
           }
         }
-        if (IsPunct(",")) {
+        if (IsPunct(',')) {
           Next();
           continue;
         }
         break;
       }
-      if (IsPunct(";")) {
+      if (IsPunct(';')) {
         Next();
       } else if (pos_ == before) {
         Next();  // junk token: never stall
       }
     }
-    if (IsPunct("}")) {
+    if (IsPunct('}')) {
       Next();
     }
   }
 
   void ParseEnumBody() {
     Next();  // '{'
-    while (!AtEof() && !IsPunct("}")) {
+    while (!AtEof() && !IsPunct('}')) {
       if (Cur().kind == CTok::kIdent) {
         DeclareSymbol(Cur(), CSymKind::kEnumConst);
         Next();
-        if (IsPunct("=")) {
+        if (IsPunct('=')) {
           Next();
-          while (!AtEof() && !IsPunct(",") && !IsPunct("}")) {
+          while (!AtEof() && !IsPunct(',') && !IsPunct('}')) {
             if (Cur().kind == CTok::kIdent) {
               RecordIdentUse(Cur());
             }
@@ -334,22 +314,22 @@ class CParser {
           }
         }
       }
-      if (IsPunct(",")) {
+      if (IsPunct(',')) {
         Next();
-      } else if (!IsPunct("}")) {
+      } else if (!IsPunct('}')) {
         Next();
       }
     }
-    if (IsPunct("}")) {
+    if (IsPunct('}')) {
       Next();
     }
   }
 
+  // Tokens are referred to in place: toks_ does not change while parsing.
   struct Declarator {
-    std::string name;
-    CToken name_tok;
+    const CToken* name = nullptr;  // the declared identifier, if any
     bool is_func = false;
-    std::vector<CToken> params;  // parameter name tokens, in order
+    std::vector<const CToken*> params;  // parameter name tokens, in order
   };
 
   // Parses one declarator: pointers, parenthesized declarators, the declared
@@ -357,40 +337,39 @@ class CParser {
   // (no name) is allowed.
   Declarator ParseDeclarator(bool in_params) {
     Declarator d;
-    while (IsPunct("*") || IsKw("const") || IsKw("volatile")) {
+    while (IsPunct('*') || IsKw("const") || IsKw("volatile")) {
       Next();
     }
-    if (IsPunct("(")) {
+    if (IsPunct('(')) {
       Next();
       d = ParseDeclarator(in_params);
-      if (IsPunct(")")) {
+      if (IsPunct(')')) {
         Next();
       }
     } else if (Cur().kind == CTok::kIdent) {
       // In a parameter list, a typedef name here is a type, not the declared
       // identifier ("int f(Page)" is abstract).
-      if (!(in_params && b_->typedefs_.count(Cur().text) != 0 &&
+      if (!(in_params && IsTypedef(Cur().text) &&
             (Ahead(1).kind != CTok::kIdent))) {
-        d.name = Cur().text;
-        d.name_tok = Cur();
+        d.name = &Cur();
         Next();
       }
     }
     // Suffixes.
     while (!AtEof()) {
-      if (IsPunct("(")) {
+      if (IsPunct('(')) {
         d.is_func = true;
         Next();
         ParseParams(&d);
         continue;
       }
-      if (IsPunct("[")) {
+      if (IsPunct('[')) {
         Next();
         int depth = 1;
         while (!AtEof() && depth > 0) {
-          if (IsPunct("[")) {
+          if (IsPunct('[')) {
             depth++;
-          } else if (IsPunct("]")) {
+          } else if (IsPunct(']')) {
             depth--;
           } else if (Cur().kind == CTok::kIdent && depth > 0) {
             RecordIdentUse(Cur());
@@ -404,60 +383,35 @@ class CParser {
     return d;
   }
 
-  // At the token after '('. Collects parameter name tokens until ')'.
+  // At the token after '('. Collects parameter names until ')': the last
+  // identifier of each comma-separated chunk, unless it is a type name
+  // ("int f(Page)" declares nothing).
   void ParseParams(Declarator* d) {
-    std::vector<CToken> chunk_idents;
-    int depth = 1;
-    bool chunk_has_type = false;
-    auto flush = [&]() {
-      // The declared parameter name is the last identifier in the chunk,
-      // provided the chunk has a type before it (so "int" alone or "void"
-      // declares nothing) or the identifier is not a known type name
-      // (K&R-ish "f(x)" identifier lists).
-      if (chunk_idents.empty()) {
-        chunk_has_type = false;
-        return;
-      }
-      const CToken& last = chunk_idents.back();
-      bool last_is_type = b_->typedefs_.count(last.text) != 0;
-      if ((chunk_has_type || chunk_idents.size() > 1) && !last_is_type) {
-        d->params.push_back(last);
-      } else if (!chunk_has_type && !last_is_type && chunk_idents.size() == 1) {
-        d->params.push_back(last);  // identifier-list style
-      }
-      chunk_idents.clear();
-      chunk_has_type = false;
-    };
-    while (!AtEof() && depth > 0) {
-      if (IsPunct("(")) {
+    const CToken* last = nullptr;
+    for (int depth = 1; !AtEof(); Next()) {
+      if (IsPunct('(')) {
         depth++;
-      } else if (IsPunct(")")) {
-        depth--;
+      } else if (Cur().kind == CTok::kIdent) {
+        last = &Cur();
+      } else if ((IsPunct(',') && depth == 1) || (IsPunct(')') && --depth == 0)) {
+        if (last != nullptr && !IsTypedef(last->text)) {
+          d->params.push_back(last);
+        }
+        last = nullptr;
         if (depth == 0) {
-          flush();
           Next();
           return;
         }
-      } else if (IsPunct(",") && depth == 1) {
-        flush();
-      } else if (Cur().kind == CTok::kIdent) {
-        if (b_->typedefs_.count(Cur().text) != 0) {
-          chunk_has_type = true;
-        }
-        chunk_idents.push_back(Cur());
-      } else if (Cur().kind == CTok::kKeyword && IsSpecifierKeyword(Cur().text)) {
-        chunk_has_type = true;
       }
-      Next();
     }
   }
 
-  void ParseFunctionBody(int func_sym, const std::vector<CToken>& params) {
+  void ParseFunctionBody(int func_sym, const std::vector<const CToken*>& params) {
     int saved_func = current_func_;
     current_func_ = func_sym;
     PushScope();
-    for (const CToken& p : params) {
-      DeclareSymbol(p, CSymKind::kParam);
+    for (const CToken* p : params) {
+      DeclareSymbol(*p, CSymKind::kParam);
     }
     // At '{'.
     Next();
@@ -465,34 +419,34 @@ class CParser {
     int depth = 1;
     bool stmt_start = true;
     while (!AtEof() && depth > 0) {
-      if (IsPunct("{")) {
+      if (IsPunct('{')) {
         depth++;
         PushScope();
         stmt_start = true;
         Next();
         continue;
       }
-      if (IsPunct("}")) {
+      if (IsPunct('}')) {
         depth--;
         PopScope();
         stmt_start = true;
         Next();
         continue;
       }
-      if (IsPunct(";")) {
+      if (IsPunct(';')) {
         stmt_start = true;
         Next();
         continue;
       }
       if (IsKw("case")) {
         Next();
-        while (!AtEof() && !IsPunct(":")) {
+        while (!AtEof() && !IsPunct(':')) {
           if (Cur().kind == CTok::kIdent) {
             RecordIdentUse(Cur());
           }
           Next();
         }
-        if (IsPunct(":")) {
+        if (IsPunct(':')) {
           Next();
         }
         stmt_start = true;
@@ -500,7 +454,7 @@ class CParser {
       }
       if (IsKw("default")) {
         Next();
-        if (IsPunct(":")) {
+        if (IsPunct(':')) {
           Next();
         }
         stmt_start = true;
@@ -535,10 +489,7 @@ class CParser {
           stmt_start = true;
           continue;
         }
-        // Struct member after . or -> is a field reference, not a name use.
-        bool member = pos_ > 0 && toks_[pos_ - 1].kind == CTok::kPunct &&
-                      (toks_[pos_ - 1].text == "." || toks_[pos_ - 1].text == "->");
-        if (!member) {
+        if (!AfterMemberOp()) {
           RecordIdentUse(Cur());
         }
         stmt_start = false;
@@ -554,24 +505,25 @@ class CParser {
   }
 
   void ParseLocalDeclaration() {
+    size_t before = pos_;
     ParseDeclSpecifiers();
-    while (!AtEof() && !IsPunct(";")) {
+    while (!AtEof() && !IsPunct(';')) {
       Declarator d = ParseDeclarator(/*in_params=*/false);
-      if (!d.name.empty()) {
-        DeclareSymbol(d.name_tok, CSymKind::kLocal);
+      if (d.name != nullptr) {
+        DeclareSymbol(*d.name, CSymKind::kLocal);
       }
-      if (IsPunct("=")) {
+      if (IsPunct('=')) {
         Next();
         ScanInitializer();
       }
-      if (IsPunct(",")) {
+      if (IsPunct(',')) {
         Next();
         continue;
       }
       break;
     }
-    if (IsPunct(";")) {
-      Next();
+    if (IsPunct(';') || pos_ == before) {
+      Next();  // never stall: a local typedef, for one, declares nothing here
     }
   }
 
@@ -579,17 +531,15 @@ class CParser {
   void ScanInitializer() {
     int depth = 0;
     while (!AtEof()) {
-      if (depth == 0 && (IsPunct(",") || IsPunct(";"))) {
+      if (depth == 0 && (IsPunct(',') || IsPunct(';'))) {
         return;
       }
-      if (IsPunct("(") || IsPunct("[") || IsPunct("{")) {
+      if (IsPunct('(') || IsPunct('[') || IsPunct('{')) {
         depth++;
-      } else if (IsPunct(")") || IsPunct("]") || IsPunct("}")) {
+      } else if (IsPunct(')') || IsPunct(']') || IsPunct('}')) {
         depth--;
       } else if (Cur().kind == CTok::kIdent) {
-        bool member = pos_ > 0 && toks_[pos_ - 1].kind == CTok::kPunct &&
-                      (toks_[pos_ - 1].text == "." || toks_[pos_ - 1].text == "->");
-        if (!member) {
+        if (!AfterMemberOp()) {
           RecordIdentUse(Cur());
         }
       }
@@ -600,7 +550,9 @@ class CParser {
   CBrowser* b_;
   std::vector<CToken> toks_;
   size_t pos_ = 0;
-  std::vector<std::map<std::string, int>> scopes_;
+  std::vector<std::pair<std::string_view, int>> bindings_;
+  std::vector<size_t> scope_marks_;
+  std::string tag_name_;  // "struct " + tag, the name tags are kept under
   int current_func_ = -1;
   bool type_seen_guard_ = false;
 };
@@ -608,57 +560,60 @@ class CParser {
 // ---------------------------------------------------------------------------
 // Browser.
 
-int CBrowser::Intern(const CSymbol& s) {
-  // File-scope symbols deduplicate on identity so headers shared by several
-  // translation units produce a single symbol.
-  bool file_scope = s.kind != CSymKind::kParam && s.kind != CSymKind::kLocal;
-  if (file_scope) {
-    for (const CSymbol& existing : symbols_) {
-      if (existing.name == s.name && existing.kind == s.kind && existing.file == s.file &&
-          existing.line == s.line) {
-        return existing.id;
+CBrowser::Name& CBrowser::NameOf(std::string_view name) {
+  auto it = names_.find(name);
+  return it != names_.end() ? it->second : names_.emplace(name, Name()).first->second;
+}
+
+int CBrowser::Intern(std::string_view name, CSymKind kind, const CToken& at, int func,
+                     bool is_definition) {
+  Name* n = nullptr;
+  if (kind != CSymKind::kParam && kind != CSymKind::kLocal) {
+    n = &NameOf(name);
+    for (int id : n->syms) {
+      const CSymbol& e = symbols_[static_cast<size_t>(id)];
+      if (e.kind == kind && e.line == at.line && e.file == at.file) {
+        return id;
       }
     }
     // A global/function seen again (extern declaration vs definition, or an
-    // implicit upgraded by a real declaration): unify by name.
-    auto hit = file_scope_.find(s.name);
-    if (hit != file_scope_.end()) {
-      CSymbol& existing = symbols_[static_cast<size_t>(hit->second)];
-      if (existing.kind == CSymKind::kImplicit && s.kind != CSymKind::kImplicit) {
-        // Promote: the real declaration wins.
-        int keep = existing.id;
-        existing.kind = s.kind;
-        existing.file = s.file;
-        existing.line = s.line;
-        existing.col = s.col;
-        existing.is_definition = s.is_definition;
-        return keep;
-      }
-      if (s.kind == existing.kind ||
-          (s.kind == CSymKind::kFunc && existing.kind == CSymKind::kFunc)) {
-        if (s.is_definition && !existing.is_definition) {
-          existing.file = s.file;
-          existing.line = s.line;
-          existing.col = s.col;
-          existing.is_definition = true;
+    // implicit upgraded by a real declaration): unify by name. The real
+    // declaration wins over an implicit, a definition over a prototype.
+    if (n->global >= 0) {
+      CSymbol& e = symbols_[static_cast<size_t>(n->global)];
+      bool promote = e.kind == CSymKind::kImplicit && kind != CSymKind::kImplicit;
+      if (promote || kind == e.kind) {
+        if (promote || (is_definition && !e.is_definition)) {
+          e.kind = kind;
+          e.file = at.file;
+          e.line = at.line;
+          e.col = at.col;
+          e.is_definition = is_definition;
         }
-        return existing.id;
+        return e.id;
       }
     }
   }
-  CSymbol copy = s;
-  copy.id = static_cast<int>(symbols_.size());
-  symbols_.push_back(copy);
-  return copy.id;
+  int id = static_cast<int>(symbols_.size());
+  symbols_.push_back(
+      {id, std::string(name), kind, std::string(at.file), at.line, at.col, func, is_definition});
+  if (n != nullptr) {
+    n->syms.push_back(id);
+  }
+  return id;
 }
 
-void CBrowser::RecordUse(int sym, const std::string& file, int line, int col,
-                         bool is_decl) {
-  std::string key = StrFormat("%d@%s:%d:%d", sym, file.c_str(), line, col);
-  if (!use_keys_.insert(key).second) {
-    return;
+void CBrowser::RecordUse(int sym, const CToken& at, bool is_decl) {
+  size_t h = static_cast<size_t>(sym) * 0x9e3779b97f4a7c15ull ^
+             static_cast<size_t>(at.line) << 20 ^ static_cast<size_t>(at.col);
+  for (auto [it, end] = use_index_.equal_range(h); it != end; ++it) {
+    const CUse& u = uses_[it->second];
+    if (u.sym == sym && u.line == at.line && u.col == at.col && u.file == at.file) {
+      return;
+    }
   }
-  uses_.push_back({sym, file, line, col, is_decl});
+  use_index_.emplace(h, uses_.size());
+  uses_.push_back({sym, std::string(at.file), at.line, at.col, is_decl});
 }
 
 Status CBrowser::AddTranslationUnit(std::string_view text, std::string_view filename) {
@@ -666,8 +621,8 @@ Status CBrowser::AddTranslationUnit(std::string_view text, std::string_view file
   if (!toks.ok()) {
     return toks.status();
   }
-  CParser parser(this, toks.take());
-  return parser.Parse();
+  unit_++;
+  return CParser(this, toks.take()).Parse();
 }
 
 Status CBrowser::AddFile(const Vfs& vfs, std::string_view path) {
@@ -708,13 +663,7 @@ std::vector<CUse> CBrowser::UsesOf(int id) const {
     }
   }
   std::sort(out.begin(), out.end(), [](const CUse& a, const CUse& b) {
-    if (a.file != b.file) {
-      return a.file < b.file;
-    }
-    if (a.line != b.line) {
-      return a.line < b.line;
-    }
-    return a.col < b.col;
+    return std::tie(a.file, a.line, a.col) < std::tie(b.file, b.line, b.col);
   });
   return out;
 }
@@ -733,8 +682,10 @@ const CSymbol* CBrowser::FindFunc(std::string_view name) const {
 }
 
 const CSymbol* CBrowser::FindGlobal(std::string_view name) const {
-  auto it = file_scope_.find(std::string(name));
-  return it == file_scope_.end() ? nullptr : &symbols_[static_cast<size_t>(it->second)];
+  auto it = names_.find(name);
+  return it == names_.end() || it->second.global < 0
+             ? nullptr
+             : &symbols_[static_cast<size_t>(it->second.global)];
 }
 
 }  // namespace help

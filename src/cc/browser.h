@@ -11,12 +11,13 @@
 #ifndef SRC_CC_BROWSER_H_
 #define SRC_CC_BROWSER_H_
 
-#include <map>
-#include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/status.h"
+#include "src/cc/clex.h"
 #include "src/fs/vfs.h"
 
 namespace help {
@@ -55,13 +56,15 @@ struct CUse {
 class CBrowser {
  public:
   // Parses preprocessed text (with #line markers) as one translation unit.
+  // Typedef names are scoped to the unit: it learns them from its own text,
+  // that is, from the headers it includes. Symbols and uses accumulate
+  // across units, and keep no reference to `text` or `filename`.
   Status AddTranslationUnit(std::string_view text, std::string_view filename);
 
   // Convenience: preprocess `path` from `vfs`, then add it.
   Status AddFile(const Vfs& vfs, std::string_view path);
 
   const std::vector<CSymbol>& symbols() const { return symbols_; }
-  const std::vector<CUse>& all_uses() const { return uses_; }
 
   // Resolves the identifier occurrence nearest to `file`:`line` with the
   // given name (an occurrence on that exact line is preferred; the column is
@@ -77,24 +80,35 @@ class CBrowser {
   // File-scope lookup by name (globals, typedefs, functions).
   const CSymbol* FindGlobal(std::string_view name) const;
 
-  const CSymbol* Sym(int id) const {
-    return id >= 0 && id < static_cast<int>(symbols_.size()) ? &symbols_[id] : nullptr;
-  }
-
  private:
   friend class CParser;
 
-  // Returns an existing symbol with identical identity or registers a new
-  // one. File-scope symbols deduplicate on (name, kind, file, line) so that
-  // headers parsed in several translation units yield one symbol.
-  int Intern(const CSymbol& s);
-  void RecordUse(int sym, const std::string& file, int line, int col, bool is_decl);
+  // Everything known about one spelling, found with one hash lookup.
+  struct Name {
+    int global = -1;        // file-scope binding: global, typedef, function, tag
+    int typedef_unit = -1;  // the last unit that declared it a typedef name
+    std::vector<int> syms;  // its file-scope-kind symbols, for Intern's dedupe
+  };
+
+  Name& NameOf(std::string_view name);
+  // Returns the existing symbol with the identity (name, kind, at's file and
+  // line) or registers a new one, so that headers parsed in several
+  // translation units yield one symbol. Params and locals are never shared.
+  int Intern(std::string_view name, CSymKind kind, const CToken& at, int func = -1,
+             bool is_definition = false);
+  // Records an occurrence once per (sym, file, line, col).
+  void RecordUse(int sym, const CToken& at, bool is_decl);
+
+  struct ViewHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
+  };
 
   std::vector<CSymbol> symbols_;
   std::vector<CUse> uses_;
-  std::map<std::string, int> file_scope_;  // name -> symbol id (globals/typedefs/funcs)
-  std::set<std::string> typedefs_;         // known type names, shared across TUs
-  std::set<std::string> use_keys_;         // dedup of (sym,file,line,col)
+  std::unordered_map<std::string, Name, ViewHash, std::equal_to<>> names_;
+  std::unordered_multimap<size_t, size_t> use_index_;  // hash of (sym, line, col) -> use
+  int unit_ = 0;  // serial number of the unit being parsed
 };
 
 }  // namespace help

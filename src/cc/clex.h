@@ -3,10 +3,14 @@
 // ANSI C, tracks source coordinates through `#line N "file"` markers (which
 // our cpp emits when inlining includes), and skips comments and other
 // preprocessor lines.
+//
+// Tokens do not own their spelling. `text` views the source passed to CLex,
+// and `file` views either that source (the name in a #line marker) or the
+// caller's `filename`. A token is therefore valid only while both of those
+// strings live and are not modified; copy what must outlive them.
 #ifndef SRC_CC_CLEX_H_
 #define SRC_CC_CLEX_H_
 
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -26,19 +30,17 @@ enum class CTok {
 
 struct CToken {
   CTok kind = CTok::kEof;
-  std::string text;
-  std::string file;  // coordinate after #line adjustment
+  std::string_view text;
+  std::string_view file;  // coordinate after #line adjustment
   int line = 0;
   int col = 0;
 };
 
-// True for C89 keywords (plus a few Plan 9 idioms: uchar/ulong/... are NOT
-// keywords — they are typedefs the parser learns from headers).
-bool IsCKeyword(std::string_view s);
-
-// Tokenizes `src`, whose first line is attributed to `filename`:1. Honors
-// `#line N "file"` directives; other preprocessor lines are skipped (the
-// parser never sees them). Unterminated strings/comments are an error.
+// Tokenizes `src`, whose first line is attributed to `filename`:1. Keywords
+// are C89's (uchar, ulong... are typedefs the parser learns from headers).
+// Honors `#line N "file"` directives; other preprocessor lines (a `#` that is
+// the first non-blank on its line) are skipped, so the parser never sees
+// them. Unterminated strings/comments are an error.
 Result<std::vector<CToken>> CLex(std::string_view src, std::string_view filename);
 
 }  // namespace help

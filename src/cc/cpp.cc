@@ -1,5 +1,6 @@
 #include "src/cc/cpp.h"
 
+#include <algorithm>
 #include <set>
 
 #include "src/base/strings.h"
@@ -15,78 +16,85 @@ struct CppState {
   std::set<std::string> visited;  // include-once per translation unit
 };
 
-Status Expand(CppState* st, const std::string& path, std::string* out, int depth) {
+NodePtr WalkOrNull(const Vfs& vfs, const std::string& path) {
+  auto n = vfs.Walk(path);
+  return n.ok() ? n.take() : nullptr;
+}
+
+Status Expand(CppState* st, const std::string& path, const NodePtr& node, std::string* out,
+              int depth) {
   if (depth > 32) {
     return Status::Error("cpp: include nesting too deep at " + path);
   }
-  auto data = st->vfs->ReadFile(path);
-  if (!data.ok()) {
-    return data.status();
+  // A regular file's bytes are read in place; anything else (a directory's
+  // error, a synthetic file's handler) goes through ReadFile.
+  std::string held;
+  std::string_view data = node->data();
+  if (node->dir() || node->handler() != nullptr) {
+    auto r = st->vfs->ReadFile(path);
+    if (!r.ok()) {
+      return r.status();
+    }
+    held = r.take();
+    data = held;
   }
   st->visited.insert(path);
-  *out += StrFormat("#line 1 \"%s\"\n", path.c_str());
+  out->append("#line 1 \"").append(path).append("\"\n");
+  // Lines are copied in runs; only an #include line breaks a run.
+  size_t copied = 0;
   int lineno = 0;
-  for (const std::string& line : Split(data.value(), '\n')) {
+  for (size_t pos = 0; pos <= data.size();) {
+    size_t bol = pos;
+    size_t eol = std::min(data.find('\n', pos), data.size());
+    std::string_view line = TrimSpace(data.substr(bol, eol - bol));
+    pos = eol + 1;
     lineno++;
-    std::string_view trimmed = TrimSpace(line);
-    if (!HasPrefix(trimmed, "#include")) {
-      *out += line;
-      *out += '\n';
+    if (!HasPrefix(line, "#include")) {
       continue;
     }
-    std::string_view rest = TrimSpace(trimmed.substr(8));
-    bool local;
-    char close;
-    if (!rest.empty() && rest[0] == '"') {
-      local = true;
-      close = '"';
-    } else if (!rest.empty() && rest[0] == '<') {
-      local = false;
-      close = '>';
-    } else {
-      *out += line;
-      *out += '\n';
+    line = TrimSpace(line.substr(8));
+    char close = line.empty() ? 0 : line[0] == '"' ? '"' : line[0] == '<' ? '>' : 0;
+    if (close == 0) {
       continue;
     }
-    size_t end = rest.find(close, 1);
+    out->append(data.substr(copied, bol - copied));
+    copied = pos;
+    size_t end = line.find(close, 1);
     if (end == std::string_view::npos) {
       return Status::Error(StrFormat("%s:%d: bad #include", path.c_str(), lineno));
     }
-    std::string name(rest.substr(1, end - 1));
+    std::string_view name = line.substr(1, end - 1);
+    // "local" includes look beside the including file, then in /sys/include.
     std::string resolved;
-    if (local) {
-      std::string rel = JoinPath(DirPath(path), name);
-      if (st->vfs->Walk(rel).ok()) {
-        resolved = rel;
-      } else {
-        std::string sys = JoinPath(kSysInclude, name);
-        if (st->vfs->Walk(sys).ok()) {
-          resolved = sys;
-        } else {
-          return Status::Error(
-              StrFormat("%s:%d: include file %s not found", path.c_str(), lineno,
-                        name.c_str()));
-        }
-      }
-    } else {
-      std::string sys = JoinPath(kSysInclude, name);
-      if (st->vfs->Walk(sys).ok()) {
-        resolved = sys;
-      } else {
-        // Unmodelled system header: skip, leaving a breadcrumb comment.
-        *out += StrFormat("/* cpp: skipped <%s> */\n", name.c_str());
-        continue;
-      }
+    NodePtr inc;
+    if (close == '"') {
+      resolved = JoinPath(DirPath(path), name);
+      inc = WalkOrNull(*st->vfs, resolved);
     }
-    if (st->visited.count(resolved) != 0) {
+    if (inc == nullptr) {
+      resolved = JoinPath(kSysInclude, name);
+      inc = WalkOrNull(*st->vfs, resolved);
+    }
+    if (inc == nullptr) {
+      if (close == '"') {
+        return Status::Error(StrFormat("%s:%d: include file %s not found", path.c_str(),
+                                       lineno, std::string(name).c_str()));
+      }
+      // Unmodelled system header: skip, leaving a breadcrumb comment.
+      out->append("/* cpp: skipped <").append(name).append("> */\n");
+    } else if (st->visited.count(resolved) != 0) {
       *out += '\n';  // keep line numbers stable for the rest of this file
-      continue;
+    } else {
+      Status s = Expand(st, resolved, inc, out, depth + 1);
+      if (!s.ok()) {
+        return s;
+      }
+      out->append("#line ").append(std::to_string(lineno + 1)).append(" \"");
+      out->append(path).append("\"\n");
     }
-    Status s = Expand(st, resolved, out, depth + 1);
-    if (!s.ok()) {
-      return s;
-    }
-    *out += StrFormat("#line %d \"%s\"\n", lineno + 1, path.c_str());
+  }
+  if (copied <= data.size()) {
+    out->append(data.substr(copied)).push_back('\n');
   }
   return Status::Ok();
 }
@@ -96,8 +104,13 @@ Status Expand(CppState* st, const std::string& path, std::string* out, int depth
 Result<std::string> Preprocess(const Vfs& vfs, std::string_view path) {
   CppState st;
   st.vfs = &vfs;
+  std::string clean = CleanPath(path);
+  auto node = vfs.Walk(clean);
+  if (!node.ok()) {
+    return node.status();
+  }
   std::string out;
-  Status s = Expand(&st, CleanPath(path), &out, 0);
+  Status s = Expand(&st, clean, node.value(), &out, 0);
   if (!s.ok()) {
     return s;
   }

@@ -73,8 +73,9 @@ std::string DisplayPath(const std::string& file, const std::string& dir,
   if (HasPrefix(rel, prefix)) {
     rel = rel.substr(prefix.size());
   }
+  std::string base = BasePath(rel);
   for (const std::string& f : named_files) {
-    if (BasePath(f) == BasePath(rel)) {
+    if (BasePath(f) == base) {
       return rel;
     }
   }
@@ -86,42 +87,32 @@ std::string DisplayPath(const std::string& file, const std::string& dir,
 
 int RccCmd(ExecContext& ctx, const std::vector<std::string>& argv, Io& io) {
   RccArgs a = ParseRccArgs(argv);
+  auto fail = [&](const std::string& message) {
+    *io.err += "rcc: " + message + "\n";
+    return 1;
+  };
+  std::string anchor_file = a.file.empty() ? "" : JoinPath(ctx.cwd, a.file);  // -f, in full
   CBrowser browser;
-
-  std::string anchor_file;  // full path of -f target
-  if (!a.file.empty()) {
-    anchor_file = JoinPath(ctx.cwd, a.file);
-  }
-
   if (!a.files.empty()) {
+    std::vector<std::string> paths;
     for (const std::string& f : a.files) {
-      Status s = browser.AddFile(*ctx.vfs, JoinPath(ctx.cwd, f));
-      if (!s.ok()) {
-        *io.err += "rcc: " + s.message() + "\n";
-        return 1;
-      }
+      paths.push_back(JoinPath(ctx.cwd, f));
     }
     // The anchor file must be parsed too, or the marked identifier is
     // unresolvable.
-    if (!anchor_file.empty()) {
-      bool parsed = std::any_of(a.files.begin(), a.files.end(), [&](const std::string& f) {
-        return JoinPath(ctx.cwd, f) == anchor_file;
-      });
-      if (!parsed) {
-        Status s = browser.AddFile(*ctx.vfs, anchor_file);
-        if (!s.ok()) {
-          *io.err += "rcc: " + s.message() + "\n";
-          return 1;
-        }
+    if (!anchor_file.empty() && std::find(paths.begin(), paths.end(), anchor_file) == paths.end()) {
+      paths.push_back(anchor_file);
+    }
+    for (const std::string& path : paths) {
+      if (Status s = browser.AddFile(*ctx.vfs, path); !s.ok()) {
+        return fail(s.message());
       }
     }
   } else if (!io.in.empty()) {
     // Preprocessed translation unit on stdin (the decl pipeline).
-    Status s = browser.AddTranslationUnit(io.in, anchor_file.empty() ? "<stdin>"
-                                                                     : anchor_file);
+    Status s = browser.AddTranslationUnit(io.in, anchor_file.empty() ? "<stdin>" : anchor_file);
     if (!s.ok()) {
-      *io.err += "rcc: " + s.message() + "\n";
-      return 1;
+      return fail(s.message());
     }
   } else {
     *io.err += "usage: rcc [-u] [-sname] -iID -nLINE -fFILE [files...]\n";
@@ -133,21 +124,18 @@ int RccCmd(ExecContext& ctx, const std::vector<std::string>& argv, Io& io) {
   if (!a.src_name.empty()) {
     const CSymbol* f = browser.FindFunc(a.src_name);
     if (f == nullptr) {
-      *io.err += "rcc: no definition of " + a.src_name + "\n";
-      return 1;
+      return fail("no definition of " + a.src_name);
     }
     *io.out += StrFormat("%s:%d\n", DisplayPath(f->file, dir, a.files).c_str(), f->line);
     return 0;
   }
 
   if (a.id.empty()) {
-    *io.err += "rcc: no identifier marked (-i)\n";
-    return 1;
+    return fail("no identifier marked (-i)");
   }
   const CSymbol* sym = browser.ResolveAt(a.id, anchor_file, a.line);
   if (sym == nullptr) {
-    *io.err += "rcc: cannot resolve " + a.id + "\n";
-    return 1;
+    return fail("cannot resolve " + a.id);
   }
   if (a.uses) {
     for (const CUse& u : browser.UsesOf(sym->id)) {
@@ -189,21 +177,12 @@ int VcCmd(ExecContext& ctx, const std::vector<std::string>& argv, Io& io) {
   int brace = 0;
   int paren = 0;
   for (const CToken& t : toks.value()) {
-    if (t.kind != CTok::kPunct) {
-      continue;
-    }
-    if (t.text == "{") {
-      brace++;
-    } else if (t.text == "}") {
-      brace--;
-    } else if (t.text == "(") {
-      paren++;
-    } else if (t.text == ")") {
-      paren--;
-    }
+    char c = t.kind == CTok::kPunct && t.text.size() == 1 ? t.text[0] : 0;
+    brace += (c == '{') - (c == '}');
+    paren += (c == '(') - (c == ')');
     if (brace < 0 || paren < 0) {
-      *io.err += StrFormat("vc: %s:%d: unbalanced '%s'\n", t.file.c_str(), t.line,
-                           t.text.c_str());
+      *io.err += StrFormat("vc: %.*s:%d: unbalanced '%c'\n", static_cast<int>(t.file.size()),
+                           t.file.data(), t.line, c);
       return 1;
     }
   }

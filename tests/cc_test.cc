@@ -14,7 +14,7 @@ std::vector<std::string> TokenTexts(std::string_view src) {
   std::vector<std::string> out;
   for (const CToken& t : toks.value()) {
     if (t.kind != CTok::kEof) {
-      out.push_back(t.text);
+      out.emplace_back(t.text);
     }
   }
   return out;
@@ -74,6 +74,20 @@ TEST(CLex, Errors) {
   EXPECT_FALSE(CLex("/* never closed", "t.c").ok());
   EXPECT_FALSE(CLex("\"never closed", "t.c").ok());
   EXPECT_FALSE(CLex("\"newline\nin string\"", "t.c").ok());
+}
+
+TEST(CLex, IndentedDirectiveSkipped) {
+  EXPECT_EQ(TokenTexts("int a;\n  #define N 3\nint b;\n\t# 7 \"x.h\"\nint c;"),
+            (std::vector<std::string>{"int", "a", ";", "int", "b", ";", "int", "c", ";"}));
+  auto toks = CLex("int a;\n\t#line 40 \"x.h\"\nint c;", "t.c");
+  ASSERT_TRUE(toks.ok());
+  EXPECT_EQ(toks.value()[3].file, "x.h");
+  EXPECT_EQ(toks.value()[3].line, 40);
+}
+
+TEST(CLex, HashAfterTokenIsNotADirective) {
+  EXPECT_EQ(TokenTexts("a # b\n/* c */ #x\n"),
+            (std::vector<std::string>{"a", "#", "b", "#", "x"}));
 }
 
 TEST(CLex, KeywordsRecognized) {
@@ -340,6 +354,45 @@ TEST_F(BrowserTest, FunctionPointerFieldAndCast) {
       "a.c");
   const CSymbol* n = b_.FindGlobal("n");
   EXPECT_EQ(Uses(n), "a.c:3 a.c:6");
+}
+
+TEST_F(BrowserTest, IndentedDirectiveDoesNotSwallowDeclarations) {
+  Add("int a;\n"
+      "  #define N 3\n"
+      "int b;\n"
+      "void f(void){ b = a; }\n",
+      "a.c");
+  const CSymbol* b = b_.FindGlobal("b");
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->kind, CSymKind::kGlobalVar);
+  EXPECT_EQ(b->line, 3);
+  EXPECT_EQ(Uses(b), "a.c:3 a.c:4");
+}
+
+TEST_F(BrowserTest, TypedefNamesStayInTheirTranslationUnit) {
+  Add("typedef int T;\n", "a.c");
+  Add("void f(void)\n"
+      "{\n"
+      "\tint T;\n"
+      "\tT = 1;\n"
+      "}\n",
+      "b.c");
+  const CSymbol* t = b_.ResolveAt("T", "b.c", 4);
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->kind, CSymKind::kLocal);
+  EXPECT_EQ(t->line, 3);
+  EXPECT_EQ(Uses(t), "b.c:3 b.c:4");
+}
+
+TEST_F(BrowserTest, LocalTypedefDoesNotStall) {
+  Add("int x;\n"
+      "void f(void)\n"
+      "{\n"
+      "\ttypedef int T;\n"
+      "\tx = 1;\n"
+      "}\n",
+      "a.c");
+  EXPECT_EQ(Uses(b_.FindGlobal("x")), "a.c:1 a.c:5");
 }
 
 TEST_F(BrowserTest, CaseExpressionsRecordUses) {
