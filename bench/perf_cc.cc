@@ -122,10 +122,12 @@ BENCHMARK(BM_RccUsesCommand);
 void BM_VcExecC(benchmark::State& state) { RunCommand(state, "vc -w exec.c", ""); }
 BENCHMARK(BM_VcExecC);
 
-// Console output as usual, plus a (name, real ns, CPU ns) record per run for
-// the trailing JSON line.
+// Console output without color codes (they would prefix the JSON line),
+// plus a (name, real ns, CPU ns) record per run for the trailing JSON line.
 class JsonLineReporter : public benchmark::ConsoleReporter {
  public:
+  JsonLineReporter() : ConsoleReporter(OO_Tabular) {}
+
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.error_occurred) {
