@@ -230,11 +230,13 @@ void BM_SocketReadFile_TracingOn(benchmark::State& state) {
 }
 BENCHMARK(BM_SocketReadFile_TracingOn);
 
-// Console output as usual, plus a collected (name, per-iteration time,
-// items/sec) record per run for the trailing JSON line (same shape as
-// perf_text's).
+// Console output without color codes (they would prefix the JSON line),
+// plus a collected (name, per-iteration time, items/sec) record per run for
+// the trailing JSON line (same shape as perf_text's).
 class JsonLineReporter : public benchmark::ConsoleReporter {
  public:
+  JsonLineReporter() : ConsoleReporter(OO_Tabular) {}
+
   struct Entry {
     std::string name;
     double real_time;

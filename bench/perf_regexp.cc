@@ -168,10 +168,13 @@ void BM_RegexpPathological(benchmark::State& state) {
 }
 BENCHMARK(BM_RegexpPathological)->DenseRange(8, 24, 8);
 
-// Console output as usual, plus a collected (name, per-iteration time,
-// items/sec) record per run for the trailing JSON line (perf_text idiom).
+// Console output without color codes (they would prefix the JSON line),
+// plus a collected (name, per-iteration time, items/sec) record per run for
+// the trailing JSON line (perf_text idiom).
 class JsonLineReporter : public benchmark::ConsoleReporter {
  public:
+  JsonLineReporter() : ConsoleReporter(OO_Tabular) {}
+
   struct Entry {
     std::string name;
     double real_time;  // adjusted per-iteration, in the run's time unit

@@ -224,6 +224,50 @@ void BM_BigBodyReadWindow_Indexed(benchmark::State& state) {
 }
 BENCHMARK(BM_BigBodyReadWindow_Indexed);
 
+// A 512 B 9P body read on a 32 KiB body: the copying reader and the
+// zero-copy one plus its encode, at random byte offsets. Ascii is browse's
+// body; Mixed draws a third of its words from multi-byte UTF-8, as crowd's
+// bodies do.
+const Text& ReadBody(bool mixed) {
+  static const char* const kAscii[] = {"window", "body", "tag", "the", "exec", "help",
+                                       "file", "mouse", "button", "column"};
+  static const char* const kMixed[] = {"héllo", "naïve", "Grüße", "日本語", "αβγ",
+                                       "привет", "€uro", "😀"};
+  static const Text* texts[2] = {nullptr, nullptr};
+  if (texts[mixed] == nullptr) {
+    Lcg rng;
+    std::string s;
+    while (s.size() < 32 * 1024) {
+      s += mixed && rng.Next() % 3 == 0 ? kMixed[rng.Next() % std::size(kMixed)]
+                                        : kAscii[rng.Next() % std::size(kAscii)];
+      s += rng.Next() % 8 == 0 ? '\n' : ' ';
+    }
+    texts[mixed] = new Text(s);
+  }
+  return *texts[mixed];
+}
+
+void BodyRead512(benchmark::State& state, bool mixed) {
+  const Text& t = ReadBody(mixed);
+  Lcg rng;
+  uint64_t total = t.Utf8Bytes();
+  std::string payload;
+  for (auto _ : state) {
+    uint64_t off = rng.Next() % (total - 512);
+    benchmark::DoNotOptimize(t.Utf8Substr(off, 512));
+    Text::GatherResult g = t.GatherUtf8(off, 512);
+    payload.assign(g.prefix);
+    AppendUtf8FromRunes(g.runes, &payload);
+    payload += g.suffix;
+    benchmark::DoNotOptimize(payload.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+void BM_BodyRead512_Ascii(benchmark::State& state) { BodyRead512(state, false); }
+void BM_BodyRead512_Mixed(benchmark::State& state) { BodyRead512(state, true); }
+BENCHMARK(BM_BodyRead512_Ascii);
+BENCHMARK(BM_BodyRead512_Mixed);
+
 void BM_TextUndoRedoCycle(benchmark::State& state) {
   Text t(MakeLines(100));
   for (auto _ : state) {
@@ -243,10 +287,13 @@ void BM_TextExpandFilename(benchmark::State& state) {
 }
 BENCHMARK(BM_TextExpandFilename);
 
-// Console output as usual, plus a collected (name, per-iteration time,
-// items/sec) record per run for the trailing JSON line.
+// Console output without color codes (they would prefix the JSON line),
+// plus a collected (name, per-iteration time, items/sec) record per run for
+// the trailing JSON line.
 class JsonLineReporter : public benchmark::ConsoleReporter {
  public:
+  JsonLineReporter() : ConsoleReporter(OO_Tabular) {}
+
   struct Entry {
     std::string name;
     double real_time;  // adjusted per-iteration, in the run's time unit

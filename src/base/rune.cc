@@ -1,5 +1,7 @@
 #include "src/base/rune.h"
 
+#include <algorithm>
+
 namespace help {
 
 Rune DecodeRune(std::string_view utf8, int* size) {
@@ -78,10 +80,7 @@ RuneString RunesFromUtf8(std::string_view utf8) {
 
 std::string Utf8FromRunes(RuneStringView runes) {
   std::string out;
-  out.reserve(runes.size());
-  for (Rune r : runes) {
-    EncodeRune(r, &out);
-  }
+  AppendUtf8FromRunes(RuneSpans(runes), &out);
   return out;
 }
 
@@ -93,11 +92,24 @@ std::string Utf8FromRunes(const RuneSpans& spans) {
 
 void AppendUtf8FromRunes(const RuneSpans& spans, std::string* out) {
   out->reserve(out->size() + spans.size());
-  for (Rune r : spans.a) {
-    EncodeRune(r, out);
-  }
-  for (Rune r : spans.b) {
-    EncodeRune(r, out);
+  for (RuneStringView half : {spans.a, spans.b}) {
+    const Rune* p = half.data();
+    const Rune* end = p + half.size();
+    while (p < end) {
+      // Narrow a run of ASCII runes with one resize; encode the rune after it.
+      const Rune* run = p;
+      while (p < end && *p < 0x80) {
+        p++;
+      }
+      if (p > run) {
+        size_t at = out->size();
+        out->resize(at + static_cast<size_t>(p - run));
+        std::transform(run, p, out->data() + at, [](Rune r) { return static_cast<char>(r); });
+      }
+      if (p < end) {
+        EncodeRune(*p++, out);
+      }
+    }
   }
 }
 

@@ -544,10 +544,8 @@ Status Help::CloneWindow(Window* w) {
   int id = NextWindowId();
   auto tag = std::make_shared<Text>(w->tag().text->Utf8());
   Window* clone = page_->Create(id, tag, w->body().text, -1, w);
-  wins_[id] = {clone, wins_.count(w->id()) != 0 ? wins_[w->id()].filename
-                                               : std::string()};
-  counters_.windows_created++;
-  RegisterWindowFiles(clone);
+  auto it = wins_.find(w->id());
+  Track(clone, it != wins_.end() ? it->second.filename : std::string());
   UpdateDirtyTag(clone);
   return Status::Ok();
 }
@@ -630,9 +628,7 @@ Result<Window*> Help::OpenFile(std::string_view name, std::string_view context_d
   int id = NextWindowId();
   auto tag = std::make_shared<Text>(display + " Close! Get!");
   Window* w = page_->Create(id, tag, body, col_hint, near);
-  wins_[id] = {w, key};
-  counters_.windows_created++;
-  RegisterWindowFiles(w);
+  Track(w, key);
   if (!fa.addr.empty()) {
     SelectAddress(w, fa.addr);
   } else {
@@ -665,9 +661,7 @@ Window* Help::CreateWindow(std::string_view tagline, int col_hint) {
   auto body = std::make_shared<Text>();
   Window* near = current_ != nullptr ? current_->window : nullptr;
   Window* w = page_->Create(id, tag, body, col_hint, near);
-  wins_[id] = {w, std::string()};
-  counters_.windows_created++;
-  RegisterWindowFiles(w);
+  Track(w, std::string());
   return w;
 }
 
@@ -675,7 +669,7 @@ void Help::CloseWindow(Window* w) {
   if (w == nullptr) {
     return;
   }
-  UnregisterWindowFiles(w);
+  Untrack(w);
   if (errors_ == w) {
     errors_ = nullptr;
   }
@@ -686,8 +680,24 @@ void Help::CloseWindow(Window* w) {
     last_exec_win_ = nullptr;
     last_exec_sub_ = nullptr;
   }
-  wins_.erase(w->id());
   page_->Remove(w);  // destroys the Window
+}
+
+void Help::Track(Window* w, std::string filename) {
+  wins_[w->id()] = {w, std::move(filename)};
+  body_windows_[w->body().text.get()].push_back(w);
+  counters_.windows_created++;
+  RegisterWindowFiles(w);
+}
+
+void Help::Untrack(Window* w) {
+  UnregisterWindowFiles(w);
+  wins_.erase(w->id());
+  auto it = body_windows_.find(w->body().text.get());
+  std::erase(it->second, w);
+  if (it->second.empty()) {
+    body_windows_.erase(it);
+  }
 }
 
 Status Help::PutWindow(Window* w) {
@@ -701,10 +711,8 @@ Status Help::PutWindow(Window* w) {
   }
   w->body().text->set_dirty(false);
   // Every window on this body becomes clean.
-  for (auto& [id, st] : wins_) {
-    if (st.window->body().text == w->body().text) {
-      UpdateDirtyTag(st.window);
-    }
+  for (Window* v : body_windows_.at(w->body().text.get())) {
+    UpdateDirtyTag(v);
   }
   return Status::Ok();
 }
@@ -747,9 +755,7 @@ void Help::AppendErrors(std::string_view text) {
     auto body = std::make_shared<Text>();
     Window* near = current_ != nullptr ? current_->window : nullptr;
     errors_ = page_->Create(id, tag, body, -1, near);
-    wins_[id] = {errors_, std::string()};
-    counters_.windows_created++;
-    RegisterWindowFiles(errors_);
+    Track(errors_, std::string());
   }
   Text& body = *errors_->body().text;
   body.InsertNoUndo(body.size(), RunesFromUtf8(text));
@@ -780,11 +786,7 @@ void Help::UpdateDirtyTag(Window* w) {
 }
 
 void Help::TouchBody(Window* w) {
-  for (auto& [id, st] : wins_) {
-    Window* v = st.window;
-    if (v->body().text != w->body().text) {
-      continue;
-    }
+  for (Window* v : body_windows_.at(w->body().text.get())) {
     size_t n = v->body().text->size();
     v->body().sel.q0 = std::min(v->body().sel.q0, n);
     v->body().sel.q1 = std::min(v->body().sel.q1, n);

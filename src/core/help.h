@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/fs/ninep.h"
@@ -162,6 +163,8 @@ class Help {
   std::vector<Window*> AllWindows();
   // The live window with this id, or nullptr.
   Window* FindWindow(int id);
+  // Number of bodies shown by at least one live window.
+  size_t TrackedBodies() const { return body_windows_.size(); }
 
   // Marks `w`'s tag dirty/clean (adds/removes the Put! word). Public so the
   // ctl file handler can invoke it.
@@ -218,6 +221,11 @@ class Help {
   void SelectAddress(Window* w, std::string_view addr);
 
   int NextWindowId() { return next_id_++; }
+  // Track registers a window Page::Create just built: its id entry, its
+  // /mnt/help files and its place in the list of windows on its body.
+  // Untrack undoes all three before the Window is destroyed.
+  void Track(Window* w, std::string filename);
+  void Untrack(Window* w);
   void RegisterWindowFiles(Window* w);
   void UnregisterWindowFiles(Window* w);
   void TouchBody(Window* w);  // post-edit bookkeeping (dirty tags, relayout)
@@ -233,6 +241,9 @@ class Help {
   std::unique_ptr<Page> page_;
 
   std::map<int, WinState> wins_;
+  // body -> the live windows showing it, in creation order. A window's body
+  // is fixed when the Window is built, so Track/Untrack keep this exact.
+  std::unordered_map<const Text*, std::vector<Window*>> body_windows_;
   // filename -> shared body text (multiple windows per file).
   std::map<std::string, std::weak_ptr<Text>> bodies_;
 

@@ -9,7 +9,11 @@ namespace {
 constexpr size_t kInitialGap = 64;
 }  // namespace
 
-GapBuffer::GapBuffer() : buf_(kInitialGap, 0), gap_start_(0), gap_end_(kInitialGap) {}
+GapBuffer::GapBuffer()
+    : buf_(std::make_unique_for_overwrite<Rune[]>(kInitialGap)),
+      cap_(kInitialGap),
+      gap_start_(0),
+      gap_end_(kInitialGap) {}
 
 GapBuffer::GapBuffer(RuneStringView initial) : GapBuffer() { Insert(0, initial); }
 
@@ -40,17 +44,15 @@ void GapBuffer::MoveGap(size_t pos) {
   if (pos < gap_start_) {
     // Shift [pos, gap_start_) right to close up against gap_end_.
     size_t n = gap_start_ - pos;
-    std::copy_backward(buf_.begin() + static_cast<long>(pos),
-                       buf_.begin() + static_cast<long>(gap_start_),
-                       buf_.begin() + static_cast<long>(gap_end_));
+    Rune* b = buf_.get();
+    std::copy_backward(b + pos, b + gap_start_, b + gap_end_);
     gap_start_ = pos;
     gap_end_ -= n;
   } else {
     // Shift [gap_end_, gap_end_ + (pos - gap_start_)) left.
     size_t n = pos - gap_start_;
-    std::copy(buf_.begin() + static_cast<long>(gap_end_),
-              buf_.begin() + static_cast<long>(gap_end_ + n),
-              buf_.begin() + static_cast<long>(gap_start_));
+    Rune* b = buf_.get();
+    std::copy(b + gap_end_, b + gap_end_ + n, b + gap_start_);
     gap_start_ = pos;
     gap_end_ += n;
   }
@@ -60,14 +62,15 @@ void GapBuffer::GrowGap(size_t need) {
   if (GapLen() >= need) {
     return;
   }
-  size_t new_gap = std::max(need, buf_.size() + kInitialGap);
-  RuneString nbuf;
-  nbuf.reserve(buf_.size() + new_gap);
-  nbuf.append(buf_, 0, gap_start_);
-  nbuf.append(new_gap, 0);
-  nbuf.append(buf_, gap_end_, buf_.size() - gap_end_);
-  gap_end_ = gap_start_ + new_gap;
+  size_t new_gap = std::max(need, cap_ + kInitialGap);
+  size_t tail = cap_ - gap_end_;
+  size_t cap = gap_start_ + new_gap + tail;
+  auto nbuf = std::make_unique_for_overwrite<Rune[]>(cap);
+  std::copy(buf_.get(), buf_.get() + gap_start_, nbuf.get());
+  std::copy(buf_.get() + gap_end_, buf_.get() + cap_, nbuf.get() + cap - tail);
   buf_ = std::move(nbuf);
+  cap_ = cap;
+  gap_end_ = cap - tail;
 }
 
 void GapBuffer::Insert(size_t pos, RuneStringView s) {
@@ -77,7 +80,7 @@ void GapBuffer::Insert(size_t pos, RuneStringView s) {
   }
   MoveGap(pos);
   GrowGap(s.size());
-  std::copy(s.begin(), s.end(), buf_.begin() + static_cast<long>(gap_start_));
+  std::copy(s.begin(), s.end(), buf_.get() + gap_start_);
   gap_start_ += s.size();
 }
 

@@ -5,6 +5,7 @@
 #define SRC_TEXT_GAPBUFFER_H_
 
 #include <cstddef>
+#include <memory>
 
 #include "src/base/rune.h"
 
@@ -15,7 +16,7 @@ class GapBuffer {
   GapBuffer();
   explicit GapBuffer(RuneStringView initial);
 
-  size_t size() const { return buf_.size() - GapLen(); }
+  size_t size() const { return cap_ - GapLen(); }
   bool empty() const { return size() == 0; }
 
   // Rune at position `pos` (pos < size()).
@@ -29,8 +30,8 @@ class GapBuffer {
   // after the gap). Valid until the next mutation; the streaming search layer
   // runs entirely over this view.
   RuneSpans Spans() const {
-    RuneStringView phys(buf_);
-    return RuneSpans(phys.substr(0, gap_start_), phys.substr(gap_end_));
+    return RuneSpans(RuneStringView(buf_.get(), gap_start_),
+                     RuneStringView(buf_.get() + gap_end_, cap_ - gap_end_));
   }
 
   // Inserts `s` before position `pos` (pos <= size()).
@@ -46,7 +47,11 @@ class GapBuffer {
   void MoveGap(size_t pos);
   void GrowGap(size_t need);
 
-  RuneString buf_;    // physical storage: [0,gap_start_) + gap + [gap_end_, buf_.size())
+  // Physical storage: [0,gap_start_) + gap + [gap_end_, cap_). The gap is
+  // left uninitialized: a grown gap costs address space, and its pages
+  // become resident only as text is written into them.
+  std::unique_ptr<Rune[]> buf_;
+  size_t cap_;
   size_t gap_start_;  // physical index of the first gap slot
   size_t gap_end_;    // physical index one past the last gap slot
 };

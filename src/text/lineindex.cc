@@ -239,8 +239,7 @@ size_t LineIndex::NewlinesBefore(const GapBuffer& buf, size_t pos) const {
     return static_cast<size_t>(total_.lines);
   }
   Counts before;
-  size_t i = DescendRunes(pos, &before);
-  (void)i;
+  DescendRunes(pos, &before);
   size_t n = static_cast<size_t>(before.lines);
   for (size_t p = static_cast<size_t>(before.runes); p < pos; p++) {
     if (buf.At(p) == '\n') {
@@ -276,39 +275,49 @@ size_t LineIndex::NextNewline(const GapBuffer& buf, size_t pos) const {
   return PosAfterNewline(buf, k) - 1;
 }
 
+LineIndex::BytePos LineIndex::Seek(const GapBuffer& buf, uint64_t byte_off,
+                                   BytePos from) const {
+  Counts before;
+  const Counts& c = chunks_[DescendBytes(byte_off, &before)];
+  if (c.bytes == c.runes) {
+    // Every rune in the chunk encodes as one byte: the offset maps directly.
+    return {static_cast<size_t>(before.runes + (byte_off - before.bytes)), byte_off};
+  }
+  BytePos at{static_cast<size_t>(before.runes), before.bytes};
+  if (from.byte > at.byte) {
+    at = from;
+  }
+  BytePos end{static_cast<size_t>(before.runes + c.runes), before.bytes + c.bytes};
+  RuneSpans runes = buf.Spans().Slice(at.rune, end.rune - at.rune);
+  if (end.byte - byte_off < byte_off - at.byte) {
+    // Nearer the chunk's end: step back to the first boundary <= byte_off.
+    for (size_t i = runes.size(); end.byte > byte_off;) {
+      end.byte -= Utf8RuneLen(runes[--i]);
+      end.rune--;
+    }
+    return end;
+  }
+  for (RuneStringView half : {runes.a, runes.b}) {
+    for (Rune r : half) {
+      uint64_t len = Utf8RuneLen(r);
+      if (at.byte + len > byte_off) {
+        return at;
+      }
+      at.byte += len;
+      at.rune++;
+    }
+  }
+  return at;  // unreachable if counts are consistent
+}
+
 std::string LineIndex::Utf8Substr(const GapBuffer& buf, uint64_t byte_off,
                                   size_t count) const {
-  if (count == 0 || byte_off >= total_.bytes) {
-    return std::string();
-  }
-  Counts before;
-  size_t i = DescendBytes(byte_off, &before);
-  (void)i;
-  // Advance within the chunk to the rune whose encoding covers byte_off.
-  size_t p = static_cast<size_t>(before.runes);
-  uint64_t b = before.bytes;
-  size_t n = buf.size();
-  while (p < n) {
-    uint64_t len = Utf8RuneLen(buf.At(p));
-    if (b + len > byte_off) {
-      break;
-    }
-    b += len;
-    p++;
-  }
-  size_t skip = static_cast<size_t>(byte_off - b);  // partial-rune lead bytes to drop
+  Utf8Slice s = Utf8Resolve(buf, byte_off, count);
   std::string out;
-  out.reserve(count + 4);
-  while (p < n && out.size() < count + skip) {
-    EncodeRune(buf.At(p), &out);
-    p++;
-  }
-  if (skip > 0) {
-    out.erase(0, skip);
-  }
-  if (out.size() > count) {
-    out.resize(count);
-  }
+  out.reserve(static_cast<size_t>(s.bytes));
+  out += s.prefix;
+  AppendUtf8FromRunes(buf.Spans().Slice(s.rune_begin, s.rune_end - s.rune_begin), &out);
+  out += s.suffix;
   return out;
 }
 
@@ -319,48 +328,26 @@ LineIndex::Utf8Slice LineIndex::Utf8Resolve(const GapBuffer& buf,
   if (count == 0 || byte_off >= total_.bytes) {
     return out;
   }
-  const uint64_t end =
-      std::min<uint64_t>(byte_off + count, total_.bytes);
-  Counts before;
-  size_t i = DescendBytes(byte_off, &before);
-  (void)i;
-  // Advance within the chunk to the rune whose encoding covers byte_off.
-  size_t p = static_cast<size_t>(before.runes);
-  uint64_t b = before.bytes;
-  size_t n = buf.size();
-  while (p < n) {
-    uint64_t len = Utf8RuneLen(buf.At(p));
-    if (b + len > byte_off) {
-      break;
-    }
-    b += len;
-    p++;
-  }
-  if (b < byte_off && p < n) {
-    // The rune at p straddles the start: keep the tail of its encoding (and
-    // only up to `end` — the whole range may land inside one rune).
+  const uint64_t end = std::min<uint64_t>(byte_off + count, total_.bytes);
+  const BytePos first = Seek(buf, byte_off, BytePos{});
+  const BytePos last =
+      end < total_.bytes ? Seek(buf, end, first) : BytePos{runes(), total_.bytes};
+  out.rune_begin = first.rune;
+  if (first.byte < byte_off) {
+    // The rune at first straddles the start: keep the tail of its encoding
+    // (and only up to `end` — the whole range may land inside one rune).
     std::string enc;
-    EncodeRune(buf.At(p), &enc);
-    size_t skip = static_cast<size_t>(byte_off - b);
-    out.prefix = enc.substr(skip, static_cast<size_t>(end - byte_off));
-    b += enc.size();
-    p++;
+    EncodeRune(buf.At(first.rune), &enc);
+    out.prefix = enc.substr(static_cast<size_t>(byte_off - first.byte),
+                            static_cast<size_t>(end - byte_off));
+    out.rune_begin++;
   }
-  out.rune_begin = p;
-  while (p < n) {
-    uint64_t len = Utf8RuneLen(buf.At(p));
-    if (b + len > end) {
-      break;
-    }
-    b += len;
-    p++;
-  }
-  out.rune_end = p;
-  if (b < end && p < n) {
-    // The rune at p straddles the end: keep the head of its encoding.
+  out.rune_end = std::max(last.rune, out.rune_begin);
+  if (last.byte < end && last.rune >= out.rune_begin) {
+    // The rune at last straddles the end: keep the head of its encoding.
     std::string enc;
-    EncodeRune(buf.At(p), &enc);
-    out.suffix = enc.substr(0, static_cast<size_t>(end - b));
+    EncodeRune(buf.At(last.rune), &enc);
+    out.suffix = enc.substr(0, static_cast<size_t>(end - last.byte));
   }
   out.bytes = end - byte_off;
   return out;

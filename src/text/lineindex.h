@@ -29,18 +29,11 @@
 namespace help {
 
 // UTF-8 encoded length of one rune, mirroring EncodeRune (invalid runes
-// encode as the 3-byte replacement character).
+// encode as the 3-byte replacement character). Branch-free, because chunk
+// scans over mixed text would otherwise mispredict on every script change:
+// surrogates already count 3, and runes past kRuneMax drop from 4 to 3.
 inline uint64_t Utf8RuneLen(Rune r) {
-  if (r > kRuneMax || (r >= 0xD800 && r <= 0xDFFF)) {
-    return 3;  // encodes as U+FFFD
-  }
-  if (r < 0x80) {
-    return 1;
-  }
-  if (r < 0x800) {
-    return 2;
-  }
-  return r < 0x10000 ? 3 : 4;
+  return 1u + (r >= 0x80) + (r >= 0x800) + (r >= 0x10000) - (r > kRuneMax);
 }
 
 class LineIndex {
@@ -77,7 +70,7 @@ class LineIndex {
   size_t NextNewline(const GapBuffer& buf, size_t pos) const;
   // Bytes [byte_off, byte_off+count) of the document's UTF-8 encoding,
   // without materializing the rest (the file-server read path). Byte offsets
-  // may land mid-rune; the slice is byte-exact.
+  // may land mid-rune; the slice is byte-exact. Utf8Resolve plus one encode.
   std::string Utf8Substr(const GapBuffer& buf, uint64_t byte_off, size_t count) const;
 
   // Structural form of Utf8Substr for the zero-copy read path: instead of
@@ -121,6 +114,18 @@ class LineIndex {
   };
 
   static Counts CountsOf(RuneStringView s);
+
+  // A rune boundary: rune offset plus the byte offset its encoding starts at.
+  struct BytePos {
+    size_t rune = 0;
+    uint64_t byte = 0;
+  };
+  // The rune whose encoding covers byte_off (< utf8_bytes()). O(log n) to
+  // the chunk, then O(1) in an all-ASCII chunk (bytes == runes) or a scan of
+  // the chunk's spans otherwise. The scan starts at `from`, a boundary at or
+  // before byte_off, when that lies inside the chunk, and steps back from
+  // the chunk's end instead when that is nearer.
+  BytePos Seek(const GapBuffer& buf, uint64_t byte_off, BytePos from) const;
 
   void RebuildFenwick();
   // Point-update: add (possibly wrapped-negative) delta to chunk i.

@@ -2,7 +2,9 @@
 // share one body; edits appear in both, Put! cleans every tag.
 #include <gtest/gtest.h>
 
+#include "src/base/strings.h"
 #include "src/core/help.h"
+#include "src/fs/server.h"
 
 namespace help {
 namespace {
@@ -75,6 +77,80 @@ TEST_F(CloneTest, ClonedWindowServesOwnFiles) {
   ASSERT_NE(second_, nullptr);
   std::string body_path = "/mnt/help/" + std::to_string(second_->id()) + "/body";
   EXPECT_EQ(h_.vfs().ReadFile(body_path).value(), "original content\n");
+}
+
+// --- The per-body window list, driven over 9P --------------------------------
+
+std::string WinFile(const Window* w, const char* name) {
+  return StrFormat("/mnt/help/%d/%s", w->id(), name);
+}
+
+bool HasPut(const Window* w) { return w->tag().text->Utf8().find("Put!") != std::string::npos; }
+
+// Program writes keep the body's dirty flag as it was, so these tests set it
+// behind the tags' backs: a tag that then shows Put! was updated by the write.
+
+// Truncating the body through one window's file clamps the other window's
+// selection and updates its dirty tag.
+TEST_F(CloneTest, TruncateThroughOneWindowUpdatesTheOther) {
+  ASSERT_NE(second_, nullptr);
+  second_->body().sel = {9, 16};
+  second_->body().text->set_dirty(true);
+  ASSERT_FALSE(HasPut(second_));
+  NinepClient client(h_.ninep().Transport());
+  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(client.WriteFile(WinFile(first_, "body"), "tiny").ok());
+  EXPECT_EQ(second_->body().text->Utf8(), "tiny");
+  EXPECT_EQ(second_->body().sel, (Selection{0, 0}));
+  EXPECT_TRUE(HasPut(second_));
+  EXPECT_TRUE(HasPut(first_));
+}
+
+// With the original closed, an append through the clone's bodyapp reaches
+// only the clone; the closed window is gone from the body's list, so nothing
+// dereferences it (ASan catches a stale entry). Put! from the survivor then
+// cleans its tag.
+TEST_F(CloneTest, AppendAfterClosingOriginalTouchesOnlyTheClone) {
+  ASSERT_NE(second_, nullptr);
+  h_.vfs().WriteFile("/src/g.c", "other\n");
+  Window* other = h_.OpenFile("/src/g.c", "/", nullptr).value();
+  const std::string other_tag = other->tag().text->Utf8();
+  h_.CloseWindow(first_);
+  first_ = nullptr;
+  second_->body().sel = {0, 8};
+  second_->body().text->set_dirty(true);
+  NinepClient client(h_.ninep().Transport());
+  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(client.AppendFile(WinFile(second_, "bodyapp"), "appended\n").ok());
+  EXPECT_EQ(second_->body().text->Utf8(), "original content\nappended\n");
+  EXPECT_EQ(second_->body().sel, (Selection{0, 8}));
+  EXPECT_TRUE(HasPut(second_));
+  EXPECT_EQ(other->tag().text->Utf8(), other_tag);
+
+  ASSERT_TRUE(h_.ExecuteText("Put!", second_).ok());
+  EXPECT_FALSE(HasPut(second_));
+  EXPECT_EQ(h_.vfs().ReadFile("/src/f.c").value(), "original content\nappended\n");
+}
+
+// Closing every window of a body drops the body's list entry; reopening the
+// file starts a fresh one.
+TEST_F(CloneTest, ClosingEveryWindowOfABodyDropsItsEntry) {
+  ASSERT_NE(second_, nullptr);
+  h_.vfs().WriteFile("/src/g.c", "other\n");
+  ASSERT_TRUE(h_.OpenFile("/src/g.c", "/", nullptr).ok());
+  EXPECT_EQ(h_.TrackedBodies(), 2u);
+  h_.CloseWindow(first_);
+  EXPECT_EQ(h_.TrackedBodies(), 2u);
+  h_.CloseWindow(second_);
+  EXPECT_EQ(h_.TrackedBodies(), 1u);
+
+  Window* again = h_.OpenFile("/src/f.c", "/", nullptr).value();
+  EXPECT_EQ(h_.TrackedBodies(), 2u);
+  again->body().text->set_dirty(true);
+  NinepClient client(h_.ninep().Transport());
+  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(client.AppendFile(WinFile(again, "bodyapp"), "more\n").ok());
+  EXPECT_TRUE(HasPut(again));
 }
 
 }  // namespace

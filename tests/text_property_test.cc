@@ -224,6 +224,102 @@ TEST_P(Differential, TextAgreesWithScanModelOver10kOps) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Differential, ::testing::Range(1, 5));
 
+// --- Byte seek across ASCII and mixed chunks ----------------------------------
+
+// Reference encoding, one EncodeRune per rune: independent of both the line
+// index's seek and the ASCII-run transcoder the readers use.
+std::string RefEncode(const std::u32string& s) {
+  std::string out;
+  for (Rune r : s) {
+    EncodeRune(r, &out);
+  }
+  return out;
+}
+
+// Scripts that flip chunks between all-ASCII (where the seek maps bytes to
+// runes directly) and mixed (where it scans): multi-byte runes go into ASCII
+// runs and come out again, and bulk inserts and deletes split and merge
+// chunks across their boundaries. After every step both range readers must
+// agree with a full re-encode at random (offset, count <= 1024) windows.
+class ByteSeek : public ::testing::TestWithParam<int> {};
+
+TEST_P(ByteSeek, RangeReadersAgreeWithReencodeAsChunksFlip) {
+  Lcg rng(static_cast<uint32_t>(GetParam()) + 7);
+  static constexpr Rune kWide[] = {0xE9, 0x4F60, 0x1F600, 0x3B1};  // é 你 😀 α
+  std::u32string model(3 * LineIndex::kTargetChunkRunes, 'a');
+  for (size_t i = 0; i < model.size(); i += 61) {
+    model[i] = '\n';
+  }
+  Text t(RefEncode(model));
+  std::vector<size_t> wide_at;  // model offsets that may hold a wide rune
+
+  for (int step = 0; step < 1500; step++) {
+    uint32_t op = rng.Below(10);
+    if (op < 3) {
+      // One multi-byte rune into (most likely) an ASCII run.
+      size_t pos = rng.Below(static_cast<uint32_t>(model.size() + 1));
+      RuneString r(1, kWide[rng.Below(4)]);
+      t.InsertNoUndo(pos, r);
+      model.insert(pos, r);
+      for (size_t& w : wide_at) {
+        w += w >= pos;
+      }
+      wide_at.push_back(pos);
+    } else if (op < 6) {
+      // Take one back out, which may leave its chunk all-ASCII again.
+      size_t i = rng.Below(static_cast<uint32_t>(wide_at.size()));
+      size_t pos = wide_at.empty() ? 0 : wide_at[i];
+      if (pos < model.size() && model[pos] >= 0x80) {
+        t.DeleteNoUndo(pos, 1);
+        model.erase(pos, 1);
+        wide_at.erase(wide_at.begin() + static_cast<long>(i));
+        for (size_t& w : wide_at) {
+          w -= w > pos;
+        }
+      }
+    } else if (op < 8) {
+      // A bulk ASCII insert: grows a chunk until it splits.
+      size_t pos = rng.Below(static_cast<uint32_t>(model.size() + 1));
+      std::u32string s(1 + rng.Below(3000), 'b');
+      t.InsertNoUndo(pos, s);
+      model.insert(pos, s);
+      for (size_t& w : wide_at) {
+        w += w >= pos ? s.size() : 0;
+      }
+    } else if (model.size() > LineIndex::kTargetChunkRunes) {
+      // A bulk delete across chunk boundaries: empties and merges chunks.
+      size_t pos = rng.Below(static_cast<uint32_t>(model.size()));
+      size_t n = std::min<size_t>(model.size() - pos, 1 + rng.Below(5000));
+      t.DeleteNoUndo(pos, n);
+      model.erase(pos, n);
+      std::erase_if(wide_at, [&](size_t w) { return w >= pos && w < pos + n; });
+      for (size_t& w : wide_at) {
+        w -= w >= pos + n ? n : 0;
+      }
+    }
+
+    const std::string full = RefEncode(model);
+    ASSERT_EQ(t.Utf8Bytes(), full.size()) << "step " << step;
+    for (int probe = 0; probe < 4; probe++) {
+      size_t boff = rng.Below(static_cast<uint32_t>(full.size() + 2));
+      size_t count = rng.Below(1025);
+      std::string want = boff < full.size() ? full.substr(boff, count) : std::string();
+      ASSERT_EQ(t.Utf8Substr(boff, count), want)
+          << "step " << step << " boff " << boff << " count " << count;
+      Text::GatherResult g = t.GatherUtf8(boff, count);
+      std::string got = g.prefix + Utf8FromRunes(g.runes) + g.suffix;
+      ASSERT_EQ(got, want) << "step " << step << " boff " << boff << " count " << count;
+      ASSERT_EQ(g.bytes, want.size()) << "step " << step;
+    }
+    if (step % 128 == 0) {
+      ASSERT_TRUE(t.CheckLineIndex()) << "step " << step;
+    }
+  }
+  EXPECT_TRUE(t.CheckLineIndex());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ByteSeek, ::testing::Range(1, 4));
+
 // --- Undo/redo round trip -----------------------------------------------------
 
 // A full random edit script, then: undo everything -> byte-identical

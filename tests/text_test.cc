@@ -444,5 +444,59 @@ TEST(Text, GatherUtf8MiddleIsBorrowedSpans) {
   EXPECT_EQ(Utf8FromRunes(g.runes), "23456");
 }
 
+// Chunk-boundary cases for the byte seek. A fresh Text splits into chunks of
+// exactly kTargetChunkRunes runes, so this body has an all-ASCII first chunk
+// and a mixed second chunk that starts with a two-byte rune.
+std::string AsciiThenMixed() {
+  std::string s(LineIndex::kTargetChunkRunes, 'a');
+  for (int i = 0; i < 500; i++) {
+    s += "é你x😀\n";
+  }
+  return s;
+}
+
+std::string Gathered(const Text& t, uint64_t off, size_t count) {
+  Text::GatherResult g = t.GatherUtf8(off, count);
+  std::string got = g.prefix + Utf8FromRunes(g.runes) + g.suffix;
+  EXPECT_EQ(g.bytes, got.size());
+  return got;
+}
+
+TEST(Text, ByteRangeFromAsciiChunkIntoMixedChunk) {
+  Text t(AsciiThenMixed());
+  std::string full = t.Utf8();
+  const uint64_t boundary = LineIndex::kTargetChunkRunes;  // byte == rune there
+  for (uint64_t off : {boundary - 300, boundary - 1}) {
+    for (size_t count : {1u, 2u, 300u, 1024u}) {
+      EXPECT_EQ(t.Utf8Substr(off, count), full.substr(off, count)) << off << " " << count;
+      EXPECT_EQ(Gathered(t, off, count), full.substr(off, count)) << off << " " << count;
+    }
+  }
+}
+
+TEST(Text, ByteOffsetMidRuneAfterChunkBoundary) {
+  Text t(AsciiThenMixed());
+  std::string full = t.Utf8();
+  // Byte kTargetChunkRunes is the lead byte of the é opening the mixed chunk.
+  const uint64_t mid = LineIndex::kTargetChunkRunes + 1;
+  ASSERT_EQ(full.substr(mid - 1, 2), "é");
+  Text::GatherResult g = t.GatherUtf8(mid, 8);
+  EXPECT_EQ(g.prefix, full.substr(mid, 1));
+  EXPECT_EQ(Gathered(t, mid, 8), full.substr(mid, 8));
+  EXPECT_EQ(t.Utf8Substr(mid, 8), full.substr(mid, 8));
+  EXPECT_EQ(t.Utf8Substr(mid, 1), full.substr(mid, 1));
+}
+
+TEST(Text, ByteCountPastEofClampsToDocument) {
+  Text t(AsciiThenMixed());
+  std::string full = t.Utf8();
+  for (uint64_t off : {uint64_t{0}, uint64_t{10}, full.size() - 3, full.size() - 1}) {
+    EXPECT_EQ(t.Utf8Substr(off, full.size() + 1000), full.substr(off)) << off;
+    EXPECT_EQ(Gathered(t, off, full.size() + 1000), full.substr(off)) << off;
+  }
+  EXPECT_EQ(t.Utf8Substr(full.size(), 10), "");
+  EXPECT_EQ(t.GatherUtf8(full.size(), 10).bytes, 0u);
+}
+
 }  // namespace
 }  // namespace help
