@@ -2,13 +2,38 @@
 // click-to-execute pipeline, rendering. The paper's bar: the interface must
 // "feel good … dynamic and responsive"; every figure here is a per-gesture
 // cost that must sit far under perceptual thresholds.
+//
+// Passing --json (before any --benchmark_* flags are parsed out) appends one
+// JSON object as the last line of stdout, in perf_text's shape.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/base/strings.h"
 #include "src/tools/demo.h"
 
 namespace help {
 namespace {
 
+// A demo at the Figure 11 screen: 11 windows, exec.c open at line 213.
+std::unique_ptr<PaperDemo> Fig11Demo() {
+  auto demo = std::make_unique<PaperDemo>();
+  demo->Fig04_Boot();
+  demo->Fig05_Headers();
+  demo->Fig06_Messages();
+  demo->Fig07_Stack();
+  demo->Fig08_OpenTextC();
+  demo->Fig09_CloseAndOpenExecC();
+  demo->Fig10_Uses();
+  demo->Fig11_OpenHelpCAndExec213();
+  return demo;
+}
+
+// Fill records the text; the read (end()) lays the frame out.
 void BM_FrameFill(benchmark::State& state) {
   std::string content;
   for (int i = 0; i < state.range(0); i++) {
@@ -43,6 +68,54 @@ void BM_FullScreenRender(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullScreenRender);
+
+// What every gesture step ends with: repaint the Figure 11 screen and
+// render it with selection annotations.
+void BM_RenderAnnotated(benchmark::State& state) {
+  auto demo = Fig11Demo();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(demo->help().Render(/*annotated=*/true));
+  }
+}
+BENCHMARK(BM_RenderAnnotated);
+
+// Locating a word in one window of the Figure 11 screen (PaperDemo::Locate
+// does this before every click).
+void BM_FindInWindow(benchmark::State& state) {
+  auto demo = Fig11Demo();
+  Window* edit_stf = demo->FindWindowTagged("/help/edit/stf");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(demo->help().FindInWindow(edit_stf, "Open"));
+  }
+}
+BENCHMARK(BM_FindInWindow);
+
+// Relayout of every window on the Figure 11 screen. This only marks the
+// frames; the layout itself moves to the next read, which
+// BM_RelayoutAllWindowsThenRender includes.
+void BM_RelayoutAllWindows(benchmark::State& state) {
+  auto demo = Fig11Demo();
+  std::vector<Window*> all = demo->help().AllWindows();
+  for (auto _ : state) {
+    for (Window* w : all) {
+      w->Relayout();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(all.size()));
+}
+BENCHMARK(BM_RelayoutAllWindows);
+
+void BM_RelayoutAllWindowsThenRender(benchmark::State& state) {
+  auto demo = Fig11Demo();
+  std::vector<Window*> all = demo->help().AllWindows();
+  for (auto _ : state) {
+    for (Window* w : all) {
+      w->Relayout();
+    }
+    benchmark::DoNotOptimize(demo->help().Render(/*annotated=*/true));
+  }
+}
+BENCHMARK(BM_RelayoutAllWindowsThenRender);
 
 void BM_MouseSelectGesture(benchmark::State& state) {
   PaperDemo demo;
@@ -112,7 +185,73 @@ void BM_PlacementHeuristic(benchmark::State& state) {
 }
 BENCHMARK(BM_PlacementHeuristic);
 
+// Console output without color codes (they would prefix the JSON line),
+// plus a collected (name, per-iteration time, items/sec) record per run for
+// the trailing JSON line (same shape as perf_text's).
+class JsonLineReporter : public benchmark::ConsoleReporter {
+ public:
+  JsonLineReporter() : ConsoleReporter(OO_Tabular) {}
+
+  struct Entry {
+    std::string name;
+    double real_time;  // adjusted per-iteration, in the run's time unit
+    double items_per_second;
+  };
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      if (run.error_occurred) {
+        continue;
+      }
+      Entry e;
+      e.name = run.benchmark_name();
+      e.real_time = run.GetAdjustedRealTime();
+      auto it = run.counters.find("items_per_second");
+      e.items_per_second = it != run.counters.end() ? it->second.value : 0.0;
+      entries_.push_back(std::move(e));
+    }
+    ConsoleReporter::ReportRuns(runs);
+  }
+
+  const std::vector<Entry>& entries() const { return entries_; }
+
+ private:
+  std::vector<Entry> entries_;
+};
+
 }  // namespace
 }  // namespace help
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  bool json = false;
+  // Strip --json before google-benchmark sees (and rejects) it.
+  std::vector<char*> args;
+  for (int i = 0; i < argc; i++) {
+    if (std::strcmp(argv[i], "--json") == 0) {
+      json = true;
+    } else {
+      args.push_back(argv[i]);
+    }
+  }
+  int filtered_argc = static_cast<int>(args.size());
+  benchmark::Initialize(&filtered_argc, args.data());
+  if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
+    return 1;
+  }
+  help::JsonLineReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  if (json) {
+    std::string runs;
+    for (const auto& e : reporter.entries()) {
+      if (!runs.empty()) {
+        runs += ",";
+      }
+      runs += help::StrFormat(
+          "{\"name\":\"%s\",\"real_time\":%.1f,\"items_per_second\":%.1f}",
+          e.name.c_str(), e.real_time, e.items_per_second);
+    }
+    std::printf("{\"bench\":\"perf_ui\",\"runs\":[%s]}\n", runs.c_str());
+  }
+  benchmark::Shutdown();
+  return 0;
+}

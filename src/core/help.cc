@@ -822,47 +822,18 @@ std::string Help::Render(bool annotated, bool show_last_exec) {
 
 Point Help::FindOnScreen(std::string_view needle, int occurrence) {
   page_->Draw(current_);
-  int seen = 0;
-  for (int y = 0; y < page_->screen().height(); y++) {
-    std::string row = page_->screen().Row(y);
-    size_t pos = 0;
-    while ((pos = row.find(needle, pos)) != std::string::npos) {
-      if (seen == occurrence) {
-        // Byte offset == column only for ASCII rows; count runes up to pos.
-        int x = static_cast<int>(RuneLen(std::string_view(row).substr(0, pos)));
-        return {x, y};
-      }
-      seen++;
-      pos++;
-    }
-  }
-  return {-1, -1};
+  Screen& screen = page_->screen();
+  return screen.Find(screen.bounds(), RunesFromUtf8(needle), occurrence);
 }
 
 Point Help::FindInWindow(const Window* w, std::string_view needle, int occurrence) {
-  page_->Draw(current_);
   if (w == nullptr || w->hidden()) {
     return {-1, -1};
   }
-  int seen = 0;
-  const Rect& r = w->rect();
-  for (int y = r.y0; y < r.y1; y++) {
-    std::string row = page_->screen().Row(y);
-    RuneString runes = RunesFromUtf8(row);
-    RuneString sub(runes.begin() + std::min<size_t>(static_cast<size_t>(r.x0), runes.size()),
-                   runes.begin() + std::min<size_t>(static_cast<size_t>(r.x1), runes.size()));
-    std::string segment = Utf8FromRunes(sub);
-    size_t pos = 0;
-    while ((pos = segment.find(needle, pos)) != std::string::npos) {
-      if (seen == occurrence) {
-        int x = r.x0 + static_cast<int>(RuneLen(std::string_view(segment).substr(0, pos)));
-        return {x, y};
-      }
-      seen++;
-      pos++;
-    }
-  }
-  return {-1, -1};
+  // Columns tile and the windows of a column do not overlap, so painting
+  // `w` alone leaves its rect exactly as a full repaint would.
+  w->Draw(&page_->screen(), current_);
+  return page_->screen().Find(w->rect(), RunesFromUtf8(needle), occurrence);
 }
 
 }  // namespace help

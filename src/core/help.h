@@ -143,11 +143,12 @@ class Help {
   // With show_last_exec, the most recent button-2 sweep is underlined (the
   // way Figure 2 shows an execution in progress).
   std::string Render(bool annotated = false, bool show_last_exec = false);
-  // Searches the rendered screen for `needle`; returns the position of its
-  // first character. occurrence selects among multiple hits (top-to-bottom).
-  // Returns {-1,-1} if absent.
+  // Redraws the screen and searches its cells for `needle`; returns the
+  // position of its first character. occurrence selects among multiple hits
+  // (top-to-bottom). Returns {-1,-1} if absent.
   Point FindOnScreen(std::string_view needle, int occurrence = 0);
-  // Like FindOnScreen but restricted to one window's rectangle.
+  // Like FindOnScreen but restricted to one window's rectangle, and paints
+  // only that window.
   Point FindInWindow(const Window* w, std::string_view needle, int occurrence = 0);
 
   struct Counters {

@@ -1,108 +1,100 @@
 #include "src/draw/frame.h"
 
+#include "src/obs/trace.h"
+
 namespace help {
 
-void Frame::Fill(const Text& t, size_t origin) {
-  origin_ = std::min(origin, t.size());
+void Frame::LayOut() const {
+  OBS_COUNT("draw.frame_layouts", 1);
+  stale_ = false;
   rows_.clear();
+  runes_.clear();
+  size_t n = text_ == nullptr ? 0 : text_->size();
+  origin_ = std::min(want_origin_, n);
   end_ = origin_;
-  if (rect_.empty()) {
+  if (rect_.empty() || text_ == nullptr) {
     return;
   }
-  int maxrows = rect_.height();
+  size_t maxrows = static_cast<size_t>(rect_.height());
   int width = rect_.width();
+  // Every rune takes at least one cell except the newline ending a row, so
+  // maxrows rows use at most maxrows * (width + 1) runes. This keeps layout
+  // cost proportional to the window, not the document; the runes are read
+  // in place, without a copy.
+  size_t window = maxrows * (static_cast<size_t>(width) + 1) + 1;
+  RuneSpans visible = text_->Spans().Slice(origin_, window);
   size_t pos = origin_;
-  size_t n = t.size();
-  // One bulk read covers everything the frame can consume: every rune takes
-  // at least one cell except the newline ending a row, so maxrows rows use at
-  // most maxrows * (width + 1) runes. This keeps layout cost proportional to
-  // the window, not the document, and avoids a gap-buffer branch per rune.
-  size_t window =
-      static_cast<size_t>(maxrows) * (static_cast<size_t>(width) + 1) + 1;
-  RuneString visible = t.Read(origin_, window);
-  Row row;
-  row.start_off = pos;
+  Row row{0, 0, pos, 0};
   int x = 0;
   auto flush = [&](size_t row_end) {
+    row.last = runes_.size();
     row.end_off = row_end;
-    rows_.push_back(std::move(row));
-    row = Row{};
-    row.start_off = row_end;
+    rows_.push_back(row);
+    row = Row{runes_.size(), runes_.size(), row_end, 0};
     x = 0;
   };
-  while (pos < n && static_cast<int>(rows_.size()) < maxrows) {
+  while (pos < n && rows_.size() < maxrows) {
     Rune r = visible[pos - origin_];
     if (r == '\n') {
       flush(pos + 1);
       pos++;
       continue;
     }
-    int w = 1;
-    if (r == '\t') {
-      w = kTabStop - (x % kTabStop);
-    }
+    int w = r == '\t' ? kTabStop - (x % kTabStop) : 1;
     if (x + w > width && x > 0) {
       // Wrap before this rune.
       flush(pos);
       continue;
     }
-    row.runes.push_back({r, pos, x, w});
+    runes_.push_back({r, x, w});
     x += w;
     pos++;
     if (x >= width) {
       flush(pos);
     }
   }
-  if (static_cast<int>(rows_.size()) < maxrows) {
+  if (rows_.size() < maxrows) {
     flush(pos);  // final (possibly empty) row — gives the caret a home
   }
-  end_ = rows_.empty() ? origin_ : rows_.back().end_off;
+  end_ = rows_.back().end_off;
 }
 
 size_t Frame::PointToOffset(Point p) const {
+  EnsureLaidOut();
   if (rows_.empty()) {
     return origin_;
   }
-  int rel = p.y - rect_.y0;
-  if (rel < 0) {
-    rel = 0;
-  }
-  if (rel >= static_cast<int>(rows_.size())) {
-    rel = static_cast<int>(rows_.size()) - 1;
-  }
+  int rel = std::clamp(p.y - rect_.y0, 0, static_cast<int>(rows_.size()) - 1);
   const Row& row = rows_[static_cast<size_t>(rel)];
   int col = p.x - rect_.x0;
-  for (const PlacedRune& pr : row.runes) {
-    if (col < pr.x + pr.width) {
-      return pr.off;
+  for (size_t i = row.first; i < row.last; i++) {
+    if (col < runes_[i].x + runes_[i].width) {
+      return row.start_off + (i - row.first);
     }
   }
   // Past the end of the row: the newline (or the row's end).
-  if (row.end_off > row.start_off + row.runes.size()) {
+  if (row.end_off > row.start_off + row.size()) {
     return row.end_off - 1;  // the newline itself
   }
   return row.end_off;
 }
 
 std::optional<Point> Frame::OffsetToPoint(size_t off) const {
+  EnsureLaidOut();
   for (size_t yi = 0; yi < rows_.size(); yi++) {
     const Row& row = rows_[yi];
     if (off < row.start_off || off > row.end_off) {
       continue;
     }
-    for (const PlacedRune& pr : row.runes) {
-      if (pr.off == off) {
-        return Point{rect_.x0 + pr.x, rect_.y0 + static_cast<int>(yi)};
-      }
+    int y = rect_.y0 + static_cast<int>(yi);
+    if (off - row.start_off < row.size()) {
+      return Point{rect_.x0 + runes_[row.first + (off - row.start_off)].x, y};
     }
     // Offset is the newline / end of this row.
-    if (off == row.end_off - 1 && row.end_off > row.start_off + row.runes.size()) {
-      int x = row.runes.empty() ? 0 : row.runes.back().x + row.runes.back().width;
-      return Point{rect_.x0 + x, rect_.y0 + static_cast<int>(yi)};
-    }
-    if (off == row.end_off && yi + 1 == rows_.size()) {
-      int x = row.runes.empty() ? 0 : row.runes.back().x + row.runes.back().width;
-      return Point{rect_.x0 + x, rect_.y0 + static_cast<int>(yi)};
+    bool newline = row.end_off > row.start_off + row.size();
+    if ((newline && off == row.end_off - 1) || (off == row.end_off && yi + 1 == rows_.size())) {
+      const PlacedRune* last = row.size() == 0 ? nullptr : &runes_[row.last - 1];
+      return Point{rect_.x0 + (last == nullptr ? 0 : last->x + last->width), y};
     }
   }
   return std::nullopt;
@@ -121,6 +113,7 @@ Style Frame::StyleFor(size_t off, const Selection& sel, bool current,
 
 void Frame::Draw(Screen* screen, const Selection& sel, bool current, Style base,
                  const Selection* exec_sel) const {
+  EnsureLaidOut();
   Rect clip = rect_.Intersect(screen->bounds());
   screen->Fill(clip, ' ', base);
   for (size_t yi = 0; yi < rows_.size(); yi++) {
@@ -128,9 +121,11 @@ void Frame::Draw(Screen* screen, const Selection& sel, bool current, Style base,
     if (y < clip.y0 || y >= clip.y1) {
       continue;
     }
-    for (const PlacedRune& pr : rows_[yi].runes) {
+    const Row& row = rows_[yi];
+    for (size_t i = row.first; i < row.last; i++) {
+      const PlacedRune& pr = runes_[i];
       int x = rect_.x0 + pr.x;
-      Style st = StyleFor(pr.off, sel, current, exec_sel, base);
+      Style st = StyleFor(row.start_off + (i - row.first), sel, current, exec_sel, base);
       if (pr.r == '\t') {
         for (int k = 0; k < pr.width && x + k < clip.x1; k++) {
           if (x + k >= clip.x0) {

@@ -4,6 +4,15 @@
 // and provides the two mappings everything else is built on: screen point →
 // rune offset (mouse clicks) and rune offset → screen point (showing an
 // addressed line, drawing selections).
+//
+// Layout happens on read. SetRect and Fill only record the rect, the text
+// and the origin; the first read after them (origin, end, lines_used,
+// Visible, PointToOffset, OffsetToPoint, Draw) lays the frame out, against
+// the text as it is then. So a window that is moved, resized or edited many
+// times between two looks at it is laid out once, and one that nobody looks
+// at (hidden, or written headlessly over 9P) is never laid out. Lifetime
+// rule: the Text passed to Fill must outlive the frame's next read
+// (Subwindow meets it by owning its text).
 #ifndef SRC_DRAW_FRAME_H_
 #define SRC_DRAW_FRAME_H_
 
@@ -19,20 +28,39 @@ inline constexpr int kTabStop = 8;
 
 class Frame {
  public:
-  void SetRect(const Rect& r) { rect_ = r; }
+  void SetRect(const Rect& r) {
+    rect_ = r;
+    stale_ = true;
+  }
   const Rect& rect() const { return rect_; }
 
-  // Lays out `t` from rune offset `origin`. Call again after any edit or
-  // geometry change (cheap: proportional to the visible region).
-  void Fill(const Text& t, size_t origin);
+  // Shows `t` from rune offset `origin` (clamped to the text's size at
+  // layout). Call again after any edit or scroll; SetRect covers geometry.
+  void Fill(const Text& t, size_t origin) {
+    text_ = &t;
+    want_origin_ = origin;
+    stale_ = true;
+  }
 
-  size_t origin() const { return origin_; }
+  size_t origin() const {
+    EnsureLaidOut();
+    return origin_;
+  }
   // One past the offset of the last rune displayed (== where scrolling
   // forward would continue).
-  size_t end() const { return end_; }
+  size_t end() const {
+    EnsureLaidOut();
+    return end_;
+  }
   // Number of display rows actually used.
-  int lines_used() const { return static_cast<int>(rows_.size()); }
-  bool Visible(size_t off) const { return off >= origin_ && off < end_; }
+  int lines_used() const {
+    EnsureLaidOut();
+    return static_cast<int>(rows_.size());
+  }
+  bool Visible(size_t off) const {
+    EnsureLaidOut();
+    return off >= origin_ && off < end_;
+  }
 
   // Maps a screen point (absolute coordinates) to the rune offset of the
   // character at or nearest that cell. Points below the laid text map to
@@ -49,25 +77,45 @@ class Frame {
             const Selection* exec_sel = nullptr) const;
 
  private:
+  // A displayed rune; its offset is its row's start_off plus its index in
+  // the row.
   struct PlacedRune {
     Rune r;
-    size_t off;
-    int x;  // absolute column (tabs make x jump)
+    int x;  // column relative to the rect (tabs make x jump)
     int width;
   };
+  // One display row: runes_[first, last).
   struct Row {
-    std::vector<PlacedRune> runes;
+    size_t first = 0;
+    size_t last = 0;
     size_t start_off = 0;  // offset of first rune logically on this row
     size_t end_off = 0;    // one past last rune on this row (incl. newline)
+    size_t size() const { return last - first; }
   };
+
+  // Lays the frame out if SetRect or Fill has been called since the last
+  // layout.
+  void EnsureLaidOut() const {
+    if (stale_) {
+      LayOut();
+    }
+  }
+  void LayOut() const;
 
   Style StyleFor(size_t off, const Selection& sel, bool current,
                  const Selection* exec_sel, Style base) const;
 
   Rect rect_;
-  size_t origin_ = 0;
-  size_t end_ = 0;
-  std::vector<Row> rows_;
+  const Text* text_ = nullptr;
+  size_t want_origin_ = 0;
+
+  // The layout, written by the first read after SetRect/Fill. The vectors
+  // keep their capacity from one layout to the next.
+  mutable bool stale_ = false;
+  mutable size_t origin_ = 0;
+  mutable size_t end_ = 0;
+  mutable std::vector<Row> rows_;
+  mutable std::vector<PlacedRune> runes_;
 };
 
 }  // namespace help

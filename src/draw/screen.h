@@ -84,7 +84,16 @@ class Screen {
   // The full row as a string (for tests).
   std::string Row(int y) const;
 
+  // Where the `occurrence`th match (0-based, top to bottom, left to right,
+  // overlapping) of `needle` starts among the cells of `r`, read row by row;
+  // {-1, -1} if there is none. A match lies within one row of `r`.
+  Point Find(const Rect& r, RuneStringView needle, int occurrence) const;
+
  private:
+  // Appends row `y` as UTF-8; the one writer behind Render, RenderAnnotated
+  // and Row. A U+0000 cell prints as a blank.
+  void AppendRow(int y, bool annotated, bool trim, std::string* out) const;
+
   int width_;
   int height_;
   std::vector<Cell> cells_;

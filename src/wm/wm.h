@@ -29,6 +29,8 @@ namespace help {
 class Window;
 
 // One editable region (a tag or a body): text + layout + its own selection.
+// The subwindow owns its text, which is what lets its frame lay out on read
+// (see frame.h).
 struct Subwindow {
   std::shared_ptr<Text> text;
   Frame frame;
@@ -37,6 +39,7 @@ struct Subwindow {
   bool is_tag = false;
   Window* window = nullptr;
 
+  // Points the frame at the text from `origin`; the next read lays it out.
   void Relayout() { frame.Fill(*text, origin); }
   // Scrolls so that `off` is displayed (origin moves to the start of a line
   // a third of the window above `off` when out of view).
@@ -56,7 +59,7 @@ class Window {
   bool hidden() const { return rect_.empty(); }
   const Rect& rect() const { return rect_; }
   // Assigns screen space (tag = first row, scrollbar = leftmost cell below
-  // it, body = the rest) and lays out.
+  // it, body = the rest); the frames lay out when next read.
   void SetRect(const Rect& r);
   void Hide();
 
@@ -82,6 +85,8 @@ class Window {
   // Row just below the lowest visible text (tag row + used body rows).
   int UsedBottom() const;
 
+  // Hands both frames their rects and texts; the layout itself waits for
+  // the next read.
   void Relayout();
   void Draw(Screen* screen, const Subwindow* current,
             const Selection* exec_sel = nullptr,

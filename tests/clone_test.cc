@@ -5,6 +5,7 @@
 #include "src/base/strings.h"
 #include "src/core/help.h"
 #include "src/fs/server.h"
+#include "src/obs/trace.h"
 
 namespace help {
 namespace {
@@ -151,6 +152,30 @@ TEST_F(CloneTest, ClosingEveryWindowOfABodyDropsItsEntry) {
   ASSERT_TRUE(client.Connect().ok());
   ASSERT_TRUE(client.AppendFile(WinFile(again, "bodyapp"), "more\n").ok());
   EXPECT_TRUE(HasPut(again));
+}
+
+// Headless 9P writes never lay anything out: 100 appends through one
+// window's bodyapp only mark the frames of both windows on the body, and the
+// next Render lays each of those four frames (two tags, two bodies) out
+// once.
+TEST_F(CloneTest, AppendsOverNinepLayOutNothingUntilRender) {
+  ASSERT_NE(second_, nullptr);
+  ASSERT_FALSE(first_->hidden());
+  ASSERT_FALSE(second_->hidden());
+  obs::Counter* layouts = obs::Registry::Global().GetCounter("draw.frame_layouts");
+  NinepClient client(h_.ninep().Transport());
+  ASSERT_TRUE(client.Connect().ok());
+  h_.Render();
+  uint64_t before = layouts->value();
+  for (int i = 0; i < 100; i++) {
+    ASSERT_TRUE(client.AppendFile(WinFile(first_, "bodyapp"), StrFormat("line %d\n", i)).ok());
+  }
+  EXPECT_EQ(layouts->value(), before);
+  std::string screen = h_.Render();
+  EXPECT_EQ(layouts->value(), before + 4);
+  EXPECT_NE(screen.find("line 0"), std::string::npos);
+  EXPECT_EQ(h_.Render(), screen);
+  EXPECT_EQ(layouts->value(), before + 4);
 }
 
 }  // namespace
