@@ -1,20 +1,26 @@
 #include "src/cc/browser.h"
 
 #include <algorithm>
+#include <bit>
 #include <tuple>
-
-#include "src/cc/cpp.h"
 
 namespace help {
 
 namespace {
 
-bool IsSpecifierKeyword(std::string_view s) {
-  static constexpr std::string_view kSpec[] = {
-      "void",   "char",     "short",    "int",    "long",   "float",    "double",
-      "signed", "unsigned", "struct",   "union",  "enum",   "const",    "volatile",
-      "static", "extern",   "register", "auto"};
-  return std::find(std::begin(kSpec), std::end(kSpec), s) != std::end(kSpec);
+// The declaration-specifier keywords, one bit per CKeyword id.
+constexpr uint64_t kSpecifiers = [] {
+  uint64_t mask = 0;
+  for (std::string_view k : {"void", "char", "short", "int", "long", "float", "double", "signed",
+                             "unsigned", "struct", "union", "enum", "const", "volatile", "static",
+                             "extern", "register", "auto"}) {
+    mask |= uint64_t{1} << CKeyword(k);
+  }
+  return mask;
+}();
+
+bool IsSpecifierKeyword(const CToken& t) {
+  return t.kind == CTok::kKeyword && (kSpecifiers >> t.name & 1) != 0;
 }
 
 }  // namespace
@@ -24,8 +30,7 @@ bool IsSpecifierKeyword(std::string_view s) {
 
 class CParser {
  public:
-  CParser(CBrowser* browser, std::vector<CToken> toks)
-      : b_(browser), toks_(std::move(toks)) {}
+  CParser(CBrowser* browser, const std::vector<CToken>& toks) : b_(browser), toks_(toks) {}
 
   Status Parse() {
     while (!AtEof()) {
@@ -55,9 +60,7 @@ class CParser {
   bool IsPunct(char p) const {
     return Cur().kind == CTok::kPunct && Cur().text.size() == 1 && Cur().text[0] == p;
   }
-  bool IsKw(std::string_view k) const {
-    return Cur().kind == CTok::kKeyword && Cur().text == k;
-  }
+  bool IsKw(int keyword) const { return Cur().kind == CTok::kKeyword && Cur().name == keyword; }
   void SkipTo(char p) {  // error recovery
     int depth = 0;
     while (!AtEof()) {
@@ -76,9 +79,9 @@ class CParser {
 
   bool AtTypeStart() const {
     if (Cur().kind == CTok::kKeyword) {
-      return IsSpecifierKeyword(Cur().text) || Cur().text == "typedef";
+      return IsSpecifierKeyword(Cur()) || IsKw(CKeyword("typedef"));
     }
-    if (Cur().kind == CTok::kIdent && IsTypedef(Cur().text)) {
+    if (IsTypedef(Cur())) {
       // A typedef name starts a declaration only if what follows looks like
       // a declarator ("Page *q;", "Rune r;"), not an expression ("Page + 1").
       // "T *x" is taken as a declaration: "T * x" as an expression is
@@ -92,9 +95,8 @@ class CParser {
 
   // --- names and scopes ---
   // A typedef name counts only in the unit that declared it.
-  bool IsTypedef(std::string_view name) const {
-    auto it = b_->names_.find(name);
-    return it != b_->names_.end() && it->second.typedef_unit == b_->unit_;
+  bool IsTypedef(const CToken& t) const {
+    return t.kind == CTok::kIdent && b_->NameOf(t.name).typedef_unit == b_->unit_;
   }
 
   // Block scopes are one stack of bindings; a scope is the suffix that
@@ -106,26 +108,24 @@ class CParser {
       scope_marks_.pop_back();
     }
   }
-  void Bind(std::string_view name, int sym) {
+  void Bind(int name, int sym) {
     if (!scope_marks_.empty()) {
       bindings_.emplace_back(name, sym);
     }
   }
-  int Lookup(std::string_view name) const {
+  int Lookup(int name) const {
     for (auto it = bindings_.rbegin(); it != bindings_.rend(); ++it) {
       if (it->first == name) {
         return it->second;
       }
     }
-    auto it = b_->names_.find(name);
-    return it == b_->names_.end() ? -1 : it->second.global;
+    return b_->NameOf(name).global;
   }
 
   int DeclareSymbol(const CToken& tok, CSymKind kind) {
-    return Declare(tok.text, kind, tok, current_func_);
+    return Declare(tok.name, kind, tok, current_func_);
   }
-  int Declare(std::string_view name, CSymKind kind, const CToken& at, int func,
-              bool is_definition = false) {
+  int Declare(int name, CSymKind kind, const CToken& at, int func, bool is_definition = false) {
     int id = b_->Intern(name, kind, at, func, is_definition);
     b_->RecordUse(id, at, /*is_decl=*/true);
     if (kind == CSymKind::kParam || kind == CSymKind::kLocal) {
@@ -137,12 +137,12 @@ class CParser {
   }
 
   void RecordIdentUse(const CToken& tok) {
-    int id = Lookup(tok.text);
+    int id = Lookup(tok.name);
     if (id < 0) {
       // Implicit extern (strlen, print, ...): declare lazily at first use so
       // later references unify.
-      id = b_->Intern(tok.text, CSymKind::kImplicit, tok);
-      b_->NameOf(tok.text).global = id;
+      id = b_->Intern(tok.name, CSymKind::kImplicit, tok);
+      b_->NameOf(tok.name).global = id;
     }
     b_->RecordUse(id, tok, /*is_decl=*/false);
   }
@@ -161,13 +161,13 @@ class CParser {
       Next();
       return;
     }
-    if (IsKw("typedef")) {
+    if (IsKw(CKeyword("typedef"))) {
       Next();
       ParseDeclSpecifiers();
       while (!AtEof() && !IsPunct(';')) {
         Declarator d = ParseDeclarator(/*in_params=*/false);
         if (d.name != nullptr) {
-          b_->NameOf(d.name->text).typedef_unit = b_->unit_;
+          b_->NameOf(d.name->name).typedef_unit = b_->unit_;
           DeclareSymbol(*d.name, CSymKind::kTypedef);
         }
         if (IsPunct(',')) {
@@ -196,7 +196,8 @@ class CParser {
         // Junk such as "int ()() {" has no name; its body is read all the same.
         static const CToken kNoName;
         const CToken& name = d.name != nullptr ? *d.name : kNoName;
-        int id = Declare(name.text, CSymKind::kFunc, name, -1, /*is_definition=*/true);
+        int id = Declare(d.name != nullptr ? d.name->name : b_->NameId(""), CSymKind::kFunc, name,
+                         -1, /*is_definition=*/true);
         ParseFunctionBody(id, d.params);
         return;
       }
@@ -219,19 +220,19 @@ class CParser {
   // Consumes declaration specifiers, handling struct/union/enum bodies.
   void ParseDeclSpecifiers() {
     while (!AtEof()) {
-      if (Cur().kind == CTok::kKeyword && IsSpecifierKeyword(Cur().text)) {
-        bool aggregate = Cur().text == "struct" || Cur().text == "union";
-        bool is_enum = Cur().text == "enum";
+      if (IsSpecifierKeyword(Cur())) {
+        bool aggregate = IsKw(CKeyword("struct")) || IsKw(CKeyword("union"));
+        bool is_enum = IsKw(CKeyword("enum"));
         Next();
         if (aggregate || is_enum) {
           if (Cur().kind == CTok::kIdent) {
             // Tag: declaration if a body follows, use otherwise.
             const CToken& tag = Cur();
-            tag_name_.assign("struct ").append(tag.text);
+            int tag_name = b_->TagOf(tag.name);
             Next();
             if (IsPunct('{')) {
-              Declare(tag_name_, CSymKind::kStructTag, tag, -1);
-            } else if (int id = Lookup(tag_name_); id >= 0) {
+              Declare(tag_name, CSymKind::kStructTag, tag, -1);
+            } else if (int id = Lookup(tag_name); id >= 0) {
               b_->RecordUse(id, tag, false);
             }
           }
@@ -245,10 +246,9 @@ class CParser {
         }
         continue;
       }
-      if (Cur().kind == CTok::kIdent && IsTypedef(Cur().text) &&
-          !type_seen_guard_) {
+      if (IsTypedef(Cur()) && !type_seen_guard_) {
         // Typedef name as base type; record the use of the typedef.
-        if (int id = Lookup(Cur().text); id >= 0) {
+        if (int id = Lookup(Cur().name); id >= 0) {
           b_->RecordUse(id, Cur(), false);
         }
         Next();
@@ -337,7 +337,7 @@ class CParser {
   // (no name) is allowed.
   Declarator ParseDeclarator(bool in_params) {
     Declarator d;
-    while (IsPunct('*') || IsKw("const") || IsKw("volatile")) {
+    while (IsPunct('*') || IsKw(CKeyword("const")) || IsKw(CKeyword("volatile"))) {
       Next();
     }
     if (IsPunct('(')) {
@@ -349,7 +349,7 @@ class CParser {
     } else if (Cur().kind == CTok::kIdent) {
       // In a parameter list, a typedef name here is a type, not the declared
       // identifier ("int f(Page)" is abstract).
-      if (!(in_params && IsTypedef(Cur().text) &&
+      if (!(in_params && IsTypedef(Cur()) &&
             (Ahead(1).kind != CTok::kIdent))) {
         d.name = &Cur();
         Next();
@@ -394,7 +394,7 @@ class CParser {
       } else if (Cur().kind == CTok::kIdent) {
         last = &Cur();
       } else if ((IsPunct(',') && depth == 1) || (IsPunct(')') && --depth == 0)) {
-        if (last != nullptr && !IsTypedef(last->text)) {
+        if (last != nullptr && !IsTypedef(*last)) {
           d->params.push_back(last);
         }
         last = nullptr;
@@ -438,7 +438,7 @@ class CParser {
         Next();
         continue;
       }
-      if (IsKw("case")) {
+      if (IsKw(CKeyword("case"))) {
         Next();
         while (!AtEof() && !IsPunct(':')) {
           if (Cur().kind == CTok::kIdent) {
@@ -452,7 +452,7 @@ class CParser {
         stmt_start = true;
         continue;
       }
-      if (IsKw("default")) {
+      if (IsKw(CKeyword("default"))) {
         Next();
         if (IsPunct(':')) {
           Next();
@@ -460,7 +460,7 @@ class CParser {
         stmt_start = true;
         continue;
       }
-      if (IsKw("goto")) {
+      if (IsKw(CKeyword("goto"))) {
         Next();
         if (Cur().kind == CTok::kIdent) {
           Next();  // label, not a variable use
@@ -548,11 +548,10 @@ class CParser {
   }
 
   CBrowser* b_;
-  std::vector<CToken> toks_;
+  const std::vector<CToken>& toks_;
   size_t pos_ = 0;
-  std::vector<std::pair<std::string_view, int>> bindings_;
+  std::vector<std::pair<int, int>> bindings_;  // (name, symbol)
   std::vector<size_t> scope_marks_;
-  std::string tag_name_;  // "struct " + tag, the name tags are kept under
   int current_func_ = -1;
   bool type_seen_guard_ = false;
 };
@@ -560,13 +559,21 @@ class CParser {
 // ---------------------------------------------------------------------------
 // Browser.
 
-CBrowser::Name& CBrowser::NameOf(std::string_view name) {
-  auto it = names_.find(name);
-  return it != names_.end() ? it->second : names_.emplace(name, Name()).first->second;
+int CBrowser::NameId(std::string_view spelling) {
+  int id = names_.Id(spelling);
+  info_.resize(names_.size());
+  return id;
 }
 
-int CBrowser::Intern(std::string_view name, CSymKind kind, const CToken& at, int func,
-                     bool is_definition) {
+int CBrowser::TagOf(int name) {
+  if (NameOf(name).tag < 0) {
+    int tag = NameId("struct " + std::string(names_.Spelling(name)));  // may grow info_
+    NameOf(name).tag = tag;
+  }
+  return NameOf(name).tag;
+}
+
+int CBrowser::Intern(int name, CSymKind kind, const CToken& at, int func, bool is_definition) {
   Name* n = nullptr;
   if (kind != CSymKind::kParam && kind != CSymKind::kLocal) {
     n = &NameOf(name);
@@ -595,42 +602,67 @@ int CBrowser::Intern(std::string_view name, CSymKind kind, const CToken& at, int
     }
   }
   int id = static_cast<int>(symbols_.size());
-  symbols_.push_back(
-      {id, std::string(name), kind, std::string(at.file), at.line, at.col, func, is_definition});
+  symbols_.push_back({id, std::string(names_.Spelling(name)), kind, std::string(at.file), at.line,
+                      at.col, func, is_definition});
   if (n != nullptr) {
     n->syms.push_back(id);
   }
   return id;
 }
 
-void CBrowser::RecordUse(int sym, const CToken& at, bool is_decl) {
-  size_t h = static_cast<size_t>(sym) * 0x9e3779b97f4a7c15ull ^
-             static_cast<size_t>(at.line) << 20 ^ static_cast<size_t>(at.col);
-  for (auto [it, end] = use_index_.equal_range(h); it != end; ++it) {
-    const CUse& u = uses_[it->second];
-    if (u.sym == sym && u.line == at.line && u.col == at.col && u.file == at.file) {
-      return;
+size_t CBrowser::UseSlot(int sym, std::string_view file, int line, int col) const {
+  size_t h = (static_cast<size_t>(sym) * 0x9e3779b97f4a7c15ull ^ static_cast<size_t>(line) << 20 ^
+              static_cast<size_t>(col)) * 0xff51afd7ed558ccdull;
+  size_t mask = use_slots_.size() - 1;
+  size_t i = h >> 32 & mask;
+  for (; use_slots_[i] >= 0; i = (i + 1) & mask) {
+    const CUse& u = uses_[static_cast<size_t>(use_slots_[i])];
+    if (u.sym == sym && u.line == line && u.col == col && u.file == file) {
+      break;
     }
   }
-  use_index_.emplace(h, uses_.size());
-  uses_.push_back({sym, std::string(at.file), at.line, at.col, is_decl});
+  return i;
+}
+
+void CBrowser::RecordUse(int sym, const CToken& at, bool is_decl) {
+  // The table is kept at most half full, so a probe soon meets an empty slot.
+  if (use_slots_.size() < 2 * (uses_.size() + 1)) {
+    use_slots_.assign(std::bit_ceil(4 * (uses_.size() + 1)), -1);
+    for (size_t k = 0; k < uses_.size(); k++) {
+      const CUse& u = uses_[k];
+      use_slots_[UseSlot(u.sym, u.file, u.line, u.col)] = static_cast<int>(k);
+    }
+  }
+  size_t i = UseSlot(sym, at.file, at.line, at.col);
+  if (use_slots_[i] < 0) {
+    use_slots_[i] = static_cast<int>(uses_.size());
+    uses_.push_back({sym, std::string(at.file), at.line, at.col, is_decl});
+  }
+}
+
+Status CBrowser::ParseUnit() {
+  info_.resize(names_.size());
+  unit_++;
+  return CParser(this, toks_).Parse();
 }
 
 Status CBrowser::AddTranslationUnit(std::string_view text, std::string_view filename) {
-  auto toks = CLex(text, filename);
+  auto toks = CLex(text, filename, &names_);
   if (!toks.ok()) {
     return toks.status();
   }
-  unit_++;
-  return CParser(this, toks.take()).Parse();
+  toks_ = toks.take();
+  return ParseUnit();
 }
 
 Status CBrowser::AddFile(const Vfs& vfs, std::string_view path) {
-  auto pp = Preprocess(vfs, path);
-  if (!pp.ok()) {
-    return pp.status();
+  if (sources_ == nullptr || &sources_->vfs() != &vfs) {
+    sources_ = std::make_unique<CSources>(vfs, &names_);
   }
-  return AddTranslationUnit(pp.value(), path);
+  if (Status s = sources_->Tokens(path, &toks_); !s.ok()) {
+    return s;
+  }
+  return ParseUnit();
 }
 
 const CSymbol* CBrowser::ResolveAt(std::string_view name, std::string_view file,
@@ -682,10 +714,12 @@ const CSymbol* CBrowser::FindFunc(std::string_view name) const {
 }
 
 const CSymbol* CBrowser::FindGlobal(std::string_view name) const {
-  auto it = names_.find(name);
-  return it == names_.end() || it->second.global < 0
-             ? nullptr
-             : &symbols_[static_cast<size_t>(it->second.global)];
+  // A name first seen in a unit that failed before its parse has no entry.
+  int id = names_.Find(name);
+  if (id < 0 || static_cast<size_t>(id) >= info_.size() || NameOf(id).global < 0) {
+    return nullptr;
+  }
+  return &symbols_[static_cast<size_t>(NameOf(id).global)];
 }
 
 }  // namespace help

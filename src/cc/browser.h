@@ -11,13 +11,14 @@
 #ifndef SRC_CC_BROWSER_H_
 #define SRC_CC_BROWSER_H_
 
+#include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/status.h"
 #include "src/cc/clex.h"
+#include "src/cc/cpp.h"
 #include "src/fs/vfs.h"
 
 namespace help {
@@ -61,7 +62,9 @@ class CBrowser {
   // across units, and keep no reference to `text` or `filename`.
   Status AddTranslationUnit(std::string_view text, std::string_view filename);
 
-  // Convenience: preprocess `path` from `vfs`, then add it.
+  // Adds the unit rooted at `path` in `vfs`. Each file is read and lexed
+  // once per browser, so a browser sees a file as it was when first read:
+  // use one browser per command.
   Status AddFile(const Vfs& vfs, std::string_view path);
 
   const std::vector<CSymbol>& symbols() const { return symbols_; }
@@ -83,31 +86,40 @@ class CBrowser {
  private:
   friend class CParser;
 
-  // Everything known about one spelling, found with one hash lookup.
+  // Everything known about one spelling, indexed by its id in names_.
   struct Name {
     int global = -1;        // file-scope binding: global, typedef, function, tag
     int typedef_unit = -1;  // the last unit that declared it a typedef name
+    int tag = -1;           // the id of "struct <spelling>", once needed
     std::vector<int> syms;  // its file-scope-kind symbols, for Intern's dedupe
   };
 
-  Name& NameOf(std::string_view name);
+  // The id of `spelling`, with room for it in info_.
+  int NameId(std::string_view spelling);
+  Name& NameOf(int name) { return info_[static_cast<size_t>(name)]; }
+  const Name& NameOf(int name) const { return info_[static_cast<size_t>(name)]; }
+  // The id that struct, union and enum tag `name` is kept under.
+  int TagOf(int name);
   // Returns the existing symbol with the identity (name, kind, at's file and
   // line) or registers a new one, so that headers parsed in several
   // translation units yield one symbol. Params and locals are never shared.
-  int Intern(std::string_view name, CSymKind kind, const CToken& at, int func = -1,
+  int Intern(int name, CSymKind kind, const CToken& at, int func = -1,
              bool is_definition = false);
   // Records an occurrence once per (sym, file, line, col).
   void RecordUse(int sym, const CToken& at, bool is_decl);
-
-  struct ViewHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
-  };
+  // The slot of use_slots_ that holds that occurrence, or the empty slot
+  // where it would go.
+  size_t UseSlot(int sym, std::string_view file, int line, int col) const;
+  // Parses toks_, whose identifiers carry ids from names_, as the next unit.
+  Status ParseUnit();
 
   std::vector<CSymbol> symbols_;
   std::vector<CUse> uses_;
-  std::unordered_map<std::string, Name, ViewHash, std::equal_to<>> names_;
-  std::unordered_multimap<size_t, size_t> use_index_;  // hash of (sym, line, col) -> use
+  CNames names_;
+  std::vector<Name> info_;
+  std::vector<int> use_slots_;  // uses_ by (sym, file, line, col), open-addressed; -1 is empty
+  std::unique_ptr<CSources> sources_;  // every file AddFile has read, read once
+  std::vector<CToken> toks_;           // the unit being parsed
   int unit_ = 0;  // serial number of the unit being parsed
 };
 

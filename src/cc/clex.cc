@@ -41,31 +41,26 @@ constexpr std::string_view kKeywords[] = {
     "int",    "long",     "register", "return", "short",   "signed",   "sizeof",   "static",
     "struct", "switch",   "typedef", "union",  "unsigned", "void",     "volatile", "while"};
 
-// A word of at most 8 bytes as one integer.
-constexpr uint64_t Pack(std::string_view s) {
-  uint64_t v = 0;
-  for (char c : s) {
-    v = v << 8 | static_cast<unsigned char>(c);
-  }
-  return v;
-}
-
-// The keywords as a perfect hash table: Pack(k) * kMult >> 58 differs for
-// every keyword k (the assert checks it), so a lookup is one multiply, one
-// load and one compare.
-constexpr uint64_t kMult = 0xb427c6237e409d1bull;
+// The keywords as a perfect hash table: CKeyword(k) differs for every
+// keyword k (the assert checks it), so a lookup is one multiply, one load
+// and one compare.
 constexpr auto kKeywordSlots = [] {
   std::array<uint64_t, 64> slots{};
   for (std::string_view k : kKeywords) {
-    slots[Pack(k) * kMult >> 58] = Pack(k);
+    slots[CKeyword(k)] = CPackWord(k);
   }
   return slots;
 }();
 static_assert(std::count(kKeywordSlots.begin(), kKeywordSlots.end(), 0) ==
               64 - std::size(kKeywords));
 
-bool IsKeyword(std::string_view s) {
-  return s.size() >= 2 && s.size() <= 8 && kKeywordSlots[Pack(s) * kMult >> 58] == Pack(s);
+// The CKeyword id of `s`, or -1 if it is not a keyword.
+int KeywordId(std::string_view s) {
+  if (s.size() < 2 || s.size() > 8) {
+    return -1;
+  }
+  int id = CKeyword(s);
+  return kKeywordSlots[id] == CPackWord(s) ? id : -1;
 }
 
 // Length of the punctuator spelled c0 c1 c2 ('\0' past the end of input):
@@ -98,7 +93,23 @@ std::string_view NextField(std::string_view* s) {
 
 }  // namespace
 
-Result<std::vector<CToken>> CLex(std::string_view src, std::string_view filename) {
+int CNames::Id(std::string_view spelling) {
+  auto it = ids_.find(spelling);
+  if (it != ids_.end()) {
+    return it->second;
+  }
+  int id = static_cast<int>(spellings_.size());
+  spellings_.push_back(ids_.emplace(spelling, id).first->first);
+  return id;
+}
+
+int CNames::Find(std::string_view spelling) const {
+  auto it = ids_.find(spelling);
+  return it == ids_.end() ? -1 : it->second;
+}
+
+Result<std::vector<CToken>> CLex(std::string_view src, std::string_view filename, CNames* names,
+                                 std::vector<CInclude>* includes) {
   std::vector<CToken> out;
   out.reserve(src.size() / 4 + 16);
   std::string_view file = filename;
@@ -146,7 +157,8 @@ Result<std::vector<CToken>> CLex(std::string_view src, std::string_view filename
       }
       continue;
     }
-    // Preprocessor lines: honor "#line N file" and "# N file", skip the rest.
+    // Preprocessor lines: honor "#line N file" and "# N file", report
+    // #include if asked, skip the rest.
     if (c == '#' && bol) {
       const char* eol = p;
       while (eol < end && *eol != '\n') {
@@ -168,7 +180,25 @@ Result<std::vector<CToken>> CLex(std::string_view src, std::string_view filename
         line_start = p;
         continue;
       }
-      // Other directive: skip the (possibly continued) line.
+      bool is_include = false;
+      CInclude inc;
+      if (includes != nullptr) {
+        std::string_view d = TrimSpace(std::string_view(p + 1, static_cast<size_t>(eol - p - 1)));
+        if (HasPrefix(d, "include") && (d.size() == 7 || !Is(d[7], kIdChar))) {
+          d = TrimSpace(d.substr(7));
+          char close = d.empty() ? 0 : d[0] == '"' ? '"' : d[0] == '<' ? '>' : 0;
+          if (close != 0) {
+            size_t n = d.find(close, 1);
+            if (n == std::string_view::npos) {
+              return error("bad #include", line);
+            }
+            is_include = true;
+            inc = {d.substr(1, n - 1), close == '>', file, line, out.size(),
+                   static_cast<size_t>(line_start - base), 0};
+          }
+        }
+      }
+      // Skip the (possibly continued) line.
       while (p < end) {
         bool continued = *p == '\\' && p + 1 < end && p[1] == '\n';
         p += continued ? 1 : 0;
@@ -180,6 +210,10 @@ Result<std::vector<CToken>> CLex(std::string_view src, std::string_view filename
           }
         }
       }
+      if (is_include) {
+        inc.end = static_cast<size_t>(p - base);
+        includes->push_back(inc);
+      }
       continue;
     }
     bol = false;
@@ -187,12 +221,13 @@ Result<std::vector<CToken>> CLex(std::string_view src, std::string_view filename
     int tok_line = line;
     int col = static_cast<int>(p - line_start) + 1;
     CTok kind;
+    int name = -1;
     if (Is(c, kIdStart)) {
       do {
         p++;
       } while (p < end && Is(*p, kIdChar));
-      kind = IsKeyword(std::string_view(start, static_cast<size_t>(p - start))) ? CTok::kKeyword
-                                                                                : CTok::kIdent;
+      name = KeywordId(std::string_view(start, static_cast<size_t>(p - start)));
+      kind = name >= 0 ? CTok::kKeyword : CTok::kIdent;
     } else if (Is(c, kDigit) || (c == '.' && Is(c1, kDigit))) {
       // Number (ints, floats, hex; exact grammar is irrelevant to browsing).
       do {
@@ -221,10 +256,17 @@ Result<std::vector<CToken>> CLex(std::string_view src, std::string_view filename
       p += PunctLen(c, c1, p + 2 < end ? p[2] : '\0');
       kind = CTok::kPunct;
     }
-    out.push_back({kind, std::string_view(start, static_cast<size_t>(p - start)), file, tok_line,
-                   col});
+    out.push_back({kind, name, std::string_view(start, static_cast<size_t>(p - start)), file,
+                   tok_line, col});
   }
-  out.push_back({CTok::kEof, {}, file, line, static_cast<int>(end - line_start) + 1});
+  out.push_back({CTok::kEof, -1, {}, file, line, static_cast<int>(end - line_start) + 1});
+  if (names != nullptr) {
+    for (CToken& t : out) {
+      if (t.kind == CTok::kIdent) {
+        t.name = names->Id(t.text);
+      }
+    }
+  }
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "src/cc/cpp.h"
 
 #include <algorithm>
-#include <set>
 
 #include "src/base/strings.h"
 
@@ -11,106 +10,157 @@ namespace {
 
 constexpr char kSysInclude[] = "/sys/include";
 
-struct CppState {
-  const Vfs* vfs;
-  std::set<std::string> visited;  // include-once per translation unit
-};
+}  // namespace
 
-NodePtr WalkOrNull(const Vfs& vfs, const std::string& path) {
-  auto n = vfs.Walk(path);
-  return n.ok() ? n.take() : nullptr;
-}
-
-Status Expand(CppState* st, const std::string& path, const NodePtr& node, std::string* out,
-              int depth) {
-  if (depth > 32) {
-    return Status::Error("cpp: include nesting too deep at " + path);
+Result<CSources::File*> CSources::Load(const std::string& path) {
+  if (auto it = by_path_.find(path); it != by_path_.end()) {
+    return it->second;
   }
-  // A regular file's bytes are read in place; anything else (a directory's
+  auto node = vfs_.Walk(path);
+  if (!node.ok()) {
+    return static_cast<File*>(nullptr);
+  }
+  // A regular file's bytes are copied once; anything else (a directory's
   // error, a synthetic file's handler) goes through ReadFile.
-  std::string held;
-  std::string_view data = node->data();
-  if (node->dir() || node->handler() != nullptr) {
-    auto r = st->vfs->ReadFile(path);
+  std::string text;
+  if (node.value()->dir() || node.value()->handler() != nullptr) {
+    auto r = vfs_.ReadFile(path);
     if (!r.ok()) {
       return r.status();
     }
-    held = r.take();
-    data = held;
+    text = r.take();
+  } else {
+    text = node.value()->data();
   }
-  st->visited.insert(path);
-  out->append("#line 1 \"").append(path).append("\"\n");
-  // Lines are copied in runs; only an #include line breaks a run.
-  size_t copied = 0;
-  int lineno = 0;
-  for (size_t pos = 0; pos <= data.size();) {
-    size_t bol = pos;
-    size_t eol = std::min(data.find('\n', pos), data.size());
-    std::string_view line = TrimSpace(data.substr(bol, eol - bol));
-    pos = eol + 1;
-    lineno++;
-    if (!HasPrefix(line, "#include")) {
-      continue;
+  File& f = files_.emplace_back();
+  f.path = path;
+  f.dir = DirPath(path);
+  f.text = std::move(text) + '\n';
+  auto toks = CLex(f.text, f.path, names_, &f.includes);
+  if (!toks.ok()) {
+    files_.pop_back();
+    return toks.status();
+  }
+  f.toks = toks.take();
+  by_path_.emplace(path, &f);
+  return &f;
+}
+
+Result<CSources::File*> CSources::Resolve(const File& from, const CInclude& inc) {
+  key_.assign(1, inc.system ? '<' : '"');
+  if (!inc.system) {
+    key_.append(from.dir).push_back('\0');
+  }
+  key_.append(inc.name);
+  if (auto it = resolved_.find(key_); it != resolved_.end()) {
+    return it->second;
+  }
+  // "name" looks beside the including file first.
+  Result<File*> r = static_cast<File*>(nullptr);
+  if (!inc.system) {
+    r = Load(JoinPath(from.dir, inc.name));
+  }
+  if (r.ok() && r.value() == nullptr) {
+    r = Load(JoinPath(kSysInclude, inc.name));
+  }
+  if (r.ok()) {
+    resolved_.emplace(key_, r.value());
+  }
+  return r;
+}
+
+Status CSources::Expand(File* f, std::vector<CToken>* toks, std::string* text, int depth) {
+  if (depth > 32) {
+    return Status::Error("cpp: include nesting too deep at " + f->path);
+  }
+  f->unit = unit_;
+  if (text != nullptr) {
+    text->append("#line 1 \"").append(f->path).append("\"\n");
+  }
+  size_t tok = 0;
+  size_t byte = 0;
+  for (const CInclude& inc : f->includes) {
+    if (toks != nullptr) {
+      toks->insert(toks->end(), f->toks.begin() + static_cast<ptrdiff_t>(tok),
+                   f->toks.begin() + static_cast<ptrdiff_t>(inc.tok));
     }
-    line = TrimSpace(line.substr(8));
-    char close = line.empty() ? 0 : line[0] == '"' ? '"' : line[0] == '<' ? '>' : 0;
-    if (close == 0) {
-      continue;
+    tok = inc.tok;
+    std::string_view skipped(f->text.data() + byte, inc.begin - byte);
+    byte = inc.end;
+    if (text != nullptr) {
+      text->append(skipped);
     }
-    out->append(data.substr(copied, bol - copied));
-    copied = pos;
-    size_t end = line.find(close, 1);
-    if (end == std::string_view::npos) {
-      return Status::Error(StrFormat("%s:%d: bad #include", path.c_str(), lineno));
+    auto r = Resolve(*f, inc);
+    if (!r.ok()) {
+      return r.status();
     }
-    std::string_view name = line.substr(1, end - 1);
-    // "local" includes look beside the including file, then in /sys/include.
-    std::string resolved;
-    NodePtr inc;
-    if (close == '"') {
-      resolved = JoinPath(DirPath(path), name);
-      inc = WalkOrNull(*st->vfs, resolved);
+    File* g = r.value();
+    if (g == nullptr && !inc.system) {
+      return Status::Error(StrFormat("%.*s:%d: include file %.*s not found",
+                                     static_cast<int>(inc.file.size()), inc.file.data(), inc.line,
+                                     static_cast<int>(inc.name.size()), inc.name.data()));
     }
-    if (inc == nullptr) {
-      resolved = JoinPath(kSysInclude, name);
-      inc = WalkOrNull(*st->vfs, resolved);
-    }
-    if (inc == nullptr) {
-      if (close == '"') {
-        return Status::Error(StrFormat("%s:%d: include file %s not found", path.c_str(),
-                                       lineno, std::string(name).c_str()));
-      }
-      // Unmodelled system header: skip, leaving a breadcrumb comment.
-      out->append("/* cpp: skipped <").append(name).append("> */\n");
-    } else if (st->visited.count(resolved) != 0) {
-      *out += '\n';  // keep line numbers stable for the rest of this file
-    } else {
-      Status s = Expand(st, resolved, inc, out, depth + 1);
-      if (!s.ok()) {
+    bool expand = g != nullptr && g->unit != unit_;
+    if (expand) {
+      if (Status s = Expand(g, toks, text, depth + 1); !s.ok()) {
         return s;
       }
-      out->append("#line ").append(std::to_string(lineno + 1)).append(" \"");
-      out->append(path).append("\"\n");
+    }
+    if (text == nullptr) {
+      continue;
+    }
+    // The directive's lines are replaced: by a breadcrumb for a skipped
+    // system header, by blank lines for a file already included, and after
+    // an expanded file by a marker back into this one.
+    int lines = static_cast<int>(std::count(f->text.begin() + static_cast<ptrdiff_t>(inc.begin),
+                                            f->text.begin() + static_cast<ptrdiff_t>(inc.end),
+                                            '\n'));
+    if (g == nullptr) {
+      text->append("/* cpp: skipped <").append(inc.name).append("> */");
+    }
+    if (expand) {
+      text->append(StrFormat("#line %d \"%.*s\"\n", inc.line + lines,
+                             static_cast<int>(inc.file.size()), inc.file.data()));
+    } else {
+      text->append(static_cast<size_t>(lines), '\n');
     }
   }
-  if (copied <= data.size()) {
-    out->append(data.substr(copied)).push_back('\n');
+  if (toks != nullptr) {
+    toks->insert(toks->end(), f->toks.begin() + static_cast<ptrdiff_t>(tok),
+                 f->toks.end() - (depth == 0 ? 0 : 1));
+  }
+  if (text != nullptr) {
+    text->append(f->text, byte);
   }
   return Status::Ok();
 }
 
-}  // namespace
+Status CSources::Walk(std::string_view path, std::vector<CToken>* toks, std::string* text) {
+  std::string clean = CleanPath(path);
+  auto r = Load(clean);
+  if (!r.ok()) {
+    return r.status();
+  }
+  if (r.value() == nullptr) {
+    return vfs_.Walk(clean).status();
+  }
+  unit_++;
+  return Expand(r.value(), toks, text, 0);
+}
+
+Status CSources::Tokens(std::string_view path, std::vector<CToken>* out) {
+  out->clear();
+  return Walk(path, out, nullptr);
+}
+
+Status CSources::Text(std::string_view path, std::string* out) {
+  out->clear();
+  return Walk(path, nullptr, out);
+}
 
 Result<std::string> Preprocess(const Vfs& vfs, std::string_view path) {
-  CppState st;
-  st.vfs = &vfs;
-  std::string clean = CleanPath(path);
-  auto node = vfs.Walk(clean);
-  if (!node.ok()) {
-    return node.status();
-  }
   std::string out;
-  Status s = Expand(&st, clean, node.value(), &out, 0);
+  Status s = CSources(vfs).Text(path, &out);
   if (!s.ok()) {
     return s;
   }

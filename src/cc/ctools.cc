@@ -4,7 +4,6 @@
 
 #include "src/base/strings.h"
 #include "src/cc/browser.h"
-#include "src/cc/clex.h"
 #include "src/cc/cpp.h"
 
 namespace help {
@@ -149,7 +148,7 @@ int RccCmd(ExecContext& ctx, const std::vector<std::string>& argv, Io& io) {
   return 0;
 }
 
-// vc: "compile" a C file — lex/preprocess it for real (reporting genuine
+// vc: "compile" a C file — read its unit's tokens for real (reporting genuine
 // syntax-level errors) and stamp <stem>.v.
 int VcCmd(ExecContext& ctx, const std::vector<std::string>& argv, Io& io) {
   std::string file;
@@ -162,21 +161,16 @@ int VcCmd(ExecContext& ctx, const std::vector<std::string>& argv, Io& io) {
     *io.err += "usage: vc [-w] file.c\n";
     return 1;
   }
-  std::string full = JoinPath(ctx.cwd, file);
-  auto pp = Preprocess(*ctx.vfs, full);
-  if (!pp.ok()) {
-    *io.err += "vc: " + pp.message() + "\n";
-    return 1;
-  }
-  auto toks = CLex(pp.value(), full);
-  if (!toks.ok()) {
-    *io.err += "vc: " + toks.message() + "\n";
+  CSources sources(*ctx.vfs);
+  std::vector<CToken> toks;
+  if (Status s = sources.Tokens(JoinPath(ctx.cwd, file), &toks); !s.ok()) {
+    *io.err += "vc: " + s.message() + "\n";
     return 1;
   }
   // Balanced-delimiter check: the cheapest real syntax diagnostic.
   int brace = 0;
   int paren = 0;
-  for (const CToken& t : toks.value()) {
+  for (const CToken& t : toks) {
     char c = t.kind == CTok::kPunct && t.text.size() == 1 ? t.text[0] : 0;
     brace += (c == '{') - (c == '}');
     paren += (c == '(') - (c == ')');
@@ -196,7 +190,7 @@ int VcCmd(ExecContext& ctx, const std::vector<std::string>& argv, Io& io) {
   }
   std::string obj = JoinPath(ctx.cwd, stem + ".v");
   Status s = ctx.vfs->WriteFile(obj, StrFormat("object %s ntokens %zu\n", file.c_str(),
-                                               toks.value().size()));
+                                               toks.size()));
   if (!s.ok()) {
     *io.err += "vc: " + s.message() + "\n";
     return 1;

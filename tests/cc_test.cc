@@ -157,6 +157,41 @@ TEST_F(CppTest, NestedIncludes) {
   EXPECT_NE(out.value().find("int outer;"), std::string::npos);
 }
 
+TEST_F(CppTest, IncludeInsideCommentIsNotExpanded) {
+  vfs_.WriteFile("/a.c", "/*\n#include \"gone.h\"\n*/\nint a;\n");
+  auto out = Preprocess(vfs_, "/a.c");
+  ASSERT_TRUE(out.ok()) << out.message();
+  EXPECT_NE(out.value().find("#include \"gone.h\""), std::string::npos);
+  CBrowser b;
+  Status s = b.AddFile(vfs_, "/a.c");
+  ASSERT_TRUE(s.ok()) << s.message();
+  ASSERT_NE(b.FindGlobal("a"), nullptr);
+  EXPECT_EQ(b.FindGlobal("a")->line, 4);
+}
+
+TEST_F(CppTest, BlanksBetweenHashAndInclude) {
+  vfs_.MkdirAll("/src");
+  vfs_.WriteFile("/src/h.h", "int fromh;\n");
+  vfs_.WriteFile("/src/a.c", "# include \"h.h\"\n#\tinclude \"h.h\"\nvoid f(void){ fromh = 1; }\n");
+  auto out = Preprocess(vfs_, "/src/a.c");
+  ASSERT_TRUE(out.ok()) << out.message();
+  EXPECT_NE(out.value().find("int fromh;"), std::string::npos);
+  CBrowser b;
+  ASSERT_TRUE(b.AddFile(vfs_, "/src/a.c").ok());
+  const CSymbol* fromh = b.FindGlobal("fromh");
+  ASSERT_NE(fromh, nullptr);
+  EXPECT_EQ(fromh->kind, CSymKind::kGlobalVar);
+  EXPECT_EQ(fromh->file, "/src/h.h");
+  EXPECT_EQ(fromh->line, 1);
+}
+
+TEST_F(CppTest, UnclosedIncludeNameIsAnError) {
+  vfs_.WriteFile("/a.c", "int a;\n#include \"h.h\n");
+  auto out = Preprocess(vfs_, "/a.c");
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.message(), "/a.c:2: bad #include");
+}
+
 // --- Browser -------------------------------------------------------------------
 
 class BrowserTest : public ::testing::Test {
