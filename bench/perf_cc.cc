@@ -1,7 +1,7 @@
 // P-5: C front-end performance — lexing, preprocessing, the cpp+lex stage
-// of the 13-unit call, whole-corpus browsing (the `uses` query path), and the
+// of the 13-unit call, whole-corpus browsing (the `uses` query path), the
 // two commands the gesture path runs: Figure 10's `help/rcc -u` and the `vc`
-// that Figure 12's mk drives.
+// that Figure 12's mk drives, and the `cpp | help/rcc` pipeline of `decl`.
 //
 // Passing --json (stripped before google-benchmark parses flags) appends one
 // JSON object as the last line of stdout, one entry per run with its real
@@ -135,6 +135,14 @@ void BM_RccUsesCommand(benchmark::State& state) {
              "./dat.h:136\nexec.c:213\nexec.c:252\nhelp.c:35\n");
 }
 BENCHMARK(BM_RccUsesCommand);
+
+// The pipeline of the decl and decl.o scripts for n at exec.c:213: cpp
+// renders the unit as text, which rcc lexes and parses again.
+void BM_RccDeclCommand(benchmark::State& state) {
+  RunCommand(state, "cpp exec.c | help/rcc -w -g -in -n213 -fexec.c | sed 1q",
+             "./dat.h:136 n\n");
+}
+BENCHMARK(BM_RccDeclCommand);
 
 // The compile mk runs for exec.c in Figure 12.
 void BM_VcExecC(benchmark::State& state) { RunCommand(state, "vc -w exec.c", ""); }

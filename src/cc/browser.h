@@ -56,6 +56,11 @@ struct CUse {
 
 class CBrowser {
  public:
+  CBrowser() = default;
+  // Not copyable or movable: sources_ interns into this browser's names_.
+  CBrowser(const CBrowser&) = delete;
+  CBrowser& operator=(const CBrowser&) = delete;
+
   // Parses preprocessed text (with #line markers) as one translation unit.
   // Typedef names are scoped to the unit: it learns them from its own text,
   // that is, from the headers it includes. Symbols and uses accumulate

@@ -19,6 +19,7 @@ enum : uint8_t {
   kIdChar = 1 << 2,   // ASCII letters, digits and _
   kDigit = 1 << 3,    // 0-9
   kNumChar = 1 << 4,  // ASCII letters, digits and . (the body of a number)
+  kMarked = 1 << 5,   // \n / " ' : where a line, comment or literal may start
 };
 
 constexpr auto kClass = [] {
@@ -30,6 +31,9 @@ constexpr auto kClass = [] {
            (alpha || digit || c == '.' ? kNumChar : 0);
   }
   t[' '] = t['\t'] = t['\r'] = t['\n'] = kSpace;
+  for (char c : {'\n', '/', '"', '\''}) {
+    t[static_cast<unsigned char>(c)] |= kMarked;
+  }
   return t;
 }();
 
@@ -108,10 +112,14 @@ int CNames::Find(std::string_view spelling) const {
   return it == ids_.end() ? -1 : it->second;
 }
 
-Result<std::vector<CToken>> CLex(std::string_view src, std::string_view filename, CNames* names,
-                                 std::vector<CInclude>* includes) {
-  std::vector<CToken> out;
-  out.reserve(src.size() / 4 + 16);
+namespace {
+
+// The scanner behind CLex and CLexIncludes. With kTokens it appends the
+// tokens to `*out`; without, it only follows lines, comments, literals and
+// directives, so `out` is unused and every include's `tok` is 0.
+template <bool kTokens>
+Status Scan(std::string_view src, std::string_view filename, std::vector<CToken>* out,
+            std::vector<CInclude>* includes) {
   std::string_view file = filename;
   const char* const base = src.data();
   const char* const end = base + src.size();
@@ -193,7 +201,7 @@ Result<std::vector<CToken>> CLex(std::string_view src, std::string_view filename
               return error("bad #include", line);
             }
             is_include = true;
-            inc = {d.substr(1, n - 1), close == '>', file, line, out.size(),
+            inc = {d.substr(1, n - 1), close == '>', file, line, kTokens ? out->size() : 0,
                    static_cast<size_t>(line_start - base), 0};
           }
         }
@@ -217,6 +225,15 @@ Result<std::vector<CToken>> CLex(std::string_view src, std::string_view filename
       continue;
     }
     bol = false;
+    if constexpr (!kTokens) {
+      // Without tokens, nothing up to the next marked character matters.
+      if (c != '"' && c != '\'') {
+        do {
+          p++;
+        } while (p < end && !Is(*p, kMarked));
+        continue;
+      }
+    }
     const char* start = p;
     int tok_line = line;
     int col = static_cast<int>(p - line_start) + 1;
@@ -256,10 +273,26 @@ Result<std::vector<CToken>> CLex(std::string_view src, std::string_view filename
       p += PunctLen(c, c1, p + 2 < end ? p[2] : '\0');
       kind = CTok::kPunct;
     }
-    out.push_back({kind, name, std::string_view(start, static_cast<size_t>(p - start)), file,
-                   tok_line, col});
+    if constexpr (kTokens) {
+      out->push_back({kind, name, std::string_view(start, static_cast<size_t>(p - start)), file,
+                      tok_line, col});
+    }
   }
-  out.push_back({CTok::kEof, -1, {}, file, line, static_cast<int>(end - line_start) + 1});
+  if constexpr (kTokens) {
+    out->push_back({CTok::kEof, -1, {}, file, line, static_cast<int>(end - line_start) + 1});
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<std::vector<CToken>> CLex(std::string_view src, std::string_view filename, CNames* names,
+                                 std::vector<CInclude>* includes) {
+  std::vector<CToken> out;
+  out.reserve(src.size() / 4 + 16);
+  if (Status s = Scan<true>(src, filename, &out, includes); !s.ok()) {
+    return s;
+  }
   if (names != nullptr) {
     for (CToken& t : out) {
       if (t.kind == CTok::kIdent) {
@@ -268,6 +301,11 @@ Result<std::vector<CToken>> CLex(std::string_view src, std::string_view filename
     }
   }
   return out;
+}
+
+Status CLexIncludes(std::string_view src, std::string_view filename,
+                    std::vector<CInclude>* includes) {
+  return Scan<false>(src, filename, nullptr, includes);
 }
 
 }  // namespace help

@@ -103,6 +103,12 @@ Result<std::vector<CToken>> CLex(std::string_view src, std::string_view filename
                                  CNames* names = nullptr,
                                  std::vector<CInclude>* includes = nullptr);
 
+// Appends the #include directives of `src` to `includes`, with the errors
+// CLex(src, filename, nullptr, includes) would report, but keeps no tokens:
+// each include's `tok` is 0. For callers that render text, such as cpp.
+Status CLexIncludes(std::string_view src, std::string_view filename,
+                    std::vector<CInclude>* includes);
+
 }  // namespace help
 
 #endif  // SRC_CC_CLEX_H_

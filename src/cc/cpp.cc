@@ -36,14 +36,27 @@ Result<CSources::File*> CSources::Load(const std::string& path) {
   f.path = path;
   f.dir = DirPath(path);
   f.text = std::move(text) + '\n';
-  auto toks = CLex(f.text, f.path, names_, &f.includes);
-  if (!toks.ok()) {
-    files_.pop_back();
-    return toks.status();
-  }
-  f.toks = toks.take();
   by_path_.emplace(path, &f);
   return &f;
+}
+
+Status CSources::Scan(File* f, bool tokens) {
+  if (tokens ? f->lexed : f->scanned) {
+    return Status::Ok();
+  }
+  f->includes.clear();
+  if (tokens) {
+    auto toks = CLex(f->text, f->path, names_, &f->includes);
+    if (!toks.ok()) {
+      return toks.status();
+    }
+    f->toks = toks.take();
+    f->lexed = true;
+  } else if (Status s = CLexIncludes(f->text, f->path, &f->includes); !s.ok()) {
+    return s;
+  }
+  f->scanned = true;
+  return Status::Ok();
 }
 
 Result<CSources::File*> CSources::Resolve(const File& from, const CInclude& inc) {
@@ -72,6 +85,9 @@ Result<CSources::File*> CSources::Resolve(const File& from, const CInclude& inc)
 Status CSources::Expand(File* f, std::vector<CToken>* toks, std::string* text, int depth) {
   if (depth > 32) {
     return Status::Error("cpp: include nesting too deep at " + f->path);
+  }
+  if (Status s = Scan(f, toks != nullptr); !s.ok()) {
+    return s;
   }
   f->unit = unit_;
   if (text != nullptr) {

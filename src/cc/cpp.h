@@ -1,6 +1,7 @@
 // The preprocessor's source table. Within one command, each file is walked,
 // read and lexed once: one CLex pass yields its tokens and its #include
-// directives. A translation unit is then the root file's tokens with each
+// directives. A file only ever rendered as text is scanned for its includes
+// and keeps no tokens. A translation unit is then the root file's tokens with each
 // include's tokens spliced in where the directive stood, include-once per
 // unit. #include "file" looks beside the including file, then in
 // /sys/include; #include <file> looks only in /sys/include. Each
@@ -30,6 +31,9 @@ class CSources {
  public:
   // With `names`, identifiers are interned there as each file is lexed.
   explicit CSources(const Vfs& vfs, CNames* names = nullptr) : vfs_(vfs), names_(names) {}
+  // Not copyable or movable: the maps point into files_, and tokens view it.
+  CSources(const CSources&) = delete;
+  CSources& operator=(const CSources&) = delete;
 
   const Vfs& vfs() const { return vfs_; }
 
@@ -48,14 +52,17 @@ class CSources {
     std::string path;  // cleaned
     std::string dir;
     std::string text;  // the file's bytes and one more newline
+    bool scanned = false;  // includes holds its directives
+    bool lexed = false;    // toks holds its tokens, and includes their indexes
     std::vector<CToken> toks;
     std::vector<CInclude> includes;
     int unit = 0;  // the last unit that included it
   };
 
-  // The file at `path`, read and lexed on first use; null if no file is
-  // there.
+  // The file at `path`, read on first use; null if no file is there.
   Result<File*> Load(const std::string& path);
+  // Finds f's includes, and with `tokens` its tokens too, once each.
+  Status Scan(File* f, bool tokens);
   // The file `inc` in `from` names; null if no candidate exists.
   Result<File*> Resolve(const File& from, const CInclude& inc);
   // Appends `f`, its includes expanded, to whichever of `toks` and `text`
