@@ -180,51 +180,61 @@ TEST_F(ShellVmTest, FunctionDefinedByTreeWalkerRunsOnVm) {
 }
 
 TEST_F(ShellVmTest, EvaluatorsAgreeOnCoreScripts) {
-  const char* kScripts[] = {
-      "echo a b; echo c",
-      "x=1 y=2 echo $x$y; echo $x",
-      "x=(p q r); echo $#x $x(2)",  // may be a parse error — must match
-      "if(~ a a){echo yes} if not {echo no}",
-      "for(i in 1 2 3){echo n$i} | wc",
-      "w=go; while(! ~ $w done){echo tick; w=done}",
-      "switch(b){case a\necho first\ncase b\necho second}",
-      "fn f { echo f$1 }; f x; f y",
-      "echo `{echo nested `{echo deep}}",
-      "cat < /bin/true | wc > /count; cat /count",
-      "echo one > /f; echo two >> /f; cat /f",
-      "echo $status; false; echo $status; true; echo $status",
-      "ls /bin | grep true",
-      "echo a'b c'd",
-      "missingcmd; echo $status",
-      "eval 'echo evaluated'",
-      "exit 3; echo unreachable",
+  // Each script's full result in a fresh world, frozen: ok, error message,
+  // status, stdout and stderr.
+  struct Case {
+    const char* src;
+    const char* want;
   };
-  for (const char* src : kScripts) {
-    struct World {
-      Vfs vfs;
-      CommandRegistry registry;
-      ProcTable procs;
-      Env env;
-      std::string out, err;
-    };
-    std::string results[2];
-    for (int mode = 0; mode < 2; mode++) {
-      Shell::SetVmEnabled(mode == 0);
+  const Case kCases[] = {
+      {"echo a b; echo c", "ok=1 msg= status=0\nout:a b\nc\n\nerr:"},
+      {"x=1 y=2 echo $x$y; echo $x", "ok=1 msg= status=0\nout:12\n\n\nerr:"},
+      {"x=(p q r); echo $#x $x(2)", "ok=0 msg=rc: unexpected '(' status=-1\nout:\nerr:"},
+      {"if(~ a a){echo yes} if not {echo no}", "ok=1 msg= status=0\nout:yes\n\nerr:"},
+      {"for(i in 1 2 3){echo n$i} | wc",
+       "ok=1 msg= status=0\nout:      1       1       3\n      1       1       3\n"
+       "      1       1       3\n\nerr:"},
+      {"w=go; while(! ~ $w done){echo tick; w=done}", "ok=1 msg= status=0\nout:tick\n\nerr:"},
+      {"switch(b){case a\necho first\ncase b\necho second}",
+       "ok=1 msg= status=0\nout:second\n\nerr:"},
+      {"fn f { echo f$1 }; f x; f y", "ok=1 msg= status=0\nout:fx\nfy\n\nerr:"},
+      {"echo `{echo nested `{echo deep}}", "ok=1 msg= status=0\nout:nested deep\n\nerr:"},
+      {"cat < /bin/true | wc > /count; cat /count",
+       "ok=1 msg= status=0\nout:      1       2      19\n\nerr:"},
+      {"echo one > /f; echo two >> /f; cat /f", "ok=1 msg= status=0\nout:one\ntwo\n\nerr:"},
+      {"echo $status; false; echo $status; true; echo $status",
+       "ok=1 msg= status=0\nout:\n1\n0\n\nerr:"},
+      {"ls /bin | grep true", "ok=1 msg= status=0\nout:/bin/true\n\nerr:"},
+      {"echo a'b c'd", "ok=1 msg= status=0\nout:ab cd\n\nerr:"},
+      {"missingcmd; echo $status",
+       "ok=1 msg= status=0\nout:127\n\nerr:missingcmd: file does not exist\n"},
+      {"eval 'echo evaluated'", "ok=1 msg= status=0\nout:evaluated\n\nerr:"},
+      {"exit 3; echo unreachable", "ok=1 msg= status=3\nout:\nerr:"},
+  };
+  for (int mode = 0; mode < 2; mode++) {
+    Shell::SetVmEnabled(mode == 0);
+    for (const Case& c : kCases) {
+      struct World {
+        Vfs vfs;
+        CommandRegistry registry;
+        ProcTable procs;
+        Env env;
+        std::string out, err;
+      };
       World w;
       RegisterCoreutils(&w.vfs, &w.registry);
       Shell sh(&w.vfs, &w.registry, &w.procs);
       Io io;
       io.out = &w.out;
       io.err = &w.err;
-      auto r = sh.Run(src, &w.env, "/", {}, io);
-      results[mode] = "ok=" + std::string(r.ok() ? "1" : "0") +
-                      " msg=" + r.message() +
-                      " status=" + std::to_string(r.ok() ? r.value() : -1) +
-                      "\nout:" + w.out + "\nerr:" + w.err;
+      auto r = sh.Run(c.src, &w.env, "/", {}, io);
+      std::string got = "ok=" + std::string(r.ok() ? "1" : "0") + " msg=" + r.message() +
+                        " status=" + std::to_string(r.ok() ? r.value() : -1) +
+                        "\nout:" + w.out + "\nerr:" + w.err;
+      EXPECT_EQ(got, c.want) << "mode " << mode << " running: " << c.src;
     }
-    EXPECT_EQ(results[0], results[1]) << "diverged on: " << src;
-    Shell::SetVmEnabled(true);
   }
+  Shell::SetVmEnabled(true);
 }
 
 TEST_F(ShellVmTest, MkRecipesRouteThroughCompileCache) {
