@@ -283,8 +283,10 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
     return 1;
   }
+  // The line-collecting reporter only for --json; otherwise the default one,
+  // which honours --benchmark_format.
   help::JsonLineReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::RunSpecifiedBenchmarks(json ? &reporter : nullptr);
   if (json) {
     std::string runs;
     for (const auto& e : reporter.entries()) {

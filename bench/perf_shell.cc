@@ -1,15 +1,13 @@
-// P-4: shell performance — parse, compile, and the bytecode VM against the
-// tree-walking evaluator it replaced.
+// P-4: shell performance — the parse stage, the script cache, and whole
+// runs of the evaluator over cached parse trees.
 //
-// The *Vm benches run the production path: scripts resolve through the
-// process-wide compiled-script cache and execute as bytecode. The paired
-// *TreeWalk benches flip Shell::SetVmEnabled(false), reproducing the
-// pre-VM behavior — every run re-reads, re-parses, and re-walks the AST.
+// The run benches take the production path: scripts resolve through the
+// process-wide script cache, so after the first iteration each run walks a
+// cached tree (a `decl` run invoked by path does not even read its file).
 //
 // Passing --json (stripped before google-benchmark parses flags) appends one
-// JSON object as the last line of stdout, including a `speedups` map computed
-// from each Vm/TreeWalk pair — the CI bench-smoke artifact consumes it, and
-// the ≥3x cached-script acceptance gate reads `speedups.decl`.
+// JSON object as the last line of stdout; the CI bench-smoke artifact
+// consumes it.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -18,7 +16,6 @@
 #include <vector>
 
 #include "src/base/strings.h"
-#include "src/shell/compile.h"
 #include "src/shell/coreutils.h"
 #include "src/shell/mk.h"
 #include "src/shell/scriptcache.h"
@@ -28,8 +25,8 @@ namespace help {
 namespace {
 
 // A decl-shaped tool script: positional args, flag accumulation, matches,
-// list assignments. Deliberately long — the tree-walker pays the whole
-// re-read + re-parse on every invocation, the VM a signature check.
+// list assignments. Deliberately long, so that a run which re-read and
+// re-parsed it would show.
 std::string DeclScript() {
   std::string s = "file=$1\nflags=(-w -g)\n";
   // Dispatch on file type, decl-style: one arm per suffix the tool knows,
@@ -85,62 +82,38 @@ void RunSrc(World& w, const char* src) {
   benchmark::DoNotOptimize(w.shell.Run(src, &env, "/", {}, io));
 }
 
-// Each pair shares one World across iterations: the VM side exercises a warm
-// compile cache (the steady state of a repeatedly-plumbed tool), the
-// tree-walk side the old always-reparse behavior on identical state.
-void RunPair(benchmark::State& state, const char* src, bool vm) {
+// Each bench shares one World across iterations: a warm script cache, the
+// steady state of a repeatedly plumbed tool.
+void RunBench(benchmark::State& state, const char* src) {
   World w;
   ShellScriptCache::Global().Clear();
-  Shell::SetVmEnabled(vm);
   for (auto _ : state) {
     RunSrc(w, src);
   }
-  Shell::SetVmEnabled(true);
   state.SetItemsProcessed(state.iterations());
 }
 
 // decl: a 50-line tool script invoked by path, the paper's central workload —
 // every Open/plumb of a C file runs one of these.
-void BM_ShellDeclVm(benchmark::State& state) {
-  RunPair(state, "decl /src/f3.c", true);
-}
-BENCHMARK(BM_ShellDeclVm);
-void BM_ShellDeclTreeWalk(benchmark::State& state) {
-  RunPair(state, "decl /src/f3.c", false);
-}
-BENCHMARK(BM_ShellDeclTreeWalk);
+void BM_ShellDecl(benchmark::State& state) { RunBench(state, "decl /src/f3.c"); }
+BENCHMARK(BM_ShellDecl);
 
 // mk: four always-stale phony targets; each recipe line routes through
-// Shell::Run and hence (on the VM side) the source-keyed cache layer.
-void BM_ShellMkVm(benchmark::State& state) { RunPair(state, "mk all", true); }
-BENCHMARK(BM_ShellMkVm);
-void BM_ShellMkTreeWalk(benchmark::State& state) {
-  RunPair(state, "mk all", false);
-}
-BENCHMARK(BM_ShellMkTreeWalk);
+// Shell::Run and hence the source-keyed cache layer.
+void BM_ShellMk(benchmark::State& state) { RunBench(state, "mk all"); }
+BENCHMARK(BM_ShellMk);
 
-// pipeline: dominated by the coreutils themselves — the honest case where
-// the VM can only win back parse time.
-constexpr const char* kPipeline = "cat /lines | grep 7 | sort | sed 3q";
-void BM_ShellPipelineVm(benchmark::State& state) {
-  RunPair(state, kPipeline, true);
+// pipeline: dominated by the coreutils themselves.
+void BM_ShellPipeline(benchmark::State& state) {
+  RunBench(state, "cat /lines | grep 7 | sort | sed 3q");
 }
-BENCHMARK(BM_ShellPipelineVm);
-void BM_ShellPipelineTreeWalk(benchmark::State& state) {
-  RunPair(state, kPipeline, false);
-}
-BENCHMARK(BM_ShellPipelineTreeWalk);
+BENCHMARK(BM_ShellPipeline);
 
 // glob: a for loop over 40 expanded paths.
-constexpr const char* kGlobFor = "for(f in /src/*.c){echo $f}";
-void BM_ShellGlobForVm(benchmark::State& state) {
-  RunPair(state, kGlobFor, true);
+void BM_ShellGlobFor(benchmark::State& state) {
+  RunBench(state, "for(f in /src/*.c){echo $f}");
 }
-BENCHMARK(BM_ShellGlobForVm);
-void BM_ShellGlobForTreeWalk(benchmark::State& state) {
-  RunPair(state, kGlobFor, false);
-}
-BENCHMARK(BM_ShellGlobForTreeWalk);
+BENCHMARK(BM_ShellGlobFor);
 
 // --- pipeline stages in isolation ------------------------------------------
 
@@ -151,15 +124,6 @@ void BM_ShellParseDeclScript(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShellParseDeclScript);
-
-void BM_ShellCompileDeclScript(benchmark::State& state) {
-  std::string decl = DeclScript();
-  auto ast = ParseShell(decl);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CompileShell(*ast.value()));
-  }
-}
-BENCHMARK(BM_ShellCompileDeclScript);
 
 void BM_ShellCacheHit(benchmark::State& state) {
   std::string decl = DeclScript();
@@ -214,16 +178,6 @@ class JsonLineReporter : public benchmark::ConsoleReporter {
   std::vector<Entry> entries_;
 };
 
-double TimeOf(const std::vector<JsonLineReporter::Entry>& entries,
-              const char* name) {
-  for (const auto& e : entries) {
-    if (e.name == name) {
-      return e.real_time;
-    }
-  }
-  return 0.0;
-}
-
 }  // namespace
 }  // namespace help
 
@@ -243,8 +197,10 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
     return 1;
   }
+  // The line-collecting reporter only for --json; otherwise the default one,
+  // which honours --benchmark_format.
   help::JsonLineReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::RunSpecifiedBenchmarks(json ? &reporter : nullptr);
   if (json) {
     std::string runs;
     for (const auto& e : reporter.entries()) {
@@ -255,30 +211,7 @@ int main(int argc, char** argv) {
           "{\"name\":\"%s\",\"real_time\":%.1f,\"items_per_second\":%.1f}",
           e.name.c_str(), e.real_time, e.items_per_second);
     }
-    // VM-vs-tree-walk speedups for whichever pairs ran (0 when a side was
-    // filtered out).
-    struct Pair {
-      const char* key;
-      const char* vm;
-      const char* treewalk;
-    };
-    const Pair kPairs[] = {
-        {"decl", "BM_ShellDeclVm", "BM_ShellDeclTreeWalk"},
-        {"mk", "BM_ShellMkVm", "BM_ShellMkTreeWalk"},
-        {"pipeline", "BM_ShellPipelineVm", "BM_ShellPipelineTreeWalk"},
-        {"glob", "BM_ShellGlobForVm", "BM_ShellGlobForTreeWalk"},
-    };
-    std::string speedups;
-    for (const Pair& p : kPairs) {
-      double v = help::TimeOf(reporter.entries(), p.vm);
-      double t = help::TimeOf(reporter.entries(), p.treewalk);
-      if (!speedups.empty()) {
-        speedups += ",";
-      }
-      speedups += help::StrFormat("\"%s\":%.1f", p.key, v > 0.0 ? t / v : 0.0);
-    }
-    std::printf("{\"bench\":\"perf_shell\",\"runs\":[%s],\"speedups\":{%s}}\n",
-                runs.c_str(), speedups.c_str());
+    std::printf("{\"bench\":\"perf_shell\",\"runs\":[%s]}\n", runs.c_str());
   }
   benchmark::Shutdown();
   return 0;

@@ -1,16 +1,13 @@
 // Shell evaluator: word expansion, pipelines, redirection, builtins, and
-// external dispatch (native commands or nested shell scripts). The
-// tree-walking Evaluator below is the original engine and the semantic
-// oracle; Shell::Run/RunArgv normally route through the bytecode VM
-// (src/shell/vm.h) fed by the compiled-script cache, falling back here when
-// SetVmEnabled(false).
+// external dispatch (native commands or nested shell scripts). Every entry
+// point — Shell::Run, a script file run by RunArgv, the eval builtin — takes
+// its parse tree from the script cache (src/shell/scriptcache.h) and walks it.
 #include <algorithm>
-#include <atomic>
 
 #include "src/base/strings.h"
+#include "src/shell/lex.h"
 #include "src/shell/scriptcache.h"
 #include "src/shell/shell.h"
-#include "src/shell/vm.h"
 
 namespace help {
 
@@ -18,12 +15,6 @@ namespace {
 
 constexpr int kMaxDepth = 32;
 constexpr int kNotFound = 127;
-
-std::atomic<bool> g_vm_enabled{true};
-
-bool HasGlobChars(std::string_view s) {
-  return s.find_first_of("*?[") != std::string_view::npos;
-}
 
 }  // namespace
 
@@ -102,7 +93,7 @@ std::vector<std::string> GlobExpand(const Vfs& vfs, std::string_view cwd,
   std::vector<std::string> current = {"/"};
   for (const std::string& elem : elems) {
     std::vector<std::string> next;
-    if (!HasGlobChars(elem)) {
+    if (!ShellHasGlobChars(elem)) {
       for (const std::string& dir : current) {
         std::string candidate = JoinPath(dir, elem);
         if (vfs.Walk(candidate).ok()) {
@@ -305,7 +296,7 @@ class Evaluator {
               return f.kind == WordFrag::Kind::kQuoted;
             });
             for (std::string& field : v.value()) {
-              if (!quoted && HasGlobChars(field)) {
+              if (!quoted && ShellHasGlobChars(field)) {
                 for (std::string& m : GlobExpand(*shell_->vfs(), cwd_, field)) {
                   values.push_back(std::move(m));
                 }
@@ -397,7 +388,7 @@ class Evaluator {
         return f.kind == WordFrag::Kind::kQuoted;
       });
       for (std::string& field : fields.value()) {
-        if (!quoted && HasGlobChars(field)) {
+        if (!quoted && ShellHasGlobChars(field)) {
           for (std::string& m : GlobExpand(*shell_->vfs(), cwd_, field)) {
             argv.push_back(std::move(m));
           }
@@ -511,12 +502,13 @@ class Evaluator {
         }
         src += argv[i];
       }
-      auto parsed = ParseShell(src);
-      if (!parsed.ok()) {
-        *io.err += parsed.message() + "\n";
+      // `eval `{help/parse -c}` runs the same text on every browse.
+      auto script = ShellScriptCache::Global().Get(src);
+      if (!script.ok()) {
+        *io.err += script.message() + "\n";
         return 1;
       }
-      return RunScript(*parsed.value(), io);
+      return RunScript(*script.value(), io);
     }
     if (name == "exit") {
       exited_ = true;
@@ -611,41 +603,29 @@ class Evaluator {
   bool last_if_taken_ = false;
 };
 
+// Binds the positional parameters ($*, $1..$9) in `env` and walks `script`.
+Result<int> RunParsed(Shell* shell, const ShellScript& script, Env* env, std::string cwd,
+                      const std::vector<std::string>& args, Io& io, int depth) {
+  env->Set("*", args);
+  for (size_t i = 0; i < args.size() && i < 9; i++) {
+    env->SetString(StrFormat("%zu", i + 1), args[i]);
+  }
+  Evaluator ev(shell, env, std::move(cwd), depth);
+  return ev.RunScript(script, io);
+}
+
 }  // namespace
-
-void Shell::SetVmEnabled(bool on) { g_vm_enabled.store(on, std::memory_order_relaxed); }
-
-bool Shell::VmEnabled() { return g_vm_enabled.load(std::memory_order_relaxed); }
 
 Result<int> Shell::Run(std::string_view src, Env* env, std::string cwd,
                        const std::vector<std::string>& args, Io& io, int depth) {
   if (depth > kMaxDepth) {
     return Status::Error("rc: script recursion too deep");
   }
-  if (VmEnabled()) {
-    auto compiled = ShellScriptCache::Global().Get(src);
-    if (!compiled.ok()) {
-      return compiled.status();
-    }
-    env->Set("*", args);
-    for (size_t i = 0; i < args.size() && i < 9; i++) {
-      env->SetString(StrFormat("%zu", i + 1), args[i]);
-    }
-    std::shared_ptr<const Program> prog = compiled.take();
-    Vm vm(this, env, std::move(cwd), depth);
-    return vm.Run(*prog, io);
+  auto script = ShellScriptCache::Global().Get(src);
+  if (!script.ok()) {
+    return script.status();
   }
-  auto parsed = ParseShell(src);
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  // Positional parameters.
-  env->Set("*", args);
-  for (size_t i = 0; i < args.size() && i < 9; i++) {
-    env->SetString(StrFormat("%zu", i + 1), args[i]);
-  }
-  Evaluator ev(this, env, std::move(cwd), depth);
-  return ev.RunScript(*parsed.value(), io);
+  return RunParsed(this, *script.value(), env, std::move(cwd), args, io, depth);
 }
 
 std::string Shell::ResolveCommand(std::string_view name, std::string_view cwd) const {
@@ -682,43 +662,20 @@ int Shell::RunArgv(ExecContext& ctx, const std::vector<std::string>& argv, Io& i
     return (*native)(ctx, resolved, io);
   }
   // Shell script: run its file contents with $1.. bound to the arguments.
-  if (VmEnabled()) {
-    if (ctx.depth + 1 > kMaxDepth) {
-      // Keep the tree-walker's error ordering: an unreadable script reports
-      // its read error even past the recursion limit.
-      auto src = vfs_->ReadFile(path);
-      *io.err += (src.ok() ? "rc: script recursion too deep" : src.message()) + "\n";
-      return 1;
-    }
-    // The file-keyed cache lets a repeated tool run skip the read and parse.
-    auto compiled = ShellScriptCache::Global().GetFile(*vfs_, path);
-    if (!compiled.ok()) {
-      *io.err += compiled.message() + "\n";
-      return 1;
-    }
-    Env child = ctx.env != nullptr ? ctx.env->Clone() : Env();
-    std::vector<std::string> args(argv.begin() + 1, argv.end());
-    child.Set("*", args);
-    for (size_t i = 0; i < args.size() && i < 9; i++) {
-      child.SetString(StrFormat("%zu", i + 1), args[i]);
-    }
-    std::shared_ptr<const Program> prog = compiled.take();
-    Vm vm(this, &child, ctx.cwd, ctx.depth + 1);
-    auto r = vm.Run(*prog, io);
-    if (!r.ok()) {
-      *io.err += r.message() + "\n";
-      return 1;
-    }
-    return r.value();
+  // The file-keyed cache lets a repeated tool run skip the read and parse;
+  // a read or parse error is reported before the recursion limit.
+  auto script = ShellScriptCache::Global().GetFile(*vfs_, path);
+  if (!script.ok()) {
+    *io.err += script.message() + "\n";
+    return 1;
   }
-  auto src = vfs_->ReadFile(path);
-  if (!src.ok()) {
-    *io.err += src.message() + "\n";
+  if (ctx.depth + 1 > kMaxDepth) {
+    *io.err += "rc: script recursion too deep\n";
     return 1;
   }
   Env child = ctx.env != nullptr ? ctx.env->Clone() : Env();
   std::vector<std::string> args(argv.begin() + 1, argv.end());
-  auto r = Run(src.value(), &child, ctx.cwd, args, io, ctx.depth + 1);
+  auto r = RunParsed(this, *script.value(), &child, ctx.cwd, args, io, ctx.depth + 1);
   if (!r.ok()) {
     *io.err += r.message() + "\n";
     return 1;

@@ -45,8 +45,8 @@ class ShellLang {
 
 inline bool ShellIs(char c, uint16_t mask) { return ShellLang::Get().Is(c, mask); }
 
-// Does `s` contain any glob metacharacter (*, ?, [)? Shared by the word
-// expanders in both evaluators.
+// Does `s` contain any glob metacharacter (*, ?, [)? The evaluator globs
+// only words that do.
 bool ShellHasGlobChars(std::string_view s);
 
 }  // namespace help

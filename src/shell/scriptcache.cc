@@ -10,32 +10,32 @@ ShellScriptCache& ShellScriptCache::Global() {
   return *cache;
 }
 
-std::shared_ptr<const Program> ShellScriptCache::Lookup(std::string_view key,
-                                                        const FileSig* want) {
+std::shared_ptr<const ShellScript> ShellScriptCache::Lookup(std::string_view key,
+                                                            const FileSig* want) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
     return nullptr;
   }
   if (want != nullptr && !(it->second->sig == *want)) {
-    // The file changed since this entry was recorded; drop it. The compile
+    // The file changed since this entry was recorded; drop it. The parse
     // may still be rescued by the source layer if the contents round-tripped.
     lru_.erase(it->second);
     index_.erase(it);
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // bump to MRU
-  return it->second->program;
+  return it->second->script;
 }
 
 void ShellScriptCache::Insert(std::string key, const FileSig* sig,
-                              std::shared_ptr<const Program> program) {
+                              std::shared_ptr<const ShellScript> script) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
     // A racer beat us to it (or a file entry is being refreshed): update in
     // place and bump.
-    it->second->program = std::move(program);
+    it->second->script = std::move(script);
     if (sig != nullptr) {
       it->second->sig = *sig;
     }
@@ -43,7 +43,7 @@ void ShellScriptCache::Insert(std::string key, const FileSig* sig,
     return;
   }
   lru_.push_front(Entry{std::move(key), sig != nullptr ? *sig : FileSig(),
-                        std::move(program)});
+                        std::move(script)});
   index_[lru_.front().key] = lru_.begin();
   while (lru_.size() > kCapacity) {
     index_.erase(lru_.back().key);
@@ -51,25 +51,26 @@ void ShellScriptCache::Insert(std::string key, const FileSig* sig,
   }
 }
 
-Result<std::shared_ptr<const Program>> ShellScriptCache::Get(std::string_view src) {
+Result<std::shared_ptr<const ShellScript>> ShellScriptCache::Get(std::string_view src) {
   std::string key = "s:" + std::string(src);
   if (auto p = Lookup(key, nullptr)) {
     OBS_COUNT("shell.compile_cache_hit", 1);
     return p;
   }
-  // Compile outside the lock: parsing + lowering is the expensive part, and
-  // two threads racing on the same script just compile it twice.
-  auto prog = CompileShellSource(src);
-  if (!prog.ok()) {
-    return prog.status();  // errors are never cached
+  // Parse outside the lock: two threads racing on the same script just
+  // parse it twice.
+  auto parsed = ParseShell(src);
+  if (!parsed.ok()) {
+    return parsed.status();  // errors are never cached
   }
   OBS_COUNT("shell.compile_cache_miss", 1);
-  Insert(std::move(key), nullptr, prog.value());
-  return prog;
+  std::shared_ptr<const ShellScript> script = parsed.take();
+  Insert(std::move(key), nullptr, script);
+  return script;
 }
 
-Result<std::shared_ptr<const Program>> ShellScriptCache::GetFile(Vfs& vfs,
-                                                                 std::string_view path) {
+Result<std::shared_ptr<const ShellScript>> ShellScriptCache::GetFile(Vfs& vfs,
+                                                                     std::string_view path) {
   std::string fkey;
   FileSig sig;
   auto st = vfs.Stat(path);
@@ -87,11 +88,11 @@ Result<std::shared_ptr<const Program>> ShellScriptCache::GetFile(Vfs& vfs,
   if (!data.ok()) {
     return data.status();
   }
-  auto prog = Get(data.value());
-  if (prog.ok() && !fkey.empty()) {
-    Insert(std::move(fkey), &sig, prog.value());
+  auto script = Get(data.value());
+  if (script.ok() && !fkey.empty()) {
+    Insert(std::move(fkey), &sig, script.value());
   }
-  return prog;
+  return script;
 }
 
 void ShellScriptCache::Clear() {

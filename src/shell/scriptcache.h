@@ -1,8 +1,7 @@
-// A process-wide LRU cache of compiled shell scripts, the analogue of the
+// A process-wide LRU cache of parsed shell scripts, the analogue of the
 // RegexpCache for rc programs. Everything the system executes — `decl`-style
-// tool scripts, `mk` recipe lines, ctl commands — used to be re-parsed and
-// re-walked on every run; with the cache, a script parses and compiles once
-// per edit and thereafter replays as bytecode.
+// tool scripts, `mk` recipe lines, ctl commands, eval'd text — parses once
+// per edit, and the evaluator walks the cached tree on every later run.
 //
 // Two keying layers share one LRU:
 //   - source-keyed: the script text itself (content-addressed, always safe);
@@ -11,9 +10,9 @@
 //     `help/decl` or `mk` run skip even the ReadFile. A signature mismatch
 //     falls through to the source layer, so an edit that restores previous
 //     contents still hits.
-// Compilation runs outside the lock (two racers just compile twice), and
-// errors are never cached. Hits/misses surface as
-// shell.compile_cache_{hit,miss} in /mnt/help/metrics.
+// Parsing runs outside the lock (two racers just parse twice), and errors
+// are never cached. Hits/misses surface as shell.compile_cache_{hit,miss}
+// in /mnt/help/metrics.
 #ifndef SRC_SHELL_SCRIPTCACHE_H_
 #define SRC_SHELL_SCRIPTCACHE_H_
 
@@ -26,7 +25,7 @@
 
 #include "src/base/status.h"
 #include "src/fs/vfs.h"
-#include "src/shell/compile.h"
+#include "src/shell/shell.h"
 
 namespace help {
 
@@ -36,13 +35,13 @@ class ShellScriptCache {
 
   static ShellScriptCache& Global();
 
-  // Compiled program for `src`, compiling and caching on a miss.
-  Result<std::shared_ptr<const Program>> Get(std::string_view src);
+  // Parse tree of `src`, parsing and caching on a miss.
+  Result<std::shared_ptr<const ShellScript>> Get(std::string_view src);
 
-  // Compiled program for the script file at `path` in `vfs`. On a signature
-  // hit the file is not even read; otherwise behaves like ReadFile + Get and
-  // records the file's signature for next time.
-  Result<std::shared_ptr<const Program>> GetFile(Vfs& vfs, std::string_view path);
+  // Parse tree of the script file at `path` in `vfs`. On a signature hit the
+  // file is not even read; otherwise behaves like ReadFile + Get and records
+  // the file's signature for next time.
+  Result<std::shared_ptr<const ShellScript>> GetFile(Vfs& vfs, std::string_view path);
 
   void Clear();
   size_t size() const;
@@ -61,11 +60,11 @@ class ShellScriptCache {
   struct Entry {
     std::string key;
     FileSig sig;  // file-keyed entries only
-    std::shared_ptr<const Program> program;
+    std::shared_ptr<const ShellScript> script;
   };
 
-  std::shared_ptr<const Program> Lookup(std::string_view key, const FileSig* want);
-  void Insert(std::string key, const FileSig* sig, std::shared_ptr<const Program> program);
+  std::shared_ptr<const ShellScript> Lookup(std::string_view key, const FileSig* want);
+  void Insert(std::string key, const FileSig* sig, std::shared_ptr<const ShellScript> script);
 
   // MRU at the front; the map holds list iterators, both only touched under
   // mu_ (shell runs arrive from the UI thread and from 9P ctl dispatch).

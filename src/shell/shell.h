@@ -176,13 +176,6 @@ class Shell {
   CommandRegistry* registry() { return registry_; }
   ProcTable* procs() { return procs_; }
 
-  // Process-wide A/B toggle between the bytecode VM (the default) and the
-  // original tree-walking evaluator. The tree-walker is kept as the oracle
-  // for differential testing (tests/shell_property_test.cc) and as an escape
-  // hatch; both produce bit-identical observable behavior.
-  static void SetVmEnabled(bool on);
-  static bool VmEnabled();
-
  private:
   Vfs* vfs_;
   CommandRegistry* registry_;

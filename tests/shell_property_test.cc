@@ -92,7 +92,7 @@ std::string GenRedir(Rng& rng) {
     case 2:
       return " < /data/f" + std::to_string(Pick(rng, 3));
     default:
-      return " < /data/missing";  // error path: must fail identically
+      return " < /data/missing";  // error path
   }
 }
 
@@ -172,7 +172,7 @@ std::string GenStatement(Rng& rng, int depth) {
       return "for(" + std::string(PickOf(rng, kVars)) + " in " + GenWords(rng, 0, 3) +
              "){" + GenScript(rng, depth - 1) + "}";
     case 2:
-      // A latch loop: always terminates, under either engine, in one pass.
+      // A latch loop: always terminates, in one pass.
       return "s=go; while(! ~ $s done){" + GenScript(rng, depth - 1) + "; s=done}";
     case 3: {
       std::string s = "switch(" + GenWord(rng, 0) + "){";
@@ -185,7 +185,7 @@ std::string GenStatement(Rng& rng, int depth) {
     case 4:
       // Function names carry the nesting depth, so a body (generated one
       // level down) can only define and call strictly smaller names —
-      // unbounded fn recursion would overflow both engines' native stacks.
+      // unbounded fn recursion would overflow the evaluator's native stack.
       return "fn f" + std::to_string(depth) + " {" + GenScript(rng, depth - 1) +
              "}\nf" + std::to_string(depth) + " " + GenWords(rng, 0, 2);
     case 5:
@@ -225,8 +225,8 @@ void SetupWorld(World& w) {
   ASSERT_TRUE(w.vfs.WriteFile("/data/f0", "alpha\nbeta\ngamma\n").ok());
   ASSERT_TRUE(w.vfs.WriteFile("/data/f1", "one two\nthree\n").ok());
   ASSERT_TRUE(w.vfs.WriteFile("/data/f2", "x\ny\nz\nx\n").ok());
-  // Script files so external dispatch (and the VM's file-keyed cache path)
-  // gets exercised.
+  // Script files so external dispatch (and the file-keyed cache path) gets
+  // exercised.
   ASSERT_TRUE(w.vfs.WriteFile("/bin/tool0", "echo tool0 ran $1\n").ok());
   ASSERT_TRUE(w.vfs.WriteFile("/bin/tool1", "cat\n").ok());
   ASSERT_TRUE(w.vfs.WriteFile("/bin/tool2", "grep a\necho t2 $status\n").ok());
@@ -246,8 +246,7 @@ void DumpTree(const Node& n, const std::string& path, std::string* out) {
   }
 }
 
-std::string RunOneWorld(const std::string& src, bool vm) {
-  Shell::SetVmEnabled(vm);
+std::string RunOneWorld(const std::string& src) {
   World w;
   SetupWorld(w);
   if (::testing::Test::HasFatalFailure()) {
@@ -329,46 +328,41 @@ std::string ScriptFor(uint32_t seed) {
   return GenScript(rng, 2);
 }
 
-uint64_t BlockDigest(uint32_t block, bool vm) {
+uint64_t BlockDigest(uint32_t block) {
   uint64_t h = Fnv("");
   for (uint32_t seed = block * kBlock; seed < (block + 1) * kBlock; seed++) {
-    h = Fnv(RunOneWorld(ScriptFor(seed), vm), h);
+    h = Fnv(RunOneWorld(ScriptFor(seed)), h);
   }
   return h;
 }
 
-std::string Table(bool vm) {
+std::string Table() {
   std::string table;
   for (uint32_t b = 0; b < kSeeds / kBlock; b++) {
     table += StrFormat("%s0x%016llxull,%s", b % 4 == 0 ? "    " : " ",
-                       static_cast<unsigned long long>(BlockDigest(b, vm)),
+                       static_cast<unsigned long long>(BlockDigest(b)),
                        b % 4 == 3 ? "\n" : "");
   }
   return table;
 }
 
 void CheckBlocks(uint32_t first_block, uint32_t blocks) {
-  for (bool vm : {true, false}) {
-    for (uint32_t b = first_block; b < first_block + blocks; b++) {
-      uint64_t got = BlockDigest(b, vm);
-      if (got == kGolden[b]) {
-        continue;
-      }
-      std::string detail;
-      for (uint32_t seed = b * kBlock; seed < (b + 1) * kBlock; seed++) {
-        std::string src = ScriptFor(seed);
-        detail += StrFormat("--- seed %u script:\n", seed) + src + "\n--- report:\n" +
-                  RunOneWorld(src, vm);
-      }
-      Shell::SetVmEnabled(true);
-      FAIL() << (vm ? "vm" : "tree-walker") << ": block " << b << " (seeds " << b * kBlock
-             << ".." << (b + 1) * kBlock - 1 << ") digest "
-             << StrFormat("0x%016llx", static_cast<unsigned long long>(got)) << " want "
-             << StrFormat("0x%016llx", static_cast<unsigned long long>(kGolden[b]))
-             << "\ncurrent table:\n" << Table(vm) << "first failing block:\n" << detail;
+  for (uint32_t b = first_block; b < first_block + blocks; b++) {
+    uint64_t got = BlockDigest(b);
+    if (got == kGolden[b]) {
+      continue;
     }
+    std::string detail;
+    for (uint32_t seed = b * kBlock; seed < (b + 1) * kBlock; seed++) {
+      std::string src = ScriptFor(seed);
+      detail += StrFormat("--- seed %u script:\n", seed) + src + "\n--- report:\n" +
+                RunOneWorld(src);
+    }
+    FAIL() << "block " << b << " (seeds " << b * kBlock << ".." << (b + 1) * kBlock - 1
+           << ") digest " << StrFormat("0x%016llx", static_cast<unsigned long long>(got))
+           << " want " << StrFormat("0x%016llx", static_cast<unsigned long long>(kGolden[b]))
+           << "\ncurrent table:\n" << Table() << "first failing block:\n" << detail;
   }
-  Shell::SetVmEnabled(true);
 }
 
 // 10k randomized scripts, split so the shards run in parallel under ctest.

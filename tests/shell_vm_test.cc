@@ -1,10 +1,9 @@
-// Bytecode pipeline tests: the compiler's output (disassembly), the
-// process-wide compiled-script cache (hits, misses, invalidation, LRU,
-// error handling), the VM/tree-walker toggle, and the obs counters.
+// Script cache and evaluator tests: the process-wide parsed-script cache
+// (hits, misses, invalidation, LRU, error handling, the eval and mk paths),
+// frozen results of core scripts, and the recursion limit.
 #include <gtest/gtest.h>
 
 #include "src/obs/trace.h"
-#include "src/shell/compile.h"
 #include "src/shell/coreutils.h"
 #include "src/shell/mk.h"
 #include "src/shell/scriptcache.h"
@@ -23,9 +22,7 @@ class ShellVmTest : public ::testing::Test {
     RegisterCoreutils(&vfs_, &registry_);
     RegisterMk(&vfs_, &registry_);
     ShellScriptCache::Global().Clear();
-    Shell::SetVmEnabled(true);
   }
-  ~ShellVmTest() override { Shell::SetVmEnabled(true); }
 
   std::string Run(std::string_view src, int* status = nullptr) {
     std::string out;
@@ -49,32 +46,6 @@ class ShellVmTest : public ::testing::Test {
   std::string err_;
 };
 
-TEST_F(ShellVmTest, DisassemblerListsLoweredOps) {
-  auto prog = CompileShellSource("x=1 echo hello $x | wc > /tmp/out");
-  ASSERT_TRUE(prog.ok()) << prog.message();
-  std::string listing = prog.value()->Disassemble();
-  EXPECT_NE(listing.find("chunk 0:"), std::string::npos) << listing;
-  EXPECT_NE(listing.find("push-lit"), std::string::npos) << listing;
-  EXPECT_NE(listing.find("push-var       \"x\""), std::string::npos) << listing;
-  EXPECT_NE(listing.find("assign-scoped  \"x\""), std::string::npos) << listing;
-  EXPECT_NE(listing.find("run-simple"), std::string::npos) << listing;
-  EXPECT_NE(listing.find("pipeline-begin"), std::string::npos) << listing;
-  EXPECT_NE(listing.find("stage-begin"), std::string::npos) << listing;
-  EXPECT_NE(listing.find("redir"), std::string::npos) << listing;
-  EXPECT_NE(listing.find("pipeline-end"), std::string::npos) << listing;
-  EXPECT_GT(prog.value()->TotalOps(), 10u);
-}
-
-TEST_F(ShellVmTest, ControlFlowCompilesToSubChunks) {
-  auto prog = CompileShellSource("if(true){echo a} if not {echo b}\nfor(i in x y){echo $i}");
-  ASSERT_TRUE(prog.ok()) << prog.message();
-  EXPECT_GT(prog.value()->chunk_count(), 4u);  // root + cond + 3 bodies
-  std::string listing = prog.value()->Disassemble();
-  EXPECT_NE(listing.find("if "), std::string::npos) << listing;
-  EXPECT_NE(listing.find("if-not"), std::string::npos) << listing;
-  EXPECT_NE(listing.find("for"), std::string::npos) << listing;
-}
-
 TEST_F(ShellVmTest, SourceCacheHitsOnRepeatedRun) {
   uint64_t miss0 = CounterValue("shell.compile_cache_miss");
   uint64_t hit0 = CounterValue("shell.compile_cache_hit");
@@ -82,8 +53,17 @@ TEST_F(ShellVmTest, SourceCacheHitsOnRepeatedRun) {
   EXPECT_EQ(CounterValue("shell.compile_cache_miss"), miss0 + 1);
   EXPECT_EQ(Run("echo cached script one"), "cached script one\n");
   EXPECT_EQ(Run("echo cached script one"), "cached script one\n");
-  EXPECT_EQ(CounterValue("shell.compile_cache_miss"), miss0 + 1);  // no recompile
+  EXPECT_EQ(CounterValue("shell.compile_cache_miss"), miss0 + 1);  // no reparse
   EXPECT_GE(CounterValue("shell.compile_cache_hit"), hit0 + 2);
+}
+
+TEST_F(ShellVmTest, EvalHitsTheSourceCache) {
+  uint64_t miss0 = CounterValue("shell.compile_cache_miss");
+  uint64_t hit0 = CounterValue("shell.compile_cache_hit");
+  EXPECT_EQ(Run("eval 'echo x'; eval 'echo x'"), "x\nx\n");
+  // The script and the eval'd text parse once each; the second eval hits.
+  EXPECT_EQ(CounterValue("shell.compile_cache_miss"), miss0 + 2);
+  EXPECT_EQ(CounterValue("shell.compile_cache_hit"), hit0 + 1);
 }
 
 TEST_F(ShellVmTest, FileCacheValidatesSignatureAndFallsBackToSourceLayer) {
@@ -92,16 +72,16 @@ TEST_F(ShellVmTest, FileCacheValidatesSignatureAndFallsBackToSourceLayer) {
   ASSERT_TRUE(p1.ok());
   auto p2 = ShellScriptCache::Global().GetFile(vfs_, "/bin/tool");
   ASSERT_TRUE(p2.ok());
-  EXPECT_EQ(p1.value().get(), p2.value().get());  // signature hit, same program
+  EXPECT_EQ(p1.value().get(), p2.value().get());  // signature hit, same tree
 
-  // An edit invalidates the file entry and compiles the new text.
+  // An edit invalidates the file entry and parses the new text.
   ASSERT_TRUE(vfs_.WriteFile("/bin/tool", "echo version two\n").ok());
   auto p3 = ShellScriptCache::Global().GetFile(vfs_, "/bin/tool");
   ASSERT_TRUE(p3.ok());
   EXPECT_NE(p3.value().get(), p1.value().get());
 
   // Restoring the old contents bumps the signature again, but the
-  // content-addressed source layer still holds the original program.
+  // content-addressed source layer still holds the original tree.
   ASSERT_TRUE(vfs_.WriteFile("/bin/tool", "echo version one\n").ok());
   auto p4 = ShellScriptCache::Global().GetFile(vfs_, "/bin/tool");
   ASSERT_TRUE(p4.ok());
@@ -139,7 +119,7 @@ TEST_F(ShellVmTest, LruEvictsOldestEntry) {
     ASSERT_TRUE(r.ok());
   }
   EXPECT_EQ(ShellScriptCache::Global().size(), ShellScriptCache::kCapacity);
-  // The first entries fell off; re-requesting one recompiles it.
+  // The first entries fell off; re-requesting one parses it again.
   uint64_t miss0 = CounterValue("shell.compile_cache_miss");
   ASSERT_TRUE(ShellScriptCache::Global().Get("echo unique-0").ok());
   EXPECT_EQ(CounterValue("shell.compile_cache_miss"), miss0 + 1);
@@ -152,30 +132,11 @@ TEST_F(ShellVmTest, LruEvictsOldestEntry) {
   EXPECT_EQ(CounterValue("shell.compile_cache_hit"), hit0 + 1);
 }
 
-TEST_F(ShellVmTest, VmOpsCounterAdvances) {
-  uint64_t ops0 = CounterValue("shell.vm_ops");
-  Run("for(i in a b c){echo $i} | wc");
-  EXPECT_GT(CounterValue("shell.vm_ops"), ops0);
-}
-
-TEST_F(ShellVmTest, ToggleSelectsEvaluator) {
-  EXPECT_TRUE(Shell::VmEnabled());
-  uint64_t ops0 = CounterValue("shell.vm_ops");
-  Shell::SetVmEnabled(false);
-  EXPECT_FALSE(Shell::VmEnabled());
-  EXPECT_EQ(Run("echo via tree walker"), "via tree walker\n");
-  EXPECT_EQ(CounterValue("shell.vm_ops"), ops0);  // tree-walker runs no ops
-  Shell::SetVmEnabled(true);
-  EXPECT_EQ(Run("echo via vm"), "via vm\n");
-  EXPECT_GT(CounterValue("shell.vm_ops"), ops0);
-}
-
-TEST_F(ShellVmTest, FunctionDefinedByTreeWalkerRunsOnVm) {
-  // A function defined while the VM was off lives in the table as a bare
-  // AST; calling it with the VM on goes through the foreign-fn compile path.
-  Shell::SetVmEnabled(false);
+TEST_F(ShellVmTest, FunctionOutlivesTheRunThatDefinedIt) {
+  // A fn body is a subtree of its script's cached parse; the function table
+  // keeps it alive after the script has left the cache.
   Run("fn greet { echo hi $1 }");
-  Shell::SetVmEnabled(true);
+  ShellScriptCache::Global().Clear();
   EXPECT_EQ(Run("greet rob; greet world"), "hi rob\nhi world\n");
 }
 
@@ -211,30 +172,26 @@ TEST_F(ShellVmTest, EvaluatorsAgreeOnCoreScripts) {
       {"eval 'echo evaluated'", "ok=1 msg= status=0\nout:evaluated\n\nerr:"},
       {"exit 3; echo unreachable", "ok=1 msg= status=3\nout:\nerr:"},
   };
-  for (int mode = 0; mode < 2; mode++) {
-    Shell::SetVmEnabled(mode == 0);
-    for (const Case& c : kCases) {
-      struct World {
-        Vfs vfs;
-        CommandRegistry registry;
-        ProcTable procs;
-        Env env;
-        std::string out, err;
-      };
-      World w;
-      RegisterCoreutils(&w.vfs, &w.registry);
-      Shell sh(&w.vfs, &w.registry, &w.procs);
-      Io io;
-      io.out = &w.out;
-      io.err = &w.err;
-      auto r = sh.Run(c.src, &w.env, "/", {}, io);
-      std::string got = "ok=" + std::string(r.ok() ? "1" : "0") + " msg=" + r.message() +
-                        " status=" + std::to_string(r.ok() ? r.value() : -1) +
-                        "\nout:" + w.out + "\nerr:" + w.err;
-      EXPECT_EQ(got, c.want) << "mode " << mode << " running: " << c.src;
-    }
+  for (const Case& c : kCases) {
+    struct World {
+      Vfs vfs;
+      CommandRegistry registry;
+      ProcTable procs;
+      Env env;
+      std::string out, err;
+    };
+    World w;
+    RegisterCoreutils(&w.vfs, &w.registry);
+    Shell sh(&w.vfs, &w.registry, &w.procs);
+    Io io;
+    io.out = &w.out;
+    io.err = &w.err;
+    auto r = sh.Run(c.src, &w.env, "/", {}, io);
+    std::string got = "ok=" + std::string(r.ok() ? "1" : "0") + " msg=" + r.message() +
+                      " status=" + std::to_string(r.ok() ? r.value() : -1) +
+                      "\nout:" + w.out + "\nerr:" + w.err;
+    EXPECT_EQ(got, c.want) << "running: " << c.src;
   }
-  Shell::SetVmEnabled(true);
 }
 
 TEST_F(ShellVmTest, MkRecipesRouteThroughCompileCache) {
@@ -249,7 +206,7 @@ TEST_F(ShellVmTest, MkRecipesRouteThroughCompileCache) {
   EXPECT_EQ(CounterValue("shell.mk_recipe"), recipes0 + 2);
 
   // Re-running after removing the outputs replays the same recipe text: the
-  // compile cache serves hits and nothing recompiles.
+  // script cache serves hits and nothing parses again.
   ASSERT_TRUE(vfs_.Remove("/a.out").ok());
   ASSERT_TRUE(vfs_.Remove("/b.out").ok());
   uint64_t miss0 = CounterValue("shell.compile_cache_miss");
@@ -261,23 +218,30 @@ TEST_F(ShellVmTest, MkRecipesRouteThroughCompileCache) {
 }
 
 TEST_F(ShellVmTest, DepthLimitAndErrorOrderingMatchTreeWalker) {
-  // A self-recursive script trips the recursion guard identically under both
-  // evaluators (the VM checks depth before consulting the cache).
+  // A self-recursive script trips the recursion guard.
   ASSERT_TRUE(vfs_.WriteFile("/bin/loop", "loop\n").ok());
-  for (int mode = 0; mode < 2; mode++) {
-    Shell::SetVmEnabled(mode == 0);
+  int status = 0;
+  Run("loop", &status);
+  EXPECT_EQ(status, 1);
+  EXPECT_NE(err_.find("rc: script recursion too deep"), std::string::npos) << err_;
+
+  // At the limit, a script that does not parse reports its parse error, not
+  // the recursion error.
+  ASSERT_TRUE(vfs_.WriteFile("/bin/bad", "echo 'unterminated\n").ok());
+  ExecContext ctx;
+  ctx.vfs = &vfs_;
+  ctx.registry = &registry_;
+  ctx.env = &env_;
+  ctx.depth = 32;
+  for (const char* tool : {"/bin/bad", "/bin/loop"}) {
     std::string out, err;
     Io io;
     io.out = &out;
     io.err = &err;
-    Env env;
-    auto r = shell_.Run("loop", &env, "/", {}, io);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.value(), 1) << "mode " << mode;
-    EXPECT_NE(err.find("rc: script recursion too deep"), std::string::npos)
-        << "mode " << mode << " err: " << err;
+    EXPECT_EQ(shell_.RunArgv(ctx, {tool}, io), 1) << tool;
+    bool deep = err.find("recursion too deep") != std::string::npos;
+    EXPECT_EQ(deep, std::string(tool) == "/bin/loop") << tool << " err: " << err;
   }
-  Shell::SetVmEnabled(true);
 }
 
 }  // namespace
