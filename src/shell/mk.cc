@@ -158,8 +158,8 @@ class MkRun {
     Shell sh(ctx_.vfs, ctx_.registry, ctx_.procs);
     for (const std::string& line : rule.recipe) {
       *io_.out += line + "\n";  // mk echoes recipe lines as it runs them
-      // Recipe lines route through Shell::Run and hence the compiled-script
-      // cache: a rebuild of N targets sharing recipe text compiles once.
+      // Recipe lines route through Shell::Run and hence the script cache: a
+      // rebuild of N targets sharing recipe text parses it once.
       OBS_COUNT("shell.mk_recipe", 1);
       Env env = ctx_.env != nullptr ? ctx_.env->Clone() : Env();
       env.SetString("target", rule.target);
