@@ -19,8 +19,7 @@
 //                  range reads across them. Exits nonzero on any protocol
 //                  error.
 //   --pipeline     one Unix-socket connection, [_] [ops] random 512-byte
-//                  body reads (default 4000): a client window of 16 vs 1,
-//                  each with zero-copy and staged Rreads — four runs
+//                  body reads (default 4000): a client window of 16 vs 1
 //   --trace FILE   run with request tracing enabled and write the captured
 //                  ring as Chrome trace-event JSON to FILE when the runs
 //                  finish (open it in chrome://tracing or Perfetto; each
@@ -176,14 +175,9 @@ struct RunResult {
   uint64_t p99_us = 0;
   uint64_t conns = 0;       // --socket: concurrent socket connections held
   uint64_t peak_conns = 0;  // --socket: listener's live gauge at full load
-  // --pipeline pairs: which config this run measured, plus the zero-copy
-  // accounting. staged_body_delta is ninep.bytes_staged growth across the
-  // timed read phase alone — the CI gate pins it to 0 for zero-copy runs
-  // (setup traffic like new/ctl reads stages by design).
+  // --pipeline pairs: which config this run measured, and the send() calls
+  // that drained the listener's outbox.
   std::string label;
-  uint64_t bytes_zero_copy = 0;
-  uint64_t bytes_staged = 0;
-  uint64_t staged_body_delta = 0;
   uint64_t writev_calls = 0;
   double ops_per_sec() const { return static_cast<double>(client_ops) / secs; }
   double msgs_per_sec() const { return static_cast<double>(msgs) / secs; }
@@ -334,18 +328,15 @@ RunResult RunSocketOnce(int conns, int ops) {
 
 // Pipeline pair runs: one Unix-socket connection, `ops` random 512-byte body
 // reads. `pipelined` issues them through ReadFidPipelined with a 16-deep
-// client window; the baseline uses a window of 1 (one RTT per read).
-// `zero_copy` toggles the scatter-gather Rread path vs. the staged escape
-// hatch. The pipelined win is syscall and wakeup amortization — the client
-// keeps the window full while the listener answers every frame of a read
-// burst and drains the replies with one sendmsg.
-RunResult RunPipelineOnce(const char* label, bool pipelined, bool zero_copy,
-                          int ops) {
+// client window; the baseline uses a window of 1 (one RTT per read). The
+// pipelined win is syscall and wakeup amortization — the client keeps the
+// window full while the listener answers every frame of a read burst and
+// drains the replies with one send.
+RunResult RunPipelineOnce(const char* label, bool pipelined, int ops) {
   Help::Options opt;
   opt.install_userland = false;
   Help h(opt);
   h.ninep().metrics().Reset();  // registry entries are process-global
-  h.ninep().set_disable_zero_copy(!zero_copy);
   NinepListener lis(&h.ninep());
   std::string path = StrFormat("perf_pipe.%d.sock", getpid());
   RunResult r;
@@ -393,7 +384,6 @@ RunResult RunPipelineOnce(const char* label, bool pipelined, bool zero_copy,
   }
 
   const NinepMetrics& m = h.ninep().metrics();
-  const uint64_t staged0 = m.bytes_staged();
   const int window = pipelined ? 16 : 1;
   Lcg rng(97);
   auto start = std::chrono::steady_clock::now();
@@ -417,9 +407,6 @@ RunResult RunPipelineOnce(const char* label, bool pipelined, bool zero_copy,
   r.msgs = m.total_ops();
   r.p50_us = m.OverallPercentileUs(50);
   r.p99_us = m.OverallPercentileUs(99);
-  r.staged_body_delta = m.bytes_staged() - staged0;
-  r.bytes_zero_copy = m.bytes_zero_copy();
-  r.bytes_staged = m.bytes_staged();
   r.writev_calls = m.net_writev_calls();
   strp.reset();  // close the socket before the listener stops
   lis.Stop();
@@ -479,11 +466,6 @@ void PrintHuman(const RunResult& r, const char* workload) {
               static_cast<unsigned long long>(r.p50_us),
               static_cast<unsigned long long>(r.p99_us));
   if (!r.label.empty()) {
-    std::printf("zero-copy bytes    %llu (%llu staged, %llu staged during "
-                "reads)\n",
-                static_cast<unsigned long long>(r.bytes_zero_copy),
-                static_cast<unsigned long long>(r.bytes_staged),
-                static_cast<unsigned long long>(r.staged_body_delta));
     std::printf("writev calls       %llu\n",
                 static_cast<unsigned long long>(r.writev_calls));
   }
@@ -505,13 +487,8 @@ std::string JsonOf(const RunResult& r) {
                       static_cast<unsigned long long>(r.peak_conns));
   }
   if (!r.label.empty()) {
-    json += StrFormat(
-        ",\"label\":\"%s\",\"bytes_zero_copy\":%llu,\"bytes_staged\":%llu,"
-        "\"staged_body_delta\":%llu,\"writev_calls\":%llu",
-        r.label.c_str(), static_cast<unsigned long long>(r.bytes_zero_copy),
-        static_cast<unsigned long long>(r.bytes_staged),
-        static_cast<unsigned long long>(r.staged_body_delta),
-        static_cast<unsigned long long>(r.writev_calls));
+    json += StrFormat(",\"label\":\"%s\",\"writev_calls\":%llu", r.label.c_str(),
+                      static_cast<unsigned long long>(r.writev_calls));
   }
   return json + "}";
 }
@@ -597,25 +574,13 @@ int Main(int argc, char** argv) {
       results.push_back(r);
     }
   }
-  // The comparison pairs: zero-copy vs staged Rreads, and a client window of
-  // 16 vs 1. `--pipeline` runs just these; a non-socket `--sweep` appends
-  // them after the thread sweep.
+  // The comparison pair: a client window of 16 vs 1. `--pipeline` runs just
+  // these; a non-socket `--sweep` appends them after the thread sweep.
   if (pipeline || (sweep && !socket)) {
     int pops = pipeline && positional >= 2 ? ops : 4000;
-    struct Cfg {
-      const char* label;
-      bool pipelined;
-      bool zero_copy;
-    };
-    const Cfg cfgs[] = {
-        {"pipelined_zero_copy", true, true},
-        {"pipelined_staged", true, false},
-        {"inorder_zero_copy", false, true},
-        {"inorder_staged", false, false},
-    };
-    for (const Cfg& cfg : cfgs) {
-      RunResult r = RunPipelineOnce(cfg.label, cfg.pipelined, cfg.zero_copy,
-                                    pops);
+    for (bool pipelined : {true, false}) {
+      RunResult r = RunPipelineOnce(pipelined ? "pipelined" : "inorder",
+                                    pipelined, pops);
       failures += r.failures;
       if (!json) {
         PrintHuman(r, "pipeline");

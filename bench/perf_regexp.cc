@@ -2,9 +2,9 @@
 // and the zero-copy streaming search layer against its materialized baseline.
 //
 // The *Stream benches run over a Text's gap-buffer spans with the literal
-// fast path enabled (the production path); the paired *Materialized benches
+// prefilter (the production path); the paired *Materialized benches
 // reproduce the pre-streaming behavior — copy the whole document out of the
-// gap buffer, then run the plain Pike VM over it with the fast path disabled.
+// gap buffer, then run the plain Pike VM (Regexp::VmSearch) over it.
 //
 // Passing --json (stripped before google-benchmark parses flags) appends one
 // JSON object as the last line of stdout, including a `speedups` map computed
@@ -102,13 +102,11 @@ void RunStream(benchmark::State& state, const char* pattern) {
 void RunMaterialized(benchmark::State& state, const char* pattern) {
   const Text& t = BigDoc();
   const Regexp& re = CompiledOrDie(pattern);
-  Regexp::SetLiteralFastPathEnabled(false);
   for (auto _ : state) {
     RuneString copy = t.ReadAll();  // what every search paid before streaming
-    auto m = re.Search(RuneStringView(copy), 0);
+    auto m = re.VmSearch(RuneStringView(copy), 0);
     benchmark::DoNotOptimize(m.has_value());
   }
-  Regexp::SetLiteralFastPathEnabled(true);
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(t.size()));
 }
 

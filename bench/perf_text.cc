@@ -224,10 +224,9 @@ void BM_BigBodyReadWindow_Indexed(benchmark::State& state) {
 }
 BENCHMARK(BM_BigBodyReadWindow_Indexed);
 
-// A 512 B 9P body read on a 32 KiB body: the copying reader and the
-// zero-copy one plus its encode, at random byte offsets. Ascii is browse's
-// body; Mixed draws a third of its words from multi-byte UTF-8, as crowd's
-// bodies do.
+// A 512 B 9P body read on a 32 KiB body (Utf8Substr, the Rread payload) at
+// random byte offsets. Ascii is browse's body; Mixed draws a third of its
+// words from multi-byte UTF-8, as crowd's bodies do.
 const Text& ReadBody(bool mixed) {
   static const char* const kAscii[] = {"window", "body", "tag", "the", "exec", "help",
                                        "file", "mouse", "button", "column"};
@@ -251,15 +250,9 @@ void BodyRead512(benchmark::State& state, bool mixed) {
   const Text& t = ReadBody(mixed);
   Lcg rng;
   uint64_t total = t.Utf8Bytes();
-  std::string payload;
   for (auto _ : state) {
     uint64_t off = rng.Next() % (total - 512);
     benchmark::DoNotOptimize(t.Utf8Substr(off, 512));
-    Text::GatherResult g = t.GatherUtf8(off, 512);
-    payload.assign(g.prefix);
-    AppendUtf8FromRunes(g.runes, &payload);
-    payload += g.suffix;
-    benchmark::DoNotOptimize(payload.data());
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -90,9 +90,8 @@ RuneString RunesFromUtf8(std::string_view utf8);
 std::string Utf8FromRunes(RuneStringView runes);
 // Encodes both spans in order (no intermediate rune copy).
 std::string Utf8FromRunes(const RuneSpans& spans);
-// Appending form: encodes both spans in order onto the end of `*out` — the
-// single transcode step of the zero-copy read path (gap-buffer spans straight
-// into a reply payload, no intermediate staging string).
+// Appending form: encodes both spans in order onto the end of `*out` (how
+// LineIndex::Utf8Substr transcodes gap-buffer spans into a read's bytes).
 void AppendUtf8FromRunes(const RuneSpans& spans, std::string* out);
 
 // Number of runes in a UTF-8 string.

@@ -33,11 +33,6 @@ class SerializedHandler : public FileHandler {
     auto lock = h_->ninep().LockDispatch();
     return inner_->Read(f, offset, count);
   }
-  bool Gather(OpenFile& f, uint64_t offset, uint32_t count,
-              GatherView* out) override {
-    auto lock = h_->ninep().LockDispatch();
-    return inner_->Gather(f, offset, count, out);
-  }
   Result<uint32_t> Write(OpenFile& f, uint64_t offset, std::string_view data) override {
     auto lock = h_->ninep().LockDispatch();
     return inner_->Write(f, offset, data);
@@ -191,36 +186,6 @@ class WindowFileHandler : public FileHandler {
       }
     }
     return std::string();
-  }
-
-  // Zero-copy body/tag reads: resolve the byte range to the gap buffer's two
-  // rune spans plus owned fringe bytes. kBodyApp (always empty) and kCtl (a
-  // few bytes) keep the staged path.
-  bool Gather(OpenFile& f, uint64_t offset, uint32_t count,
-              GatherView* out) override {
-    Window* w = Win();
-    if (w == nullptr) {
-      return false;  // the Read fallback produces the error
-    }
-    const Text* t = nullptr;
-    switch (kind_) {
-      case Kind::kTag:
-        t = w->tag().text.get();
-        break;
-      case Kind::kBody:
-        t = w->body().text.get();
-        break;
-      case Kind::kBodyApp:
-      case Kind::kCtl:
-        return false;
-    }
-    Text::GatherResult g = t->GatherUtf8(offset, count);
-    *out = GatherView();
-    out->prefix = std::move(g.prefix);
-    out->runes = g.runes;
-    out->suffix = std::move(g.suffix);
-    out->bytes = g.bytes;
-    return true;
   }
 
   Result<uint32_t> Write(OpenFile& f, uint64_t offset, std::string_view data) override {

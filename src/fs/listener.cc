@@ -169,19 +169,6 @@ struct PendingReply {
   uint64_t end_total = 0;
 };
 
-// One segment of a connection's outbound queue. Replies at least kSealBytes
-// long enter the deque as their own segment via move — a zero-copy Rread's
-// payload is never copied again after encode — while small replies append
-// onto the tail segment so one sendmsg drains many of them.
-struct OutSeg {
-  std::string bytes;
-  size_t off = 0;  // already-written prefix
-};
-
-inline constexpr size_t kSealBytes = 1024;
-// iovec fan-in per sendmsg call.
-inline constexpr size_t kMaxIov = 64;
-
 // Every field is touched by the loop thread only.
 struct NinepListener::Conn {
   explicit Conn(uint32_t max_frame) : reader(max_frame) {}
@@ -196,24 +183,31 @@ struct NinepListener::Conn {
   std::shared_ptr<ConnInfo> info;  // registered in the server's NetState
 
   std::deque<InFrame> inbox;         // complete frames awaiting dispatch
-  std::deque<OutSeg> outbox;         // encoded replies awaiting the wire
-  size_t outbox_pending = 0;         // unwritten bytes across all segments
+  std::string outbox;                // encoded replies awaiting the wire
+  size_t outbox_off = 0;             // outbox[0, outbox_off) is already sent
   uint64_t outbox_appended = 0;      // lifetime bytes ever appended
   uint64_t outbox_written = 0;       // lifetime bytes ever sent
   std::deque<PendingReply> pending;  // appended, not yet fully written
   bool stalled = false;              // backpressure: dispatch and reads parked
   bool closing = false;              // the socket was torn down
 
-  // Appends one encoded reply, sealing large payloads as their own moved
-  // segment.
+  size_t unsent() const { return outbox.size() - outbox_off; }
+
+  // Appends one encoded reply. An empty outbox adopts the reply's string, so
+  // a lone reply is never copied. Otherwise the sent prefix is dropped once
+  // it is half the buffer, so a reader that never quite catches up cannot
+  // grow the buffer past twice its unsent bytes.
   void AppendReply(std::string&& bytes) {
-    outbox_pending += bytes.size();
     outbox_appended += bytes.size();
-    if (bytes.size() >= kSealBytes || outbox.empty()) {
-      outbox.push_back(OutSeg{std::move(bytes), 0});
-    } else {
-      outbox.back().bytes += bytes;
+    if (outbox.empty()) {
+      outbox = std::move(bytes);
+      return;
     }
+    if (outbox_off >= outbox.size() / 2) {
+      outbox.erase(0, outbox_off);
+      outbox_off = 0;
+    }
+    outbox += bytes;
   }
 };
 
@@ -532,7 +526,7 @@ void NinepListener::Pump(const ConnPtr& c) {
     }
     // Backpressure release at half the bound, so a stream of replies can't
     // flap the stall on and off per frame.
-    if (!c->stalled || c->outbox_pending > opt_.max_outbox_bytes / 2) {
+    if (!c->stalled || c->unsent() > opt_.max_outbox_bytes / 2) {
       break;
     }
     c->stalled = false;
@@ -547,7 +541,7 @@ void NinepListener::Pump(const ConnPtr& c) {
 void NinepListener::Dispatch(const ConnPtr& c) {
   obs::Tracer& tr = obs::Tracer::Global();
   while (!c->inbox.empty()) {
-    if (c->outbox_pending > opt_.max_outbox_bytes) {
+    if (c->unsent() > opt_.max_outbox_bytes) {
       // Slow reader: park dispatch with the inbox intact. Pump drops read
       // interest and resumes once the outbox drains.
       if (!c->stalled) {
@@ -574,9 +568,6 @@ void NinepListener::Dispatch(const ConnPtr& c) {
     c->info->RecordOp(obs.op, (done - pickup) / 1000, obs.error);
     c->info->RecordQueueWait(queue_ns / 1000);
     srv_->metrics().RecordNetQueueWait(queue_ns / 1000);
-    if (reply.zero_copy) {
-      c->info->AddBytesZeroCopy(reply.payload_bytes);
-    }
     PendingReply p;
     p.rid = f.rid;
     p.tag = f.tag;
@@ -595,50 +586,30 @@ void NinepListener::Dispatch(const ConnPtr& c) {
 
 bool NinepListener::Flush(const ConnPtr& c) {
   bool broken = false;
-  while (c->outbox_pending > 0) {
-    // Scatter-gather drain: one sendmsg covers up to kMaxIov segments, so a
-    // batch of small replies — or a sealed zero-copy payload sandwiched
-    // between them — leaves in one syscall.
-    struct iovec iov[kMaxIov];
-    size_t niov = 0;
-    for (const OutSeg& s : c->outbox) {
-      if (niov == kMaxIov) {
-        break;
-      }
-      iov[niov].iov_base = const_cast<char*>(s.bytes.data() + s.off);
-      iov[niov].iov_len = s.bytes.size() - s.off;
-      niov++;
-    }
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = niov;
-    ssize_t n = sendmsg(c->fd, &msg, MSG_NOSIGNAL);
+  if (size_t len = c->unsent(); len > 0) {
+    // One send of everything unsent. A short count means the socket buffer
+    // is full; the rest waits for writability.
+    ssize_t n;
+    do {
+      n = send(c->fd, c->outbox.data() + c->outbox_off, len, MSG_NOSIGNAL);
+    } while (n < 0 && errno == EINTR);
     if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      if (!WouldBlock()) {
-        broken = true;
-      }
-      break;
+      broken = !WouldBlock();
+    } else {
+      srv_->metrics().RecordWritev();
+      c->info->RecordWritev();
+      c->outbox_off += static_cast<size_t>(n);
+      c->outbox_written += static_cast<uint64_t>(n);
+      c->last_active_ms = NowMs();
+      srv_->metrics().AddNetBytesOut(static_cast<uint64_t>(n));
+      c->info->AddBytesOut(static_cast<uint64_t>(n));
     }
-    srv_->metrics().RecordWritev();
-    c->info->RecordWritev();
-    size_t left = static_cast<size_t>(n);
-    while (left > 0) {
-      OutSeg& s = c->outbox.front();
-      size_t take = std::min(s.bytes.size() - s.off, left);
-      s.off += take;
-      left -= take;
-      if (s.off == s.bytes.size()) {
-        c->outbox.pop_front();
-      }
+    if (c->unsent() == 0) {
+      // Drained: release the storage, so an idle connection keeps none of
+      // what a stalled burst grew the buffer to.
+      c->outbox = std::string();
+      c->outbox_off = 0;
     }
-    c->outbox_pending -= static_cast<size_t>(n);
-    c->outbox_written += static_cast<uint64_t>(n);
-    c->last_active_ms = NowMs();
-    srv_->metrics().AddNetBytesOut(static_cast<uint64_t>(n));
-    c->info->AddBytesOut(static_cast<uint64_t>(n));
   }
   // Requests whose reply bytes have now fully entered the kernel socket
   // buffer are complete: close their outbox-drain phase and offer them to
@@ -677,7 +648,7 @@ bool NinepListener::Flush(const ConnPtr& c) {
 
 void NinepListener::UpdateInterest(const ConnPtr& c) {
   bool want_read = !c->stalled;
-  bool want_write = c->outbox_pending > 0;
+  bool want_write = c->unsent() > 0;
   if (want_read != c->want_read || want_write != c->want_write) {
     c->want_read = want_read;
     c->want_write = want_write;
@@ -704,9 +675,9 @@ void NinepListener::CloseConn(const ConnPtr& c, bool reaped) {
   }
   // Undispatched frames and unwritten replies go with the connection.
   c->inbox.clear();
-  c->outbox.clear();
+  c->outbox = std::string();
+  c->outbox_off = 0;
   c->pending.clear();
-  c->outbox_pending = 0;
   srv_->CloseSession(c->sid);
 }
 

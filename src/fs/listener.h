@@ -6,10 +6,10 @@
 // The loop thread does everything: accept, read, deframe, dispatch, flush,
 // timers, close. Each readable event deframes what arrived, runs the frames
 // through NinepServer::HandleBytes in arrival order, appends every reply to
-// the connection's outbox, and drains the outbox with one scatter-gather
-// sendmsg. Replies therefore leave each connection in request order. A
-// pipelining client still gains from its window: one wakeup and one sendmsg
-// carry many requests and replies. The dispatch lock is still taken per
+// the connection's outbox (one byte string), and drains it with one send.
+// Replies therefore leave each connection in request order. A pipelining
+// client still gains from its window: one wakeup and one send carry many
+// requests and replies. The dispatch lock is still taken per
 // request, because the UI thread and the in-process transports dispatch too.
 //
 // Backpressure: each connection's outbound queue is bounded. When the outbox
@@ -18,7 +18,8 @@
 // kernel socket buffer — and eventually the peer — absorbs the pressure.
 // Once the outbox drains below half the bound the connection unstalls,
 // dispatches its pending frames, and reads again. Counted in
-// net.backpressure_stalls.
+// net.backpressure_stalls. An outbox that drains empty frees its buffer, so
+// an idle connection holds no outbox memory however large a burst grew it.
 //
 // Idle reaping: a connection with no traffic for idle_timeout_ms is closed
 // and its session torn down — CloseSession clunks every open fid through the
@@ -127,8 +128,9 @@ class NinepListener {
   // Runs inbox frames through the server in order until the inbox is empty
   // or the outbox exceeds max_outbox_bytes (which stalls the connection).
   void Dispatch(const ConnPtr& c);
-  // Writes c->outbox as far as the socket allows (scatter-gather over the
-  // segment deque). False when the socket broke and the connection closed.
+  // Sends c->outbox's unsent bytes as far as the socket allows, in one send,
+  // and frees the buffer once it is empty. False when the socket broke and
+  // the connection closed.
   bool Flush(const ConnPtr& c);
   void UpdateInterest(const ConnPtr& c);
   // Deregisters the fd (its close(2) waits for the end of this event batch),

@@ -92,8 +92,6 @@ NinepMetrics::NinepMetrics() {
   net_bytes_in_ = reg.GetCounter("net.bytes_in");
   net_bytes_out_ = reg.GetCounter("net.bytes_out");
   net_queue_wait_ = reg.GetHistogram("net.queue_wait_us");
-  bytes_zero_copy_ = reg.GetCounter("ninep.bytes_zero_copy");
-  bytes_staged_ = reg.GetCounter("ninep.bytes_staged");
   net_writev_calls_ = reg.GetCounter("net.writev_calls");
 }
 
@@ -172,11 +170,8 @@ std::string NinepMetrics::Render() const {
                 static_cast<unsigned long long>(net_bytes_in()),
                 static_cast<unsigned long long>(net_bytes_out()));
   out += line;
-  // Zero-copy reads and outbox drains.
-  std::snprintf(line, sizeof(line),
-                "bytes_zero_copy %llu\nbytes_staged %llu\nnet_writev_calls %llu\n",
-                static_cast<unsigned long long>(bytes_zero_copy()),
-                static_cast<unsigned long long>(bytes_staged()),
+  // Outbox drains.
+  std::snprintf(line, sizeof(line), "net_writev_calls %llu\n",
                 static_cast<unsigned long long>(net_writev_calls()));
   out += line;
   return out;
@@ -199,8 +194,6 @@ void NinepMetrics::Reset() {
   net_bytes_in_->Store(0);
   net_bytes_out_->Store(0);
   net_queue_wait_->Reset();
-  bytes_zero_copy_->Store(0);
-  bytes_staged_->Store(0);
   net_writev_calls_->Store(0);
   // in_flight_ and net_active_ are live gauges; leave them alone.
 }

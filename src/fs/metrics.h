@@ -73,11 +73,7 @@ class NinepMetrics {
   // was dispatched ("net.queue_wait_us" — the registry/metrics view;
   // per-connection copies live in ConnInfo).
   void RecordNetQueueWait(uint64_t us) { net_queue_wait_->Record(us); }
-  // Zero-copy reads: the Rread payload bytes that reached the wire frame via
-  // the gather path vs. staged through an intermediate string; and
-  // sendmsg() calls draining listener outboxes.
-  void AddBytesZeroCopy(uint64_t n) { bytes_zero_copy_->Add(n); }
-  void AddBytesStaged(uint64_t n) { bytes_staged_->Add(n); }
+  // send() calls that drained listener outboxes ("net.writev_calls").
   void RecordWritev() { net_writev_calls_->Add(); }
 
   uint64_t count(NinepOp op) const { return ops_[Idx(op)].count->value(); }
@@ -93,8 +89,6 @@ class NinepMetrics {
   uint64_t net_frame_errors() const { return net_frame_errors_->value(); }
   uint64_t net_bytes_in() const { return net_bytes_in_->value(); }
   uint64_t net_bytes_out() const { return net_bytes_out_->value(); }
-  uint64_t bytes_zero_copy() const { return bytes_zero_copy_->value(); }
-  uint64_t bytes_staged() const { return bytes_staged_->value(); }
   uint64_t net_writev_calls() const { return net_writev_calls_->value(); }
   uint64_t total_ops() const;
 
@@ -134,8 +128,6 @@ class NinepMetrics {
   obs::Counter* net_bytes_in_;
   obs::Counter* net_bytes_out_;
   obs::Histogram* net_queue_wait_;
-  obs::Counter* bytes_zero_copy_;
-  obs::Counter* bytes_staged_;
   obs::Counter* net_writev_calls_;
 };
 

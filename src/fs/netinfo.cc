@@ -172,10 +172,9 @@ std::string ConnInfo::RenderStats() const {
                 static_cast<unsigned long long>(queue_wait_us_.Percentile(50)),
                 static_cast<unsigned long long>(queue_wait_us_.Percentile(99)));
   out += line;
-  // PR 9 zero-copy read path, appended so older consumers keep parsing.
-  std::snprintf(line, sizeof(line), "writev_calls %llu\nbytes_zero_copy %llu\n",
-                static_cast<unsigned long long>(writev_calls()),
-                static_cast<unsigned long long>(bytes_zero_copy()));
+  // Outbox drains, appended so older consumers keep parsing.
+  std::snprintf(line, sizeof(line), "writev_calls %llu\n",
+                static_cast<unsigned long long>(writev_calls()));
   out += line;
   return out;
 }

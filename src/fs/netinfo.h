@@ -116,12 +116,8 @@ class ConnInfo {
   void AddFrameIn() { frames_in_.fetch_add(1, std::memory_order_relaxed); }
   void RecordOp(NinepOp op, uint64_t latency_us, bool error);
   void RecordQueueWait(uint64_t us) { queue_wait_us_.Record(us); }
-  // PR 9: scatter-gather drains of this connection's outbox, and Rread
-  // payload bytes that reached its wire frames without a staging copy.
+  // send() calls that drained this connection's outbox.
   void RecordWritev() { writev_calls_.fetch_add(1, std::memory_order_relaxed); }
-  void AddBytesZeroCopy(uint64_t n) {
-    bytes_zero_copy_.fetch_add(n, std::memory_order_relaxed);
-  }
 
   uint64_t bytes_in() const { return bytes_in_.load(std::memory_order_relaxed); }
   uint64_t bytes_out() const { return bytes_out_.load(std::memory_order_relaxed); }
@@ -129,9 +125,6 @@ class ConnInfo {
   uint64_t replies_out() const { return replies_out_.load(std::memory_order_relaxed); }
   uint64_t writev_calls() const {
     return writev_calls_.load(std::memory_order_relaxed);
-  }
-  uint64_t bytes_zero_copy() const {
-    return bytes_zero_copy_.load(std::memory_order_relaxed);
   }
   uint64_t op_count(NinepOp op) const {
     return op_counts_[static_cast<size_t>(op)].load(std::memory_order_relaxed);
@@ -163,7 +156,6 @@ class ConnInfo {
   std::atomic<uint64_t> frames_in_{0};
   std::atomic<uint64_t> replies_out_{0};
   std::atomic<uint64_t> writev_calls_{0};
-  std::atomic<uint64_t> bytes_zero_copy_{0};
   std::array<std::atomic<uint64_t>, kNinepOpCount> op_counts_{};
   std::array<std::atomic<uint64_t>, kNinepOpCount> op_errors_{};
   obs::Histogram latency_us_{"latency_us"};

@@ -35,16 +35,6 @@ void PutQid(std::string* out, const Qid& q) {
   PutU64(out, q.path);
 }
 
-// Appends a complete Rread header (size, type, tag, count) for a payload of
-// `count` bytes; the caller appends the payload itself. Must stay bit-
-// identical to EncodeFcall's Rread layout — ninep_test pins that.
-void AppendRreadHeader(uint16_t tag, uint32_t count, std::string* out) {
-  PutU32(out, 4 + 1 + 2 + 4 + count);
-  PutU8(out, static_cast<uint8_t>(MsgType::kRread));
-  PutU16(out, tag);
-  PutU32(out, count);
-}
-
 class Reader {
  public:
   explicit Reader(std::string_view data) : data_(data) {}
@@ -111,96 +101,105 @@ class Reader {
 }  // namespace
 
 std::string EncodeFcall(const Fcall& f) {
-  std::string body;
-  PutU8(&body, static_cast<uint8_t>(f.type));
-  PutU16(&body, f.tag);
+  // One string per message: a size placeholder, the fields, then the size
+  // patched in. A payload sizes it up front (23 bytes is Twrite's header,
+  // the longest before data), so an Rread allocates once; a message without
+  // one may stay in the string's inline buffer.
+  std::string out;
+  if (!f.data.empty()) {
+    out.reserve(23 + f.data.size());
+  }
+  PutU32(&out, 0);
+  PutU8(&out, static_cast<uint8_t>(f.type));
+  PutU16(&out, f.tag);
   switch (f.type) {
     case MsgType::kTversion:
     case MsgType::kRversion:
-      PutU32(&body, f.msize);
-      PutStr(&body, f.version);
+      PutU32(&out, f.msize);
+      PutStr(&out, f.version);
       break;
     case MsgType::kTattach:
-      PutU32(&body, f.fid);
-      PutStr(&body, f.uname);
-      PutStr(&body, f.aname);
+      PutU32(&out, f.fid);
+      PutStr(&out, f.uname);
+      PutStr(&out, f.aname);
       break;
     case MsgType::kRattach:
-      PutQid(&body, f.qid);
+      PutQid(&out, f.qid);
       break;
     case MsgType::kRerror:
-      PutStr(&body, f.ename);
+      PutStr(&out, f.ename);
       break;
     case MsgType::kTflush:
-      PutU16(&body, f.oldtag);
+      PutU16(&out, f.oldtag);
       break;
     case MsgType::kRflush:
       break;
     case MsgType::kTwalk:
-      PutU32(&body, f.fid);
-      PutU32(&body, f.newfid);
-      PutU16(&body, static_cast<uint16_t>(f.wname.size()));
+      PutU32(&out, f.fid);
+      PutU32(&out, f.newfid);
+      PutU16(&out, static_cast<uint16_t>(f.wname.size()));
       for (const std::string& n : f.wname) {
-        PutStr(&body, n);
+        PutStr(&out, n);
       }
       break;
     case MsgType::kRwalk:
-      PutU16(&body, static_cast<uint16_t>(f.wqid.size()));
+      PutU16(&out, static_cast<uint16_t>(f.wqid.size()));
       for (const Qid& q : f.wqid) {
-        PutQid(&body, q);
+        PutQid(&out, q);
       }
       break;
     case MsgType::kTopen:
-      PutU32(&body, f.fid);
-      PutU8(&body, f.mode);
+      PutU32(&out, f.fid);
+      PutU8(&out, f.mode);
       break;
     case MsgType::kRopen:
     case MsgType::kRcreate:
-      PutQid(&body, f.qid);
-      PutU32(&body, f.iounit);
+      PutQid(&out, f.qid);
+      PutU32(&out, f.iounit);
       break;
     case MsgType::kTcreate:
-      PutU32(&body, f.fid);
-      PutStr(&body, f.name);
-      PutU32(&body, f.perm);
-      PutU8(&body, f.mode);
+      PutU32(&out, f.fid);
+      PutStr(&out, f.name);
+      PutU32(&out, f.perm);
+      PutU8(&out, f.mode);
       break;
     case MsgType::kTread:
-      PutU32(&body, f.fid);
-      PutU64(&body, f.offset);
-      PutU32(&body, f.count);
+      PutU32(&out, f.fid);
+      PutU64(&out, f.offset);
+      PutU32(&out, f.count);
       break;
     case MsgType::kRread:
-      PutU32(&body, static_cast<uint32_t>(f.data.size()));
-      body.append(f.data);
+      PutU32(&out, static_cast<uint32_t>(f.data.size()));
+      out.append(f.data);
       break;
     case MsgType::kTwrite:
-      PutU32(&body, f.fid);
-      PutU64(&body, f.offset);
-      PutU32(&body, static_cast<uint32_t>(f.data.size()));
-      body.append(f.data);
+      PutU32(&out, f.fid);
+      PutU64(&out, f.offset);
+      PutU32(&out, static_cast<uint32_t>(f.data.size()));
+      out.append(f.data);
       break;
     case MsgType::kRwrite:
-      PutU32(&body, f.count);
+      PutU32(&out, f.count);
       break;
     case MsgType::kTclunk:
     case MsgType::kTremove:
     case MsgType::kTstat:
-      PutU32(&body, f.fid);
+      PutU32(&out, f.fid);
       break;
     case MsgType::kRclunk:
     case MsgType::kRremove:
       break;
     case MsgType::kRstat: {
       std::string st = EncodeDirEntry(f.stat);
-      PutU16(&body, static_cast<uint16_t>(st.size()));
-      body.append(st);
+      PutU16(&out, static_cast<uint16_t>(st.size()));
+      out.append(st);
       break;
     }
   }
-  std::string out;
-  PutU32(&out, static_cast<uint32_t>(body.size()) + 4);
-  out += body;
+  const auto size = static_cast<uint32_t>(out.size());
+  for (int i = 0; i < 4; i++) {
+    out[static_cast<size_t>(i)] = static_cast<char>(size >> (8 * i));
+  }
   return out;
 }
 
@@ -411,7 +410,7 @@ Session::FidState* Session::FindFid(uint32_t fid) {
 // under fid_mu_, and fid_mu_ is never held across a Vfs or handler call
 // (those can re-enter the server's dispatch lock). Per-fid state (node,
 // open, dirbuf) needs no lock: dispatches never overlap.
-Fcall Session::Dispatch(const Fcall& t, ReadSink* sink) {
+Fcall Session::Dispatch(const Fcall& t) {
   Fcall r;
   r.tag = t.tag;
   switch (t.type) {
@@ -587,39 +586,6 @@ Fcall Session::Dispatch(const Fcall& t, ReadSink* sink) {
       }
       if (st.open == nullptr) {
         return Error(t.tag, "fid not open");
-      }
-      if (sink != nullptr) {
-        GatherView gv;
-        if (st.open->Gather(t.offset, count, &gv)) {
-          // Encode the reply packet straight from the borrowed views: header,
-          // then one transcode/copy of the payload into the wire bytes. The
-          // dispatch lock pins the storage the views alias.
-          AppendRreadHeader(t.tag, static_cast<uint32_t>(gv.bytes),
-                            &sink->frame);
-          sink->frame += gv.prefix;
-          if (!gv.raw.empty()) {
-            sink->frame.append(gv.raw);
-          } else {
-            AppendUtf8FromRunes(gv.runes, &sink->frame);
-          }
-          sink->frame += gv.suffix;
-          sink->used = true;
-          sink->zero_copy = true;
-          sink->payload_bytes = gv.bytes;
-          r.type = MsgType::kRread;
-          return r;
-        }
-        auto data = st.open->Read(t.offset, count);
-        if (!data.ok()) {
-          return Error(t.tag, data.message());
-        }
-        AppendRreadHeader(t.tag, static_cast<uint32_t>(data.value().size()),
-                          &sink->frame);
-        sink->frame += data.value();
-        sink->used = true;
-        sink->payload_bytes = data.value().size();
-        r.type = MsgType::kRread;
-        return r;
       }
       auto data = st.open->Read(t.offset, count);
       if (!data.ok()) {

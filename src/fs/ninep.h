@@ -101,7 +101,9 @@ struct Fcall {
 
 inline constexpr uint32_t kDirPerm = 0x80000000;  // Tcreate perm bit for directories
 
-// Serializes `f` into a complete packet (including the leading size field).
+// Serializes `f` into one complete packet (including the leading size
+// field). Every reply the server sends is built here, Rread included: one
+// string, with the payload appended once after the header.
 std::string EncodeFcall(const Fcall& f);
 
 // Parses one packet. `bytes` must contain exactly one complete message.
@@ -113,20 +115,6 @@ Result<std::vector<StatInfo>> DecodeDirEntries(std::string_view data);
 
 // Makes an Rerror reply for `tag`.
 Fcall ErrorFcall(uint16_t tag, std::string_view msg);
-
-// Out-of-band reply channel for the zero-copy read path. When a caller hands
-// Dispatch a sink and the request is a successful file Tread, the complete
-// Rread packet is encoded directly into `frame` — for gatherable files
-// straight from the gap buffer's borrowed spans (one transcode into the wire
-// bytes, no staging string) — and `used` is set; the returned Fcall then
-// carries only type/tag for bookkeeping. Directory reads, non-read requests,
-// and error replies leave the sink untouched and answer through the Fcall.
-struct ReadSink {
-  std::string frame;            // complete Rread packet, ready for the wire
-  bool used = false;            // frame holds the reply
-  bool zero_copy = false;       // payload arrived via FileHandler::Gather
-  uint64_t payload_bytes = 0;   // Rread count
-};
 
 // ---------------------------------------------------------------------------
 
@@ -141,9 +129,8 @@ class Session {
 
   // Handles one T-message (everything except Tflush, which the server
   // answers without entering the dispatch path). Callers must hold the
-  // server's dispatch lock. With a non-null `sink`, successful file Treads
-  // encode their complete reply packet into it (see ReadSink).
-  Fcall Dispatch(const Fcall& t, ReadSink* sink = nullptr);
+  // server's dispatch lock.
+  Fcall Dispatch(const Fcall& t);
 
   uint64_t id() const { return id_; }
   // Relaxed load: read by /mnt/help/net status handlers on other threads

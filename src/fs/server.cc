@@ -131,7 +131,7 @@ NinepServer::DispatchGuard NinepServer::LockDispatch() {
   return DispatchGuard(this, prev);
 }
 
-Fcall NinepServer::Process(SessionId id, const Fcall& t, ReadSink* sink) {
+Fcall NinepServer::Process(SessionId id, const Fcall& t) {
   // Tag bookkeeping and Tflush run against the session's tag table only —
   // never under the dispatch lock — so a client can cancel or be rejected
   // while another request is executing.
@@ -166,7 +166,7 @@ Fcall NinepServer::Process(SessionId id, const Fcall& t, ReadSink* sink) {
       if (tls_req_obs != nullptr) {
         obs::Tracer& tr = obs::Tracer::Global();
         uint64_t h0 = tr.NowNs();
-        r = s->Dispatch(t, sink);
+        r = s->Dispatch(t);
         uint64_t dur = tr.NowNs() - h0;
         tls_req_obs->handler_ns += dur;
         if (tls_req_obs->rid != 0 && tr.enabled()) {
@@ -174,7 +174,7 @@ Fcall NinepServer::Process(SessionId id, const Fcall& t, ReadSink* sink) {
                     tls_req_obs->rid, h0);
         }
       } else {
-        r = s->Dispatch(t, sink);
+        r = s->Dispatch(t);
       }
     }
   }
@@ -207,13 +207,8 @@ Fcall NinepServer::Dispatch(const Fcall& t) {
 }
 
 std::string NinepServer::HandleBytes(SessionId id, std::string_view packet) {
-  return HandleBytes(id, packet, nullptr);
-}
-
-std::string NinepServer::HandleBytes(SessionId id, std::string_view packet,
-                                     RequestObs* obs) {
   ReplyFrame rf;
-  HandleBytes(id, packet, obs, &rf);
+  HandleBytes(id, packet, nullptr, &rf);
   return std::move(rf.bytes);
 }
 
@@ -224,9 +219,6 @@ void NinepServer::HandleBytes(SessionId id, std::string_view packet,
   auto start = std::chrono::steady_clock::now();
   Fcall r;
   NinepOp op = NinepOp::kBad;
-  ReadSink sink;
-  ReadSink* sp =
-      disable_zero_copy_.load(std::memory_order_relaxed) ? nullptr : &sink;
   auto t = [&] {
     OBS_SPAN("ninep.decode");
     return DecodeFcall(packet);
@@ -239,7 +231,7 @@ void NinepServer::HandleBytes(SessionId id, std::string_view packet,
       obs->op = op;
       tls_req_obs = obs;
     }
-    r = Process(id, t.value(), sp);
+    r = Process(id, t.value());
     tls_req_obs = nullptr;
   }
   auto us = std::chrono::duration_cast<std::chrono::microseconds>(
@@ -250,29 +242,11 @@ void NinepServer::HandleBytes(SessionId id, std::string_view packet,
   if (obs != nullptr) {
     obs->error = r.type == MsgType::kRerror;
   }
-  // Encode phase. A used sink already holds the complete reply packet — its
-  // payload was written once, inside the dispatch, straight from the file's
-  // storage — so "encode" is just adoption; the phase event still fires to
-  // keep every rid's chain complete.
   obs::Tracer& tr = obs::Tracer::Global();
   uint64_t e0 = (obs != nullptr) ? tr.NowNs() : 0;
-  if (sink.used) {
-    out->bytes = std::move(sink.frame);
-    out->zero_copy = sink.zero_copy;
-    out->payload_bytes = sink.payload_bytes;
-    if (sink.zero_copy) {
-      metrics_.AddBytesZeroCopy(sink.payload_bytes);
-    } else {
-      metrics_.AddBytesStaged(sink.payload_bytes);
-    }
-  } else {
+  {
     OBS_SPAN("ninep.encode");
     out->bytes = EncodeFcall(r);
-    out->zero_copy = false;
-    out->payload_bytes = r.type == MsgType::kRread ? r.data.size() : 0;
-    if (r.type == MsgType::kRread) {
-      metrics_.AddBytesStaged(r.data.size());
-    }
   }
   if (obs != nullptr) {
     obs->encode_ns = tr.NowNs() - e0;

@@ -34,7 +34,6 @@
 #ifndef SRC_FS_SERVER_H_
 #define SRC_FS_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -61,13 +60,10 @@ struct RequestObs {
   uint64_t encode_ns = 0;          // out: reply encode
 };
 
-// One complete reply packet plus how its payload got there, so the listener
-// can splice large zero-copy Rreads into its outbox as owned segments (moved,
-// never re-copied) and the metrics layer can attribute the bytes.
+// One complete reply packet, the out-parameter of the four-argument
+// HandleBytes.
 struct ReplyFrame {
-  std::string bytes;           // the full reply packet
-  bool zero_copy = false;      // Rread payload encoded via the gather path
-  uint64_t payload_bytes = 0;  // Rread count; 0 for every other reply
+  std::string bytes;
 };
 
 class NinepServer {
@@ -124,15 +120,12 @@ class NinepServer {
   size_t session_count() const;
 
   // Full byte path for one client: decode, dispatch under the dispatch
-  // lock, encode. Thread-safe; any thread may drive any session.
+  // lock, encode. Thread-safe; any thread may drive any session. Every reply,
+  // Rread included, is built by EncodeFcall from the dispatch's Fcall.
   std::string HandleBytes(SessionId id, std::string_view packet);
-  // As above, with a request-observability context (see RequestObs). The
-  // listener passes one per frame; `obs` may be null.
-  std::string HandleBytes(SessionId id, std::string_view packet, RequestObs* obs);
-  // The primary form the other two wrap: fills a ReplyFrame so callers can
-  // see how the payload was produced. File Treads encode their reply packet
-  // inside the dispatch (zero-copy from gatherable files); everything else
-  // encodes from the Fcall — the bytes are identical either way.
+  // As above, with a request-observability context (see RequestObs; the
+  // listener passes one per frame, `obs` may be null) and the reply written
+  // into *out.
   void HandleBytes(SessionId id, std::string_view packet, RequestObs* obs,
                    ReplyFrame* out);
 
@@ -162,11 +155,6 @@ class NinepServer {
   // and socket dispatch cannot interleave inside Help.
   DispatchGuard LockDispatch();
 
-  // Bench hook: stage every Rread payload through an intermediate string
-  // instead of gathering into the wire frame. The perf_ninep
-  // zero-copy-vs-staged baseline.
-  void set_disable_zero_copy(bool on) { disable_zero_copy_ = on; }
-
   NinepMetrics& metrics() { return metrics_; }
   const NinepMetrics& metrics() const { return metrics_; }
 
@@ -182,12 +170,11 @@ class NinepServer {
   std::shared_ptr<Session> FindSession(SessionId id) const;
   SessionId EnsureDefaultSession();
   // Tag bookkeeping and Tflush, then the dispatch itself under the lock.
-  Fcall Process(SessionId id, const Fcall& t, ReadSink* sink = nullptr);
+  Fcall Process(SessionId id, const Fcall& t);
 
   Vfs* vfs_;
   NinepMetrics metrics_;
   NetState net_{this};
-  std::atomic<bool> disable_zero_copy_{false};
 
   // state_mu_ guards the session table only; per-session bookkeeping lives
   // behind each Session's own locks (see ninep.h), so sessions never contend

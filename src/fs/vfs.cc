@@ -59,25 +59,6 @@ Result<std::string> OpenFile::Read(uint64_t offset, uint32_t count) {
   return data.substr(offset, n);
 }
 
-bool OpenFile::Gather(uint64_t offset, uint32_t count, GatherView* out) {
-  if ((mode_ & 3) == kOwrite) {
-    return false;  // permission error surfaces through the Read fallback
-  }
-  if (node_->handler() != nullptr) {
-    return node_->handler()->Gather(*this, offset, count, out);
-  }
-  // Regular file: borrow the node's payload directly. The view is stable for
-  // the dispatch because tree mutations run under the dispatch lock.
-  const std::string& data = node_->data();
-  *out = GatherView();
-  if (offset < data.size()) {
-    size_t n = std::min<uint64_t>(count, data.size() - offset);
-    out->raw = std::string_view(data).substr(offset, n);
-    out->bytes = n;
-  }
-  return true;
-}
-
 Result<uint32_t> OpenFile::Write(uint64_t offset, std::string_view data) {
   if ((mode_ & 3) == kOread) {
     return ErrPerm(node_->name());

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "src/base/clock.h"
-#include "src/base/rune.h"
 #include "src/base/status.h"
 #include "src/fs/path.h"
 
@@ -58,21 +57,6 @@ using NodePtr = std::shared_ptr<Node>;
 
 class OpenFile;
 
-// A scatter-gather read: the file's bytes for one read request, described
-// without staging them through an intermediate string. The middle is either
-// borrowed rune spans (`runes`, gap-buffer storage — one UTF-8 transcode away
-// from the wire) or a borrowed byte view (`raw`, regular-file payloads);
-// prefix/suffix carry owned fringe bytes where a byte range splits a rune's
-// encoding. Borrowed views alias live storage: they are valid only while the
-// dispatch lock that was held when they were produced stays held.
-struct GatherView {
-  std::string prefix;    // owned bytes before the spans (may be empty)
-  RuneSpans runes;       // borrowed rune middle (empty when raw is set)
-  std::string suffix;    // owned bytes after the spans (may be empty)
-  std::string_view raw;  // borrowed byte middle (regular files)
-  uint64_t bytes = 0;    // total payload size in bytes
-};
-
 // Behaviour hook for synthetic files. One handler instance may serve many
 // nodes; per-open state lives in the OpenFile. Handlers receive the OpenFile
 // so that e.g. /mnt/help/new/ctl can create a window at Open time and answer
@@ -84,15 +68,6 @@ class FileHandler {
   virtual Status Open(OpenFile& f, uint8_t mode) { return Status::Ok(); }
   // Read up to `count` bytes at `offset`.
   virtual Result<std::string> Read(OpenFile& f, uint64_t offset, uint32_t count) = 0;
-  // Zero-copy read: describe the bytes as a GatherView instead of staging
-  // them. Returns false when the handler has no gather path (callers fall
-  // back to Read). Implementations populate *out with borrowed views; they
-  // must not allocate a middle copy — that is the whole point. Wrappers
-  // must delegate.
-  virtual bool Gather(OpenFile& f, uint64_t offset, uint32_t count,
-                      GatherView* out) {
-    return false;
-  }
   // Write `data` at `offset`; returns bytes accepted.
   virtual Result<uint32_t> Write(OpenFile& f, uint64_t offset, std::string_view data) = 0;
   // Called when the last reference to the open file goes away.
@@ -183,10 +158,6 @@ class OpenFile {
   ~OpenFile();
 
   Result<std::string> Read(uint64_t offset, uint32_t count);
-  // Zero-copy variant: false when no gather path exists for this file (the
-  // caller falls back to Read). Regular files gather as a borrowed byte view
-  // of the node's payload; handler files delegate to FileHandler::Gather.
-  bool Gather(uint64_t offset, uint32_t count, GatherView* out);
   Result<uint32_t> Write(uint64_t offset, std::string_view data);
 
   Node& node() { return *node_; }

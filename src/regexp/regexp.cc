@@ -1,21 +1,10 @@
 #include "src/regexp/regexp.h"
 
 #include <array>
-#include <atomic>
 
 #include "src/obs/trace.h"
 
 namespace help {
-
-namespace {
-// Test/bench switch for the literal-prefix skip loop (see
-// SetLiteralFastPathEnabled). Relaxed: flipped only by tests and benches.
-std::atomic<bool> g_literal_fastpath{true};
-}  // namespace
-
-void Regexp::SetLiteralFastPathEnabled(bool on) {
-  g_literal_fastpath.store(on, std::memory_order_relaxed);
-}
 
 bool Regexp::CharClass::Contains(Rune r) const {
   bool in = false;
@@ -518,8 +507,7 @@ std::optional<Regexp::MatchResult> Regexp::Run(const RuneSpans& text, size_t sta
 
 std::optional<Regexp::MatchResult> Regexp::Search(const RuneSpans& text,
                                                   size_t start) const {
-  if (!literal_.empty() && !bol_anchored_ &&
-      g_literal_fastpath.load(std::memory_order_relaxed)) {
+  if (!literal_.empty() && !bol_anchored_) {
     size_t pos = start;
     while (true) {
       size_t cand = FindRunes(text, literal_, pos);
@@ -554,7 +542,7 @@ std::optional<Regexp::MatchResult> Regexp::MatchAt(const RuneSpans& text,
   // Cheap negative filter: every match starts with the required literal (and
   // at a line start when '^'-anchored), so most candidates die without a VM
   // thread ever being built.
-  if (!literal_.empty() && g_literal_fastpath.load(std::memory_order_relaxed)) {
+  if (!literal_.empty()) {
     if (pos + literal_.size() > text.size()) {
       return std::nullopt;
     }

@@ -69,9 +69,13 @@ class Regexp {
   // streaming layer then enumerates line starts instead of scanning runes.
   bool line_anchored() const { return bol_anchored_; }
 
-  // Test/bench hook: disables the literal-prefix skip loop so the A/B
-  // benchmarks and the differential property suite can run the plain VM.
-  static void SetLiteralFastPathEnabled(bool on);
+  // The Pike VM alone, without the literal prefilter: Search (`anchored`
+  // false) or MatchAt (true) as the VM answers them. The oracle the
+  // differential tests and perf_regexp compare the prefiltered paths with.
+  std::optional<MatchResult> VmSearch(const RuneSpans& text, size_t start,
+                                      bool anchored = false) const {
+    return Run(text, start, anchored);
+  }
 
   Regexp(Regexp&&) = default;
   Regexp& operator=(Regexp&&) = default;

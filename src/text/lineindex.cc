@@ -312,44 +312,33 @@ LineIndex::BytePos LineIndex::Seek(const GapBuffer& buf, uint64_t byte_off,
 
 std::string LineIndex::Utf8Substr(const GapBuffer& buf, uint64_t byte_off,
                                   size_t count) const {
-  Utf8Slice s = Utf8Resolve(buf, byte_off, count);
   std::string out;
-  out.reserve(static_cast<size_t>(s.bytes));
-  out += s.prefix;
-  AppendUtf8FromRunes(buf.Spans().Slice(s.rune_begin, s.rune_end - s.rune_begin), &out);
-  out += s.suffix;
-  return out;
-}
-
-LineIndex::Utf8Slice LineIndex::Utf8Resolve(const GapBuffer& buf,
-                                            uint64_t byte_off,
-                                            size_t count) const {
-  Utf8Slice out;
   if (count == 0 || byte_off >= total_.bytes) {
     return out;
   }
   const uint64_t end = std::min<uint64_t>(byte_off + count, total_.bytes);
+  out.reserve(static_cast<size_t>(end - byte_off));
   const BytePos first = Seek(buf, byte_off, BytePos{});
   const BytePos last =
       end < total_.bytes ? Seek(buf, end, first) : BytePos{runes(), total_.bytes};
-  out.rune_begin = first.rune;
+  size_t rune_begin = first.rune;
+  std::string enc;
   if (first.byte < byte_off) {
     // The rune at first straddles the start: keep the tail of its encoding
     // (and only up to `end` — the whole range may land inside one rune).
-    std::string enc;
     EncodeRune(buf.At(first.rune), &enc);
-    out.prefix = enc.substr(static_cast<size_t>(byte_off - first.byte),
-                            static_cast<size_t>(end - byte_off));
-    out.rune_begin++;
+    out.append(enc, static_cast<size_t>(byte_off - first.byte),
+               static_cast<size_t>(end - byte_off));
+    rune_begin++;
   }
-  out.rune_end = std::max(last.rune, out.rune_begin);
-  if (last.byte < end && last.rune >= out.rune_begin) {
+  const size_t rune_end = std::max(last.rune, rune_begin);
+  AppendUtf8FromRunes(buf.Spans().Slice(rune_begin, rune_end - rune_begin), &out);
+  if (last.byte < end && last.rune >= rune_begin) {
     // The rune at last straddles the end: keep the head of its encoding.
-    std::string enc;
+    enc.clear();
     EncodeRune(buf.At(last.rune), &enc);
-    out.suffix = enc.substr(0, static_cast<size_t>(end - last.byte));
+    out.append(enc, 0, static_cast<size_t>(end - last.byte));
   }
-  out.bytes = end - byte_off;
   return out;
 }
 

@@ -70,24 +70,9 @@ class LineIndex {
   size_t NextNewline(const GapBuffer& buf, size_t pos) const;
   // Bytes [byte_off, byte_off+count) of the document's UTF-8 encoding,
   // without materializing the rest (the file-server read path). Byte offsets
-  // may land mid-rune; the slice is byte-exact. Utf8Resolve plus one encode.
+  // may land mid-rune; the slice is byte-exact: the straddled runes' partial
+  // encodings frame one transcode of the whole runes between them.
   std::string Utf8Substr(const GapBuffer& buf, uint64_t byte_off, size_t count) const;
-
-  // Structural form of Utf8Substr for the zero-copy read path: instead of
-  // materializing the bytes, resolves the byte range to the rune range whose
-  // encodings lie fully inside it, plus owned fringe bytes where the range
-  // boundaries land mid-rune. The caller encodes runes [rune_begin, rune_end)
-  // straight from the buffer's spans; prefix/suffix cover at most one
-  // partially-included rune each. bytes == prefix + middle + suffix total.
-  struct Utf8Slice {
-    std::string prefix;     // trailing bytes of the rune straddling the start
-    std::string suffix;     // leading bytes of the rune straddling the end
-    size_t rune_begin = 0;  // whole runes fully inside the byte range
-    size_t rune_end = 0;
-    uint64_t bytes = 0;     // total slice size in bytes (clamped to document)
-  };
-  Utf8Slice Utf8Resolve(const GapBuffer& buf, uint64_t byte_off,
-                        size_t count) const;
 
   // Test hook: recount every chunk from the buffer and verify chunk counts,
   // Fenwick sums, and totals. O(n); used by the differential property suite.

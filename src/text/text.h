@@ -57,25 +57,6 @@ class Text {
     return lines_.Utf8Substr(buf_, byte_off, count);
   }
 
-  // Scatter-gather form of Utf8Substr: resolves the byte range to borrowed
-  // gap-buffer spans plus owned fringe bytes where the range splits a rune.
-  // The spans alias buf_ and are valid only until the next mutation.
-  struct GatherResult {
-    std::string prefix;  // owned tail bytes of a rune split by the range start
-    RuneSpans runes;     // whole runes fully inside the range (borrowed)
-    std::string suffix;  // owned head bytes of a rune split by the range end
-    uint64_t bytes = 0;  // total slice size: prefix + encoded runes + suffix
-  };
-  GatherResult GatherUtf8(uint64_t byte_off, size_t count) const {
-    LineIndex::Utf8Slice s = lines_.Utf8Resolve(buf_, byte_off, count);
-    GatherResult g;
-    g.prefix = std::move(s.prefix);
-    g.suffix = std::move(s.suffix);
-    g.runes = buf_.Spans().Slice(s.rune_begin, s.rune_end - s.rune_begin);
-    g.bytes = s.bytes;
-    return g;
-  }
-
   // --- Editing (undoable) ---------------------------------------------------
 
   // Starts a new undo group; all edits until the next BeginChange undo as one.

@@ -140,7 +140,7 @@ TEST(ConnInfo, RenderFormatsPinned) {
             "op count errs p50us p99us\n"
             "read 1 0 0 0\n"
             "total_ops 1\nlatency_us 1 0 0\nqueue_wait_us 1 0 0\n"
-            "writev_calls 0\nbytes_zero_copy 0\n");
+            "writev_calls 0\n");
   EXPECT_EQ(info.RenderClientLine(), "7 unix active 0 0 2 10 20\n");
   info.set_state(ConnState::kStalled);
   EXPECT_NE(info.RenderStatus().find("state stalled\n"), std::string::npos);
@@ -173,8 +173,7 @@ TEST(StatsMetricsParity, EveryStatsEntrySurfacesInMetrics) {
       "ninep.flush_cancels", "ninep.lock.wait_us",    "net.accepts",
       "net.active_conns",    "net.reaped",            "net.backpressure_stalls",
       "net.frame_errors",    "net.bytes_in",          "net.bytes_out",
-      "net.queue_wait_us",   "ninep.bytes_zero_copy", "ninep.bytes_staged",
-      "net.writev_calls",
+      "net.queue_wait_us",   "net.writev_calls",
   };
   for (size_t i = 0; i < kNinepOpCount; i++) {
     const char* op = NinepOpName(static_cast<NinepOp>(i));

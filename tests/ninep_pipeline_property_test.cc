@@ -30,7 +30,7 @@ std::string SockPath(const char* name) {
   return StrFormat("%s.%d.sock", name, getpid());
 }
 
-// Deterministic chunk content mixing ASCII with multi-byte runes so gathered
+// Deterministic chunk content mixing ASCII with multi-byte runes so read
 // windows straddle rune boundaries in both directions.
 std::string Chunk(std::mt19937& rng, int round) {
   static const char* kRunes[] = {"a", "b", "ö", "—", "你", "😀", "\n"};
@@ -123,7 +123,6 @@ TEST(NinepPipelineProperty, PipelinedReadsMatchOracleAcrossBarriers) {
           << ranges[i].offset << " count " << ranges[i].count;
     }
   }
-  EXPECT_GT(srv.metrics().bytes_zero_copy(), 0u);
   lis.Stop();
   ::unlink(path.c_str());
 }

@@ -324,7 +324,7 @@ TEST(ObsTracer, ChromeJsonIsWellFormed) {
 // The /mnt/help/stats byte format, pinned exactly: header line, one
 // "op count errs p50us p99us" row per op with traffic (enum order), the
 // four scalar totals, the lock-wait line, the socket-layer lines, then the
-// zero-copy lines. NinepMetrics is a registry view; its Render() must not
+// outbox-drain line. NinepMetrics is a registry view; its Render() must not
 // drift.
 TEST(NinepMetricsCompat, StatsByteFormatPinnedExactly) {
   Registry::Global().Reset();
@@ -351,8 +351,6 @@ TEST(NinepMetricsCompat, StatsByteFormatPinnedExactly) {
             "net_frame_errors 0\n"
             "net_bytes_in 0\n"
             "net_bytes_out 0\n"
-            "bytes_zero_copy 0\n"
-            "bytes_staged 0\n"
             "net_writev_calls 0\n");
   // And the same numbers are visible through the registry's own file format.
   std::string metrics = Registry::Global().RenderText();
@@ -368,7 +366,7 @@ TEST(NinepMetricsCompat, StatsByteFormatPinnedExactly) {
             "net_accepts 0\nnet_active_conns 0\nnet_reaped 0\n"
             "net_backpressure_stalls 0\nnet_frame_errors 0\n"
             "net_bytes_in 0\nnet_bytes_out 0\n"
-            "bytes_zero_copy 0\nbytes_staged 0\nnet_writev_calls 0\n");
+            "net_writev_calls 0\n");
 }
 
 TEST(ObsTracer, RenderTextLinesCarryAllStamps) {

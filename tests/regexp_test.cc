@@ -280,22 +280,23 @@ TEST(RegexpSpans, LiteralExtraction) {
   EXPECT_FALSE(grouped.value().literal_only());  // must record the capture
 }
 
-// The fast path and the plain VM must agree, including on matches that the
-// skip loop lands on mid-candidate.
+// The literal prefilter and the plain VM must agree, including on matches
+// that the skip loop lands on mid-candidate; MatchAt's prefix check too.
 TEST(RegexpSpans, FastPathEquivalence) {
   RuneString runes = RunesFromUtf8("ababx abaabab ababab!");
   auto re = Regexp::Compile("abab");
   ASSERT_TRUE(re.ok());
   for (size_t start = 0; start <= runes.size(); start++) {
-    Regexp::SetLiteralFastPathEnabled(false);
-    auto want = re.value().Search(RuneStringView(runes), start);
-    Regexp::SetLiteralFastPathEnabled(true);
+    auto want = re.value().VmSearch(RuneStringView(runes), start);
     auto got = re.value().Search(RuneStringView(runes), start);
     ASSERT_EQ(got.has_value(), want.has_value()) << start;
     if (want) {
       EXPECT_EQ(got->begin, want->begin) << start;
       EXPECT_EQ(got->end, want->end) << start;
     }
+    auto want_at = re.value().VmSearch(RuneStringView(runes), start, /*anchored=*/true);
+    auto got_at = re.value().MatchAt(RuneStringView(runes), start);
+    ASSERT_EQ(got_at.has_value(), want_at.has_value()) << start;
   }
 }
 

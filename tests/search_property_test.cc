@@ -1,11 +1,11 @@
 // Differential property tests for the zero-copy streaming search layer.
 //
-// The oracle is the plain Pike VM running over a single materialized copy of
-// the document with the literal fast path disabled — no spans, no
-// Boyer-Moore skip loop, no line-index candidate enumeration. The subject is
-// the streaming path (StreamSearch / SearchBackward / StreamFindLiteral)
-// over a Text whose gap has been parked at a random position, with the fast
-// path enabled. Matches must be byte-identical, captures included.
+// The oracle is the plain Pike VM (Regexp::VmSearch) running over a single
+// materialized copy of the document — no spans, no Boyer-Moore skip loop, no
+// line-index candidate enumeration. The subject is the streaming path
+// (StreamSearch / SearchBackward / StreamFindLiteral) over a Text whose gap
+// has been parked at a random position, with the literal prefilter in play.
+// Matches must be byte-identical, captures included.
 #include "src/text/search.h"
 
 #include <gtest/gtest.h>
@@ -95,19 +95,13 @@ void ExpectSameMatch(const std::optional<Regexp::MatchResult>& got,
   }
 }
 
-// Restores the fast-path toggle even when an assertion bails out of a test.
-struct FastPathGuard {
-  explicit FastPathGuard(bool on) { Regexp::SetLiteralFastPathEnabled(on); }
-  ~FastPathGuard() { Regexp::SetLiteralFastPathEnabled(true); }
-};
-
 // Oracle: last match (greedy at each successful start) with end <= limit,
-// found by probing MatchAt at every position of the materialized copy.
+// found by running the anchored VM at every position of the materialized copy.
 std::optional<Regexp::MatchResult> RefBackward(const Regexp& re, RuneStringView doc,
                                                size_t limit) {
   std::optional<Regexp::MatchResult> best;
   for (size_t p = 0; p <= doc.size(); p++) {
-    auto m = re.MatchAt(doc, p);
+    auto m = re.VmSearch(doc, p, /*anchored=*/true);
     if (m && m->end <= limit && (!best || m->begin >= best->begin)) {
       best = m;
     }
@@ -128,11 +122,8 @@ TEST(SearchProperty, StreamingMatchesMaterialized) {
     size_t start = rng.Below(static_cast<uint32_t>(content.size()) + 2);
 
     std::optional<Regexp::MatchResult> want;
-    {
-      FastPathGuard off(false);
-      if (start <= content.size()) {
-        want = re.value().Search(RuneStringView(content), start);
-      }
+    if (start <= content.size()) {
+      want = re.value().VmSearch(RuneStringView(content), start);
     }
     auto got = StreamSearch(t, re.value(), start);
 
@@ -155,12 +146,8 @@ TEST(SearchProperty, BackwardMatchesMatchAtSweep) {
     Text t = MakeGappedText(content, gap_pos);
     size_t limit = rng.Below(static_cast<uint32_t>(content.size()) + 2);
 
-    std::optional<Regexp::MatchResult> want;
-    {
-      FastPathGuard off(false);
-      want = RefBackward(re.value(), RuneStringView(content),
-                         std::min(limit, content.size()));
-    }
+    std::optional<Regexp::MatchResult> want = RefBackward(
+        re.value(), RuneStringView(content), std::min(limit, content.size()));
     auto got = StreamSearchBackward(t, re.value(), limit);
 
     std::string what = "case " + std::to_string(c) + ": -/" + pattern + "/ limit " +
@@ -227,9 +214,7 @@ TEST(SearchProperty, AnchoredAcrossGapPositions) {
   for (size_t gap = 0; gap <= doc.size(); gap++) {
     Text t = MakeGappedText(doc, gap);
     for (size_t start = 0; start <= doc.size(); start++) {
-      FastPathGuard off(false);
-      auto want = re.value().Search(RuneStringView(doc), start);
-      Regexp::SetLiteralFastPathEnabled(true);
+      auto want = re.value().VmSearch(RuneStringView(doc), start);
       auto got = StreamSearch(t, re.value(), start);
       ExpectSameMatch(got, want,
                       "gap " + std::to_string(gap) + " start " + std::to_string(start));

@@ -412,36 +412,19 @@ TEST(Text, Utf8SubstrMatchesFullEncode) {
   EXPECT_EQ(t.Utf8Substr(e_acute + 1, 3), full.substr(e_acute + 1, 3));
 }
 
-// Reassembling a GatherResult (prefix + encoded rune spans + suffix) must be
-// byte-identical to Utf8Substr for every window, including ones that split a
-// multi-byte rune at either or both edges. This is the zero-copy Rread path's
-// correctness core: the server encodes exactly these three pieces.
-TEST(Text, GatherUtf8ReassemblesEveryWindow) {
+// Every window of a mixed-width text, including ones that split a
+// multi-byte rune at either or both edges or lie inside one rune, and a
+// whole-ASCII window in the middle of an all-ASCII text.
+TEST(Text, Utf8SubstrMatchesEveryWindow) {
   Text t("naïve 你好 😀 plain ascii tail\nsecond ünicode line\n");
   std::string full = t.Utf8();
   for (size_t off = 0; off <= full.size() + 2; off++) {
     for (size_t count : {0u, 1u, 2u, 3u, 5u, 17u, 4096u}) {
-      Text::GatherResult g = t.GatherUtf8(off, count);
-      std::string got = g.prefix;
-      got += Utf8FromRunes(g.runes);
-      got += g.suffix;
       std::string want = off < full.size() ? full.substr(off, count) : "";
-      ASSERT_EQ(got, want) << "off " << off << " count " << count;
-      ASSERT_EQ(g.bytes, want.size()) << "off " << off << " count " << count;
+      ASSERT_EQ(t.Utf8Substr(off, count), want) << "off " << off << " count " << count;
     }
   }
-}
-
-// The borrowed middle really borrows: for a window of whole ASCII runes the
-// prefix and suffix are empty and the spans cover exactly count runes.
-TEST(Text, GatherUtf8MiddleIsBorrowedSpans) {
-  Text t("0123456789");
-  Text::GatherResult g = t.GatherUtf8(2, 5);
-  EXPECT_TRUE(g.prefix.empty());
-  EXPECT_TRUE(g.suffix.empty());
-  EXPECT_EQ(g.runes.size(), 5u);
-  EXPECT_EQ(g.bytes, 5u);
-  EXPECT_EQ(Utf8FromRunes(g.runes), "23456");
+  EXPECT_EQ(Text("0123456789").Utf8Substr(2, 5), "23456");
 }
 
 // Chunk-boundary cases for the byte seek. A fresh Text splits into chunks of
@@ -455,13 +438,6 @@ std::string AsciiThenMixed() {
   return s;
 }
 
-std::string Gathered(const Text& t, uint64_t off, size_t count) {
-  Text::GatherResult g = t.GatherUtf8(off, count);
-  std::string got = g.prefix + Utf8FromRunes(g.runes) + g.suffix;
-  EXPECT_EQ(g.bytes, got.size());
-  return got;
-}
-
 TEST(Text, ByteRangeFromAsciiChunkIntoMixedChunk) {
   Text t(AsciiThenMixed());
   std::string full = t.Utf8();
@@ -469,7 +445,6 @@ TEST(Text, ByteRangeFromAsciiChunkIntoMixedChunk) {
   for (uint64_t off : {boundary - 300, boundary - 1}) {
     for (size_t count : {1u, 2u, 300u, 1024u}) {
       EXPECT_EQ(t.Utf8Substr(off, count), full.substr(off, count)) << off << " " << count;
-      EXPECT_EQ(Gathered(t, off, count), full.substr(off, count)) << off << " " << count;
     }
   }
 }
@@ -480,9 +455,6 @@ TEST(Text, ByteOffsetMidRuneAfterChunkBoundary) {
   // Byte kTargetChunkRunes is the lead byte of the é opening the mixed chunk.
   const uint64_t mid = LineIndex::kTargetChunkRunes + 1;
   ASSERT_EQ(full.substr(mid - 1, 2), "é");
-  Text::GatherResult g = t.GatherUtf8(mid, 8);
-  EXPECT_EQ(g.prefix, full.substr(mid, 1));
-  EXPECT_EQ(Gathered(t, mid, 8), full.substr(mid, 8));
   EXPECT_EQ(t.Utf8Substr(mid, 8), full.substr(mid, 8));
   EXPECT_EQ(t.Utf8Substr(mid, 1), full.substr(mid, 1));
 }
@@ -492,10 +464,8 @@ TEST(Text, ByteCountPastEofClampsToDocument) {
   std::string full = t.Utf8();
   for (uint64_t off : {uint64_t{0}, uint64_t{10}, full.size() - 3, full.size() - 1}) {
     EXPECT_EQ(t.Utf8Substr(off, full.size() + 1000), full.substr(off)) << off;
-    EXPECT_EQ(Gathered(t, off, full.size() + 1000), full.substr(off)) << off;
   }
   EXPECT_EQ(t.Utf8Substr(full.size(), 10), "");
-  EXPECT_EQ(t.GatherUtf8(full.size(), 10).bytes, 0u);
 }
 
 }  // namespace
