@@ -46,25 +46,16 @@ Rune DecodeRune(std::string_view utf8, int* size) {
   return r;
 }
 
+char* PutRunes(char* p, RuneStringView runes) {
+  for (Rune r : runes) {
+    p = PutRune(p, r);
+  }
+  return p;
+}
+
 void EncodeRune(Rune r, std::string* out) {
-  if (r > kRuneMax || (r >= 0xD800 && r <= 0xDFFF)) {
-    r = kRuneError;
-  }
-  if (r < 0x80) {
-    out->push_back(static_cast<char>(r));
-  } else if (r < 0x800) {
-    out->push_back(static_cast<char>(0xC0 | (r >> 6)));
-    out->push_back(static_cast<char>(0x80 | (r & 0x3F)));
-  } else if (r < 0x10000) {
-    out->push_back(static_cast<char>(0xE0 | (r >> 12)));
-    out->push_back(static_cast<char>(0x80 | ((r >> 6) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | (r & 0x3F)));
-  } else {
-    out->push_back(static_cast<char>(0xF0 | (r >> 18)));
-    out->push_back(static_cast<char>(0x80 | ((r >> 12) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | ((r >> 6) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | (r & 0x3F)));
-  }
+  char buf[4];
+  out->append(buf, static_cast<size_t>(PutRune(buf, r) - buf));
 }
 
 RuneString RunesFromUtf8(std::string_view utf8) {
@@ -78,39 +69,13 @@ RuneString RunesFromUtf8(std::string_view utf8) {
   return out;
 }
 
-std::string Utf8FromRunes(RuneStringView runes) {
-  std::string out;
-  AppendUtf8FromRunes(RuneSpans(runes), &out);
-  return out;
-}
+std::string Utf8FromRunes(RuneStringView runes) { return Utf8FromRunes(RuneSpans(runes)); }
 
 std::string Utf8FromRunes(const RuneSpans& spans) {
   std::string out;
-  AppendUtf8FromRunes(spans, &out);
+  out.resize(Utf8Len(spans.a) + Utf8Len(spans.b));
+  PutRunes(PutRunes(out.data(), spans.a), spans.b);
   return out;
-}
-
-void AppendUtf8FromRunes(const RuneSpans& spans, std::string* out) {
-  out->reserve(out->size() + spans.size());
-  for (RuneStringView half : {spans.a, spans.b}) {
-    const Rune* p = half.data();
-    const Rune* end = p + half.size();
-    while (p < end) {
-      // Narrow a run of ASCII runes with one resize; encode the rune after it.
-      const Rune* run = p;
-      while (p < end && *p < 0x80) {
-        p++;
-      }
-      if (p > run) {
-        size_t at = out->size();
-        out->resize(at + static_cast<size_t>(p - run));
-        std::transform(run, p, out->data() + at, [](Rune r) { return static_cast<char>(r); });
-      }
-      if (p < end) {
-        EncodeRune(*p++, out);
-      }
-    }
-  }
 }
 
 size_t FindRunes(const RuneSpans& text, RuneStringView needle, size_t start) {

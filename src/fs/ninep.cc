@@ -750,7 +750,7 @@ Result<std::string> NinepClient::ReadFid(uint32_t fid, uint64_t offset, uint32_t
   if (!r.ok()) {
     return r.status();
   }
-  return r.value().data;
+  return r.take().data;
 }
 
 Result<uint32_t> NinepClient::WriteFid(uint32_t fid, uint64_t offset, std::string_view data) {
@@ -860,7 +860,7 @@ Result<StatInfo> NinepClient::StatFid(uint32_t fid) {
   if (!r.ok()) {
     return r.status();
   }
-  return r.value().stat;
+  return r.take().stat;
 }
 
 Result<std::string> NinepClient::ReadFile(std::string_view path) {

@@ -326,19 +326,42 @@ std::string SocketTransport::RecvReply() {
     return fail(send_error_.empty() ? std::string("ninep: transport closed")
                                     : send_error_);
   }
-  auto hdr = ReadFull(fd_, 4);
-  if (!hdr.ok()) {
-    return fail(hdr.message());
+  uint32_t size = 0;
+  while (true) {
+    const size_t have = rend_ - rpos_;
+    if (have >= 4) {
+      size = PeekU32(rbuf_, rpos_);
+      if (size < kMinFrameSize || size > kMaxFrameSize) {
+        return fail(StrFormat("ninep: bad reply frame size %u", size));
+      }
+      if (have >= size) {
+        break;
+      }
+    }
+    // Short of a whole frame: move its start to the front, make room for
+    // all of it, and take whatever has arrived.
+    if (rpos_ > 0) {
+      memmove(rbuf_.data(), rbuf_.data() + rpos_, have);
+      rpos_ = 0;
+      rend_ = have;
+    }
+    if (size > rbuf_.size()) {
+      rbuf_.resize(size);
+    }
+    ssize_t n = recv(fd_, rbuf_.data() + rend_, rbuf_.size() - rend_, 0);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return fail(Errno("recv").message());
+    }
+    if (n == 0) {
+      return fail("connection closed");
+    }
+    rend_ += static_cast<size_t>(n);
   }
-  uint32_t size = PeekU32(hdr.value(), 0);
-  if (size < kMinFrameSize || size > kMaxFrameSize) {
-    return fail(StrFormat("ninep: bad reply frame size %u", size));
-  }
-  auto rest = ReadFull(fd_, size - 4);
-  if (!rest.ok()) {
-    return fail(rest.message());
-  }
-  std::string reply = hdr.take() + rest.take();
+  std::string reply(rbuf_, rpos_, size);
+  rpos_ += size;
   // A real reply retires its own tag wherever it sits in the queue (the
   // server may answer out of order since the dispatch layer pipelines).
   uint16_t rtag = FrameTag(reply);

@@ -14,9 +14,11 @@
 //     calls, Plan 9-style error strings, SIGPIPE suppressed (MSG_NOSIGNAL).
 //   * SocketTransport — the synchronous client side: a NinepClient::Transport
 //     that writes one framed T-message and blocks for the matching R-message,
-//     so the same client code runs in-process or over the wire. Transport
-//     failures are surfaced as a synthesized Rerror carrying the request's
-//     own tag (the Transport signature has no side channel for errors).
+//     so the same client code runs in-process or over the wire. Replies are
+//     read into one buffer per connection, so a reply usually costs one
+//     `recv`. Transport failures are surfaced as a synthesized Rerror
+//     carrying the request's own tag (the Transport signature has no side
+//     channel for errors).
 //
 // The server side — the epoll event loop multiplexing thousands of these
 // connections — lives in src/fs/listener.h.
@@ -132,7 +134,10 @@ class SocketTransport {
   std::string Rpc(std::string_view packet);
 
   // Pipelined half-calls. Send frames the T-message onto the wire and
-  // remembers its tag; RecvReply blocks for the next R-message. When the
+  // remembers its tag; RecvReply blocks for the next R-message. It reads
+  // whatever has arrived into the connection's buffer, so one `recv`
+  // usually brings a whole reply and any pipelined replies behind it; those
+  // are returned by the next calls without a syscall. When the
   // transport dies mid-stream, each RecvReply synthesizes an Rerror for the
   // *oldest* tag still in flight — with several requests outstanding the
   // failure belongs to the reply the server would have sent next, not to
@@ -157,9 +162,19 @@ class SocketTransport {
   int fd() const { return fd_; }
 
  private:
-  explicit SocketTransport(int fd) : fd_(fd) {}
+  // The read buffer's size until a reply larger than it arrives; it then
+  // grows to that reply's size (at most kMaxFrameSize) and stays there.
+  static constexpr size_t kRecvBufferBytes = 8192;
+
+  explicit SocketTransport(int fd) : fd_(fd), rbuf_(kRecvBufferBytes, '\0') {}
 
   int fd_ = -1;
+  // Received bytes not yet returned as replies are rbuf_[rpos_, rend_).
+  // What is left moves to the front only when a frame needs more bytes (and
+  // after the last buffered reply is taken, nothing is left to move).
+  std::string rbuf_;
+  size_t rpos_ = 0;
+  size_t rend_ = 0;
   // First send failure's message; later synthesized replies carry it so the
   // root cause isn't masked by "transport closed".
   std::string send_error_;

@@ -288,26 +288,49 @@ LineIndex::BytePos LineIndex::Seek(const GapBuffer& buf, uint64_t byte_off,
     at = from;
   }
   BytePos end{static_cast<size_t>(before.runes + c.runes), before.bytes + c.bytes};
-  RuneSpans runes = buf.Spans().Slice(at.rune, end.rune - at.rune);
+  const RuneSpans runes = buf.Spans().Slice(at.rune, end.rune - at.rune);
+  auto block_bytes = [&runes](size_t i) {
+    RuneSpans b = runes.Slice(i, kSeekBlockRunes);
+    return Utf8Len(b.a) + Utf8Len(b.b);
+  };
   if (end.byte - byte_off < byte_off - at.byte) {
-    // Nearer the chunk's end: step back to the first boundary <= byte_off.
-    for (size_t i = runes.size(); end.byte > byte_off;) {
+    // Nearer the chunk's end: step back over whole blocks that start at or
+    // past byte_off, then rune by rune to the first boundary <= byte_off.
+    size_t i = runes.size();
+    while (i >= kSeekBlockRunes) {
+      uint64_t len = block_bytes(i - kSeekBlockRunes);
+      if (end.byte - len < byte_off) {
+        break;
+      }
+      i -= kSeekBlockRunes;
+      end.byte -= len;
+      end.rune -= kSeekBlockRunes;
+    }
+    while (end.byte > byte_off) {
       end.byte -= Utf8RuneLen(runes[--i]);
       end.rune--;
     }
     return end;
   }
-  for (RuneStringView half : {runes.a, runes.b}) {
-    for (Rune r : half) {
-      uint64_t len = Utf8RuneLen(r);
-      if (at.byte + len > byte_off) {
-        return at;
-      }
-      at.byte += len;
-      at.rune++;
+  size_t i = 0;
+  while (runes.size() - i >= kSeekBlockRunes) {
+    uint64_t len = block_bytes(i);
+    if (at.byte + len > byte_off) {
+      break;
     }
+    i += kSeekBlockRunes;
+    at.byte += len;
+    at.rune += kSeekBlockRunes;
   }
-  return at;  // unreachable if counts are consistent
+  for (; i < runes.size(); i++) {
+    uint64_t len = Utf8RuneLen(runes[i]);
+    if (at.byte + len > byte_off) {
+      break;
+    }
+    at.byte += len;
+    at.rune++;
+  }
+  return at;
 }
 
 std::string LineIndex::Utf8Substr(const GapBuffer& buf, uint64_t byte_off,
@@ -317,27 +340,31 @@ std::string LineIndex::Utf8Substr(const GapBuffer& buf, uint64_t byte_off,
     return out;
   }
   const uint64_t end = std::min<uint64_t>(byte_off + count, total_.bytes);
-  out.reserve(static_cast<size_t>(end - byte_off));
   const BytePos first = Seek(buf, byte_off, BytePos{});
   const BytePos last =
       end < total_.bytes ? Seek(buf, end, first) : BytePos{runes(), total_.bytes};
+  // The seeks fix the output's size, so it is resized once and written
+  // through a pointer.
+  out.resize(static_cast<size_t>(end - byte_off));
+  char* p = out.data();
+  char enc[4];
   size_t rune_begin = first.rune;
-  std::string enc;
   if (first.byte < byte_off) {
     // The rune at first straddles the start: keep the tail of its encoding
     // (and only up to `end` — the whole range may land inside one rune).
-    EncodeRune(buf.At(first.rune), &enc);
-    out.append(enc, static_cast<size_t>(byte_off - first.byte),
-               static_cast<size_t>(end - byte_off));
+    const size_t skip = static_cast<size_t>(byte_off - first.byte);
+    const size_t len = static_cast<size_t>(PutRune(enc, buf.At(first.rune)) - enc);
+    p = std::copy_n(enc + skip, std::min(len - skip, out.size()), p);
     rune_begin++;
   }
-  const size_t rune_end = std::max(last.rune, rune_begin);
-  AppendUtf8FromRunes(buf.Spans().Slice(rune_begin, rune_end - rune_begin), &out);
+  if (last.rune > rune_begin) {
+    const RuneSpans mid = buf.Spans().Slice(rune_begin, last.rune - rune_begin);
+    p = PutRunes(PutRunes(p, mid.a), mid.b);
+  }
   if (last.byte < end && last.rune >= rune_begin) {
     // The rune at last straddles the end: keep the head of its encoding.
-    enc.clear();
-    EncodeRune(buf.At(last.rune), &enc);
-    out.append(enc, 0, static_cast<size_t>(end - last.byte));
+    PutRune(enc, buf.At(last.rune));
+    std::copy_n(enc, static_cast<size_t>(end - last.byte), p);
   }
   return out;
 }

@@ -28,22 +28,18 @@
 
 namespace help {
 
-// UTF-8 encoded length of one rune, mirroring EncodeRune (invalid runes
-// encode as the 3-byte replacement character). Branch-free, because chunk
-// scans over mixed text would otherwise mispredict on every script change:
-// surrogates already count 3, and runes past kRuneMax drop from 4 to 3.
-inline uint64_t Utf8RuneLen(Rune r) {
-  return 1u + (r >= 0x80) + (r >= 0x800) + (r >= 0x10000) - (r > kRuneMax);
-}
-
 class LineIndex {
  public:
   // Chunks aim for kTargetChunkRunes and split past kMaxChunkRunes; a chunk
   // that shrinks below kMinChunkRunes merges with a neighbor when the result
-  // fits. Queries scan at most one chunk, so kMaxChunkRunes bounds C.
-  static constexpr size_t kTargetChunkRunes = 4096;
+  // fits. Line queries scan at most one chunk, so kMaxChunkRunes bounds C.
+  // A byte seek inside a mixed chunk sums kSeekBlockRunes runes at a time
+  // and steps rune by rune only in the block that holds the target, so it
+  // reads at most kMaxChunkRunes / 2 runes in block sums plus one block.
+  static constexpr size_t kTargetChunkRunes = 512;
   static constexpr size_t kMaxChunkRunes = 2 * kTargetChunkRunes;
   static constexpr size_t kMinChunkRunes = kTargetChunkRunes / 8;
+  static constexpr size_t kSeekBlockRunes = 32;
 
   // Full O(n) rebuild from the buffer (document load / SetAll).
   void Reset(const GapBuffer& buf);
@@ -106,10 +102,11 @@ class LineIndex {
     uint64_t byte = 0;
   };
   // The rune whose encoding covers byte_off (< utf8_bytes()). O(log n) to
-  // the chunk, then O(1) in an all-ASCII chunk (bytes == runes) or a scan of
-  // the chunk's spans otherwise. The scan starts at `from`, a boundary at or
-  // before byte_off, when that lies inside the chunk, and steps back from
-  // the chunk's end instead when that is nearer.
+  // the chunk, then O(1) in an all-ASCII chunk (bytes == runes). In a mixed
+  // chunk it walks whole kSeekBlockRunes blocks by their summed lengths and
+  // then at most one block rune by rune. The walk starts at `from`, a
+  // boundary at or before byte_off, when that lies inside the chunk, and
+  // steps back from the chunk's end instead when that is nearer.
   BytePos Seek(const GapBuffer& buf, uint64_t byte_off, BytePos from) const;
 
   void RebuildFenwick();

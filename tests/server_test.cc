@@ -350,11 +350,14 @@ TEST(NinepServerConcurrent, IndexSnapshotStableUnderConcurrentCreation) {
   ASSERT_TRUE(seeder.ReadFile("/mnt/help/new/ctl").ok());
   ASSERT_TRUE(seeder.ReadFile("/mnt/help/new/ctl").ok());
 
+  // The creator stops after 500 windows even if the reader is not done: the
+  // dispatch mutex is not fair, so a creator that re-takes it at once could
+  // otherwise starve the reader and grow the index without end.
   std::atomic<bool> stop{false};
   std::thread creator([&] {
     NinepClient c(srv.TransportFor(srv.OpenSession()));
     ASSERT_TRUE(c.Connect("creator").ok());
-    while (!stop.load()) {
+    for (int made = 0; made < 500 && !stop.load(); made++) {
       ASSERT_TRUE(c.ReadFile("/mnt/help/new/ctl").ok());
     }
   });

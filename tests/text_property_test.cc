@@ -7,6 +7,8 @@
 // intervals. Runs under ASan/UBSan and TSan (ctest label `property`).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -226,12 +228,28 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Differential, ::testing::Range(1, 5));
 
 // --- Byte seek across ASCII and mixed chunks ----------------------------------
 
-// Reference encoding, one EncodeRune per rune: independent of both the line
-// index's seek and the ASCII-run transcoder the readers use.
+// Reference encoding, written apart from PutRune (the one writer every
+// reader under test shares) and from the line index's seek: continuation
+// bytes are peeled off the low end, and the lead byte is marked last.
 std::string RefEncode(const std::u32string& s) {
   std::string out;
   for (Rune r : s) {
-    EncodeRune(r, &out);
+    if (r > 0x10FFFF || (r >= 0xD800 && r <= 0xDFFF)) {
+      out += "\xEF\xBF\xBD";  // U+FFFD
+      continue;
+    }
+    if (r < 0x80) {
+      out += static_cast<char>(r);
+      continue;
+    }
+    const int extra = r < 0x800 ? 1 : r < 0x10000 ? 2 : 3;
+    char enc[4];
+    for (int i = extra; i > 0; i--) {
+      enc[i] = static_cast<char>(0x80 | (r & 0x3F));
+      r >>= 6;
+    }
+    enc[0] = static_cast<char>(((0xFF80 >> extra) & 0xFF) | r);
+    out.append(enc, static_cast<size_t>(extra + 1));
   }
   return out;
 }
@@ -315,6 +333,118 @@ TEST_P(ByteSeek, RangeReadersAgreeWithReencodeAsChunksFlip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ByteSeek, ::testing::Range(1, 4));
+
+// --- Byte-exact reads at every offset, runes of every width ----------------------
+
+// One rune of each encoded width, the edges of each width, and the invalid
+// runes that encode as the 3-byte U+FFFD: surrogates and values past kRuneMax.
+constexpr Rune kAnyWidth[] = {'\n',    0xE9,    0x3B1,   0x7FF,    0x800,
+                              0x4F60,  0xFFFF,  0x10000, 0x1F600,  0x10FFFF,
+                              0xD800,  0xDFFF,  0x110000, 0xFFFFFFFF};
+
+// n runes, a third of them from kAnyWidth and the rest lowercase ASCII.
+std::u32string AnyWidthRunes(Lcg& rng, size_t n) {
+  std::u32string s(n, 0);
+  for (Rune& r : s) {
+    r = rng.Below(3) == 0 ? kAnyWidth[rng.Below(static_cast<uint32_t>(std::size(kAnyWidth)))]
+                          : static_cast<Rune>('a' + rng.Below(26));
+  }
+  return s;
+}
+
+// Utf8Substr against "encode everything, then substr" at EVERY start offset
+// of a body many chunks long, for counts that end inside the same rune, cross
+// a seek block (kSeekBlockRunes), cross chunks, and run past the end. Start
+// offsets inside a multi-byte rune and counts 1-3 give ranges that start,
+// end or lie wholly inside one rune. The gap sits at the end, the front and
+// two inner points in turn.
+class Utf8SubstrEveryOffset : public ::testing::TestWithParam<int> {};
+
+TEST_P(Utf8SubstrEveryOffset, MatchesFullEncodeWhereverTheGapIs) {
+  Lcg rng(static_cast<uint32_t>(GetParam()) + 100);
+  // Eight chunks and a partial one. Every third chunk is all ASCII, where the
+  // seek maps bytes directly; the others are mixed. Every other chunk edge
+  // has a multi-byte rune on both sides.
+  constexpr size_t kChunk = LineIndex::kTargetChunkRunes;
+  std::u32string model;
+  for (size_t c = 0; c < 8; c++) {
+    model += c % 3 == 0 ? std::u32string(kChunk, static_cast<Rune>('a' + c))
+                        : AnyWidthRunes(rng, kChunk);
+  }
+  model += AnyWidthRunes(rng, 1 + rng.Below(300));
+  for (size_t c = kChunk; c < model.size(); c += 2 * kChunk) {
+    model[c - 1] = 0x4F60;
+    model[c] = 0x1F600;
+  }
+  const std::string full = RefEncode(model);
+  Text t;
+  t.InsertNoUndo(0, model);  // a fresh index: chunks of kTargetChunkRunes runes
+  ASSERT_TRUE(t.CheckLineIndex());
+  ASSERT_EQ(t.Utf8Bytes(), full.size());
+
+  const size_t inner = 1 + rng.Below(static_cast<uint32_t>(model.size() - 1));
+  for (size_t gap : {model.size(), size_t{0}, model.size() / 2 + 7, inner}) {
+    if (gap < model.size()) {
+      // An insert and a delete of one rune move the gap there and leave the
+      // text (and every chunk's counts) as they were.
+      t.InsertNoUndo(gap, U"x");
+      t.DeleteNoUndo(gap, 1);
+    }
+    for (size_t off = 0; off <= full.size(); off++) {
+      for (size_t count : {1u, 2u, 3u, 5u, 31u, 33u, 97u, 700u, 2100u}) {
+        std::string want = off < full.size() ? full.substr(off, count) : std::string();
+        ASSERT_EQ(t.Utf8Substr(off, count), want)
+            << "gap " << gap << " off " << off << " count " << count;
+      }
+    }
+  }
+  EXPECT_TRUE(t.CheckLineIndex());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, Utf8SubstrEveryOffset, ::testing::Range(1, 4));
+
+// Random edits with runes of every width at the chunk size: bulk inserts
+// past kMaxChunkRunes split into several pieces, and deletes across several
+// chunks empty and merge them. The index is recounted after EVERY edit, and
+// reads that start near the edit are checked byte-exactly.
+class ChunkEdits : public ::testing::TestWithParam<int> {};
+
+TEST_P(ChunkEdits, IndexStaysConsistentAfterEveryEdit) {
+  Lcg rng(static_cast<uint32_t>(GetParam()) + 200);
+  std::u32string model = AnyWidthRunes(rng, 3 * LineIndex::kTargetChunkRunes);
+  Text t;
+  t.InsertNoUndo(0, model);
+  for (int step = 0; step < 600; step++) {
+    size_t pos = rng.Below(static_cast<uint32_t>(model.size() + 1));
+    uint32_t op = rng.Below(8);
+    if (op < 3 || model.size() < LineIndex::kTargetChunkRunes) {
+      const uint32_t most = op == 0 ? 3 * LineIndex::kMaxChunkRunes : 40;
+      std::u32string s = AnyWidthRunes(rng, 1 + rng.Below(most));
+      t.InsertNoUndo(pos, s);
+      model.insert(pos, s);
+    } else {
+      const uint32_t most = op < 5 ? 40 : 3 * LineIndex::kTargetChunkRunes;
+      size_t n = 1 + rng.Below(most);
+      t.DeleteNoUndo(pos, n);
+      if (pos < model.size()) {
+        model.erase(pos, n);
+      }
+    }
+    ASSERT_TRUE(t.CheckLineIndex()) << "step " << step;
+    const std::string full = RefEncode(model);
+    ASSERT_EQ(t.Utf8Bytes(), full.size()) << "step " << step;
+    const uint64_t near = RefEncode(model.substr(0, std::min(pos, model.size()))).size();
+    for (uint64_t off : {near, near > 2 ? near - 2 : 0, near + 1,
+                         uint64_t{rng.Below(static_cast<uint32_t>(full.size() + 1))}}) {
+      const size_t count = 1 + rng.Below(1500);
+      std::string want = off < full.size() ? full.substr(off, count) : std::string();
+      ASSERT_EQ(t.Utf8Substr(off, count), want)
+          << "step " << step << " off " << off << " count " << count;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChunkEdits, ::testing::Range(1, 4));
 
 // --- Undo/redo round trip -----------------------------------------------------
 

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -737,6 +738,208 @@ TEST(SocketTransportTest, SynthesizedRerrorsCarryInflightTagsFifo) {
   EXPECT_EQ(r2.value().tag, 2) << r2.value().ename;
   close(lfd.value());
   ::unlink(path.c_str());
+}
+
+// --- The client's buffered reply reader -----------------------------------------
+
+// A SocketTransport connected to a raw socket that the test answers by hand,
+// so reply bytes can arrive in any grouping: several replies in one segment,
+// one byte at a time, or cut off mid-frame.
+struct RawPeer {
+  std::string path;
+  std::unique_ptr<SocketTransport> tr;
+  int fd = -1;  // the answering end
+
+  explicit RawPeer(const char* name) : path(SockPath(name)) {
+    auto lfd = ListenUnix(path);
+    if (!lfd.ok()) {
+      return;
+    }
+    auto t = SocketTransport::ConnectUnix(path);
+    if (t.ok()) {
+      tr = t.take();
+      fd = accept(lfd.value(), nullptr, nullptr);
+    }
+    close(lfd.value());
+  }
+  ~RawPeer() {
+    if (fd >= 0) {
+      close(fd);
+    }
+    ::unlink(path.c_str());
+  }
+  bool ok() const { return tr != nullptr && fd >= 0; }
+};
+
+std::string EncodeRread(uint16_t tag, std::string data) {
+  Fcall r;
+  r.type = MsgType::kRread;
+  r.tag = tag;
+  r.data = std::move(data);
+  return EncodeFcall(r);
+}
+
+std::string EncodeTread(uint16_t tag) {
+  Fcall t;
+  t.type = MsgType::kTread;
+  t.tag = tag;
+  t.fid = 1;
+  t.count = 64;
+  return EncodeFcall(t);
+}
+
+// Decodes a reply the transport returned; a synthesized Rerror decodes too.
+Fcall MustDecode(const std::string& packet) {
+  auto r = DecodeFcall(packet);
+  EXPECT_TRUE(r.ok()) << r.status().message();
+  return r.ok() ? r.take() : Fcall{};
+}
+
+// Two replies written in one segment are both returned, in order, to a
+// pipelined read.
+TEST(SocketTransportTest, TwoRepliesInOneSegment) {
+  RawPeer peer("twoinone");
+  ASSERT_TRUE(peer.ok());
+  NinepClient client([](std::string_view) { return std::string(); });
+  client.set_pipe_io(peer.tr->AsPipeIo());
+  std::thread server([&] {
+    std::string t1 = RecvFrame(peer.fd);
+    std::string t2 = RecvFrame(peer.fd);
+    ASSERT_TRUE(WriteFull(peer.fd, EncodeRread(FrameTag(t1), "hello") +
+                                       EncodeRread(FrameTag(t2), "wörld"))
+                    .ok());
+  });
+  auto got = client.ReadFidPipelined(1, {{0, 5}, {5, 6}}, /*window=*/2);
+  server.join();
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  EXPECT_EQ(got.value(), (std::vector<std::string>{"hello", "wörld"}));
+  EXPECT_EQ(peer.tr->inflight(), 0u);
+}
+
+// A reply that arrives one byte at a time, header included, is reassembled;
+// so is the next one.
+TEST(SocketTransportTest, ReplySentOneByteAtATime) {
+  RawPeer peer("dribble");
+  ASSERT_TRUE(peer.ok());
+  const std::string replies[2] = {EncodeRread(1, "dribbled"), EncodeRread(2, "again")};
+  std::thread server([&] {
+    for (const std::string& reply : replies) {
+      RecvFrame(peer.fd);
+      for (char ch : reply) {
+        ASSERT_TRUE(WriteFull(peer.fd, std::string_view(&ch, 1)).ok());
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
+  });
+  EXPECT_EQ(peer.tr->Rpc(EncodeTread(1)), replies[0]);
+  EXPECT_EQ(peer.tr->Rpc(EncodeTread(2)), replies[1]);
+  server.join();
+  EXPECT_FALSE(peer.tr->closed());
+}
+
+// Replies larger than the initial buffer, up to the msize cap, come back
+// whole when they arrive behind a small reply (so the partial frame must move
+// to the front before the buffer grows), and a small reply queued behind the
+// largest still follows it.
+TEST(SocketTransportTest, ReplyLargerThanTheBufferUpToMsize) {
+  RawPeer peer("bigreply");
+  ASSERT_TRUE(peer.ok());
+  constexpr size_t kRreadHeader = 4 + 1 + 2 + 4;  // size type tag count
+  const std::string replies[4] = {
+      EncodeRread(1, "head"),
+      EncodeRread(2, std::string(20000, 'x')),
+      EncodeRread(3, std::string(kMaxFrameSize - kRreadHeader, 'y')),
+      EncodeRread(4, "tail"),
+  };
+  ASSERT_EQ(replies[2].size(), kMaxFrameSize);
+  for (uint16_t tag = 1; tag <= 4; tag++) {
+    ASSERT_TRUE(peer.tr->Send(EncodeTread(tag)).ok());
+  }
+  // A socket buffer may hold less than these replies, so write from a thread.
+  std::thread server([&] {
+    ASSERT_TRUE(
+        WriteFull(peer.fd, replies[0] + replies[1] + replies[2] + replies[3]).ok());
+  });
+  for (const std::string& want : replies) {
+    ASSERT_EQ(peer.tr->RecvReply(), want);
+  }
+  server.join();
+  EXPECT_EQ(peer.tr->inflight(), 0u);
+}
+
+// A peer that closes mid-frame answers every request in flight with one
+// synthesized Rerror each, oldest first: after only the size field of a
+// reply, and after a real reply plus half the next one's body.
+TEST(SocketTransportTest, CloseMidFrameFailsEachInflightTagOldestFirst) {
+  for (bool mid_body : {false, true}) {
+    SCOPED_TRACE(mid_body ? "mid-body close" : "header-only close");
+    RawPeer peer("midclose");
+    ASSERT_TRUE(peer.ok());
+    for (uint16_t tag = 1; tag <= 3; tag++) {
+      ASSERT_TRUE(peer.tr->Send(EncodeTread(tag)).ok());
+    }
+    std::string sent;
+    uint16_t first_failed = 1;
+    if (mid_body) {
+      const std::string next = EncodeRread(2, "never finished");
+      sent = EncodeRread(1, "whole") + next.substr(0, next.size() / 2);
+      first_failed = 2;
+    } else {
+      sent = EncodeRread(1, "never sent").substr(0, 4);
+    }
+    // Take the requests first: closing on unread bytes would reset the
+    // connection rather than end it.
+    for (int i = 0; i < 3; i++) {
+      ASSERT_FALSE(RecvFrame(peer.fd).empty());
+    }
+    ASSERT_TRUE(WriteFull(peer.fd, sent).ok());
+    close(peer.fd);
+    peer.fd = -1;
+
+    if (mid_body) {
+      Fcall whole = MustDecode(peer.tr->RecvReply());
+      EXPECT_EQ(whole.type, MsgType::kRread);
+      EXPECT_EQ(whole.tag, 1);
+      EXPECT_EQ(whole.data, "whole");
+    }
+    // The first failure names the cause; the transport is closed after it.
+    for (uint16_t tag = first_failed; tag <= 3; tag++) {
+      Fcall r = MustDecode(peer.tr->RecvReply());
+      EXPECT_EQ(r.type, MsgType::kRerror);
+      EXPECT_EQ(r.tag, tag) << r.ename;
+      EXPECT_EQ(r.ename, tag == first_failed ? "connection closed" : "ninep: transport closed");
+    }
+    EXPECT_EQ(peer.tr->inflight(), 0u);
+    EXPECT_TRUE(peer.tr->closed());
+  }
+}
+
+// A size field outside [kMinFrameSize, kMaxFrameSize] fails the oldest tag
+// and closes the transport; the next request in flight fails too.
+TEST(SocketTransportTest, BadReplyFrameSizeFailsAndCloses) {
+  for (uint32_t size : {uint32_t{3}, kMaxFrameSize + 1}) {
+    SCOPED_TRACE(size);
+    RawPeer peer("badsize");
+    ASSERT_TRUE(peer.ok());
+    ASSERT_TRUE(peer.tr->Send(EncodeTread(1)).ok());
+    ASSERT_TRUE(peer.tr->Send(EncodeTread(2)).ok());
+    std::string frame = EncodeRread(1, "payload");
+    for (int i = 0; i < 4; i++) {
+      frame[static_cast<size_t>(i)] = static_cast<char>(size >> (8 * i));
+    }
+    ASSERT_TRUE(WriteFull(peer.fd, frame).ok());
+
+    Fcall r1 = MustDecode(peer.tr->RecvReply());
+    EXPECT_EQ(r1.type, MsgType::kRerror);
+    EXPECT_EQ(r1.tag, 1);
+    EXPECT_NE(r1.ename.find(StrFormat("bad reply frame size %u", size)), std::string::npos)
+        << r1.ename;
+    EXPECT_TRUE(peer.tr->closed());
+    Fcall r2 = MustDecode(peer.tr->RecvReply());
+    EXPECT_EQ(r2.type, MsgType::kRerror);
+    EXPECT_EQ(r2.tag, 2);
+    EXPECT_EQ(peer.tr->inflight(), 0u);
+  }
 }
 
 // The pipelined multi-tag read helper returns byte-exact results in issue
