@@ -9,7 +9,8 @@
 //     the same table, asked for the text first, must render that text.
 //  2. A browser fed through AddFile must answer exactly as one fed
 //     AddTranslationUnit(Preprocess(unit)): the declaration and every use
-//     of the symbol at every identifier occurrence in every file.
+//     of the symbol at every identifier occurrence in every file. Half the
+//     worlds are programs whose units share headers (MakeSharedWorld).
 //  3. CLexIncludes, which cpp's text path scans with, must report the
 //     same includes and errors as CLex, file by file.
 //
@@ -144,6 +145,116 @@ void MakeWorld(uint32_t seed, World* out) {
   }
 }
 
+// A world whose units share headers, as a program's .c files do: every
+// unit includes some of the same headers, in one order or in its own. The
+// headers declare typedefs, struct tags named before their bodies,
+// prototypes and globals, and use names that only some unit's body binds
+// (a global, or a typedef the body declares before its includes). Bodies
+// declare typedefs and globals before, between and after the includes.
+class SharedGen : public Gen {
+ public:
+  using Gen::Gen;
+
+  std::string HeaderLine(int self) {
+    switch (Pick(11)) {
+      case 0:
+        return "typedef int " + Name("T") + ";";
+      case 1: {
+        std::string s = Name("S");
+        return "typedef struct " + s + " " + s + ";";
+      }
+      case 2:
+        return "struct " + Name("S") + " { " + Name("T") + " " + Name("m") + "; " + Name("S") +
+               " *next; };";
+      case 3:
+        return (Chance(50) ? "extern " : "") + std::string("int ") + Name("g") + ";";
+      case 4:
+        return Name("T") + " *" + Name("g") + ";";
+      case 5:
+        return "void " + Name("f") + "(" + Name("T") + " a, int);";
+      case 6:
+        return "int " + Name("v") + " = " + Name("g") + " + " + Name("E") + ";";
+      case 7:
+        return "enum { " + Name("E") + ", " + Name("E") + " = " + Name("g") + " };";
+      case 8:
+        return "char " + Name("a") + "[" + Name("E") + "];";
+      case 9:
+        // A function in a header: with a parameter and a local it makes
+        // symbols no other parse shares.
+        return Chance(50) ? "int " + Name("f") + "(void) { return " + Name("g") + "; }"
+                          : "int " + Name("f") + "(int " + Name("p") + ") { " + Name("T") + " " +
+                                Name("l") + "; return " + Name("p") + " + " + Name("g") + "; }";
+      default: {
+        // A nested include of a header later in the list.
+        int other = self + 1 + Pick(3);
+        return other < 4 ? StrFormat("#include \"h%d.h\"", other) : "struct S0 *" + Name("g") + ";";
+      }
+    }
+  }
+
+  std::string BodyLine() {
+    switch (Pick(5)) {
+      case 0:
+        return "typedef int " + Name("T") + ";";
+      case 1:
+        return "int " + Name("g") + ";";
+      case 2:
+        return "void " + Name("f") + "(" + Name("T") + " " + Name("p") + ")\n{\n\t" + Name("T") +
+               " " + Name("l") + ";\n\t" + Name("l") + " = " + Name("p") + " + " + Name("g") +
+               ";\n\t" + Name("f") + "(" + Name("v") + ");\n}";
+      case 3:
+        return "struct " + Name("S") + " *" + Name("g") + ";";
+      default:
+        return Name("T") + " " + Name("g") + " = " + Name("E") + ";";
+    }
+  }
+};
+
+void MakeSharedWorld(uint32_t seed, World* out) {
+  SharedGen g(seed);
+  World& w = *out;
+  w.vfs.MkdirAll("/p");
+  auto put = [&](const std::string& path, const std::string& text) {
+    w.vfs.WriteFile(path, text);
+    w.files.push_back(path);
+  };
+  for (int h = 0; h < 4; h++) {
+    std::string text;
+    for (int n = 2 + g.Pick(6); n > 0; n--) {
+      text += g.HeaderLine(h) + "\n";
+    }
+    put(StrFormat("/p/h%d.h", h), text);
+  }
+  std::vector<int> order = {0, 1, 2, 3};
+  for (int i = 1 + g.Pick(5); i > 0; i--) {
+    // Most units keep the common order; some shuffle it or leave headers out.
+    std::vector<int> mine = order;
+    if (g.Chance(30)) {
+      for (size_t k = mine.size() - 1; k > 0; k--) {
+        std::swap(mine[k], mine[static_cast<size_t>(g.Pick(static_cast<int>(k) + 1))]);
+      }
+    }
+    std::string text;
+    if (g.Chance(30)) {
+      text += g.BodyLine() + "\n";
+    }
+    for (int h : mine) {
+      if (g.Chance(85)) {
+        text += StrFormat("#include \"h%d.h\"\n", h);
+      }
+      if (g.Chance(10)) {
+        text += g.BodyLine() + "\n";
+      }
+    }
+    for (int n = 1 + g.Pick(4); n > 0; n--) {
+      text += g.BodyLine() + "\n";
+    }
+    std::string unit = StrFormat("/p/u%d.c", i);
+    put(unit, text);
+    w.units.push_back(unit);
+  }
+}
+
 std::string Describe(const CToken& t) {
   return StrFormat("%d %.*s %.*s:%d:%d", static_cast<int>(t.kind), static_cast<int>(t.text.size()),
                    t.text.data(), static_cast<int>(t.file.size()), t.file.data(), t.line, t.col);
@@ -241,11 +352,16 @@ TEST(CcProperty, IncludeScanMatchesLexer) {
   EXPECT_GT(failed, 10);
 }
 
+// Seeds up to kSeeds read MakeWorld's worlds, the rest MakeSharedWorld's.
 TEST(CcProperty, AddFileAnswersAsPreprocessedText) {
   size_t queries = 0;
-  for (uint32_t seed = 1; seed <= kSeeds; seed++) {
+  for (uint32_t seed = 1; seed <= 2 * kSeeds; seed++) {
     World w;
-    MakeWorld(seed, &w);
+    if (seed <= kSeeds) {
+      MakeWorld(seed, &w);
+    } else {
+      MakeSharedWorld(seed, &w);
+    }
     CBrowser by_file;
     CBrowser by_text;
     for (const std::string& unit : w.units) {
@@ -275,7 +391,7 @@ TEST(CcProperty, AddFileAnswersAsPreprocessedText) {
       }
     }
   }
-  EXPECT_GT(queries, 10 * kSeeds);
+  EXPECT_GT(queries, 20 * kSeeds);
 }
 
 }  // namespace

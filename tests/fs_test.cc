@@ -1,6 +1,8 @@
 // Path algebra, VFS, and synthetic-file handler tests.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "src/fs/path.h"
 #include "src/fs/vfs.h"
 
@@ -51,6 +53,73 @@ TEST(Path, BaseDir) {
 TEST(Path, Elements) {
   EXPECT_EQ(PathElements("/a/b/c"), (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_EQ(PathElements("/"), (std::vector<std::string>{}));
+}
+
+// Random paths over a small tree: elements that exist, are files, are
+// missing, and ".", ".." and "", joined by one or two slashes, absolute or
+// relative, with or without a trailing slash.
+std::string RandomPath(std::mt19937& rng) {
+  static const char* kElems[] = {"a", "b", "f", "x", ".", "..", ""};
+  auto pick = [&](int n) { return std::uniform_int_distribution<int>(0, n - 1)(rng); };
+  std::string p = pick(4) != 0 ? "/" : "";
+  for (int n = pick(6); n > 0; n--) {
+    p += kElems[pick(7)];
+    p += pick(5) == 0 ? "//" : "/";
+  }
+  p += kElems[pick(7)];
+  if (pick(4) == 0) {
+    p += '/';
+  }
+  return p;
+}
+
+// Walk resolves ".", ".." and "//" exactly as CleanPath does: walking a
+// path and walking its cleaned form give the same node or the same error.
+TEST(PathProperty, WalkAgreesWithWalkOfCleanPath) {
+  Vfs vfs;
+  vfs.MkdirAll("/a/b/a");
+  vfs.MkdirAll("/b");
+  vfs.WriteFile("/a/f", "x");
+  vfs.WriteFile("/f", "y");
+  vfs.WriteFile("/a/b/f", "z");
+  std::mt19937 rng(27);
+  int found = 0;
+  int missing = 0;
+  int not_dir = 0;
+  for (int i = 0; i < 20000; i++) {
+    std::string p = RandomPath(rng);
+    auto raw = vfs.Walk(p);
+    auto clean = vfs.Walk(CleanPath(p));
+    ASSERT_EQ(raw.ok(), clean.ok()) << p;
+    if (raw.ok()) {
+      EXPECT_EQ(raw.value(), clean.value()) << p;
+      found++;
+      continue;
+    }
+    EXPECT_EQ(raw.message(), clean.message()) << p;
+    (raw.message().find("not a directory") != std::string::npos ? not_dir : missing)++;
+  }
+  EXPECT_GT(found, 1000);
+  EXPECT_GT(missing, 1000);
+  EXPECT_GT(not_dir, 100);
+}
+
+// The join helpers answer as they would on the cleaned path.
+TEST(PathProperty, JoinDirBaseAgreeWithCleanPath) {
+  std::mt19937 rng(28);
+  for (int i = 0; i < 20000; i++) {
+    std::string dir = RandomPath(rng);
+    std::string name = RandomPath(rng);
+    std::string joined = IsAbsPath(name) || dir.empty() ? name : dir + "/" + name;
+    EXPECT_EQ(JoinPath(dir, name), CleanPath(joined)) << dir << " + " << name;
+    std::string clean = CleanPath(name);
+    size_t slash = clean.rfind('/');
+    std::string base = clean == "/" || slash == std::string::npos ? clean : clean.substr(slash + 1);
+    std::string parent = slash == std::string::npos ? "." : slash == 0 ? "/" : clean.substr(0, slash);
+    EXPECT_EQ(BasePath(name), base) << name;
+    EXPECT_EQ(DirPath(name), parent) << name;
+    EXPECT_EQ(CleanPath(clean), clean) << name;
+  }
 }
 
 // --- VFS -----------------------------------------------------------------------
@@ -162,6 +231,67 @@ TEST(Vfs, FullPathWalksParents) {
   ASSERT_TRUE(node.ok());
   EXPECT_EQ(Vfs::FullPath(*node.value()), "/a/b/c");
   EXPECT_EQ(Vfs::FullPath(*vfs.root()), "/");
+}
+
+// The error text of every failing namespace call, frozen: callers show it
+// to the user.
+TEST(Vfs, ErrorTextGolden) {
+  Vfs vfs;
+  ASSERT_TRUE(vfs.MkdirAll("/d/sub").ok());
+  ASSERT_TRUE(vfs.WriteFile("/d/f", "x").ok());
+  ASSERT_TRUE(vfs.WriteFile("/d/sub/g", "y").ok());
+  auto msg = [](const auto& r) { return r.ok() ? std::string("ok") : r.message(); };
+  struct Case {
+    std::string got;
+    const char* want;
+  } cases[] = {
+      {msg(vfs.Walk("/nope")), "/nope: file does not exist"},
+      {msg(vfs.Walk("/d//nope/")), "/d/nope: file does not exist"},
+      {msg(vfs.Walk("/d/./sub/../nope")), "/d/nope: file does not exist"},
+      {msg(vfs.Walk("/d/sub/nope/deeper")), "/d/sub/nope/deeper: file does not exist"},
+      {msg(vfs.Walk("/d/f/x")), "/d/f: not a directory"},
+      {msg(vfs.Walk("/d/f/x/y")), "/d/f: not a directory"},
+      {msg(vfs.Walk("/d//f/./x")), "/d/f: not a directory"},
+      {msg(vfs.Walk("/d/f/../zz")), "/d/zz: file does not exist"},
+      {msg(vfs.Walk("d/nope")), "d/nope: file does not exist"},
+      {msg(vfs.Walk("../x")), "../x: file does not exist"},
+      {msg(vfs.Walk("d/../../x")), "../x: file does not exist"},
+      {msg(vfs.Walk(".")), ".: file does not exist"},
+      {msg(vfs.Walk("")), ".: file does not exist"},
+      {msg(vfs.Walk("d/..")), ".: file does not exist"},
+      {msg(vfs.Stat("/d/sub/nope")), "/d/sub/nope: file does not exist"},
+      {msg(vfs.Stat("/d/f/x")), "/d/f: not a directory"},
+      {msg(vfs.ReadDir("/nope")), "/nope: file does not exist"},
+      {msg(vfs.ReadDir("/d//f/")), "/d/f: not a directory"},
+      {msg(vfs.ReadDir("/d/f/x")), "/d/f: not a directory"},
+      {msg(vfs.Open("/nope", kOread)), "/nope: file does not exist"},
+      {msg(vfs.Open("/d/./", kOwrite)), "/d: is a directory"},
+      {msg(vfs.Open("/nope/x", kOwrite)), "/nope: file does not exist"},
+      {msg(vfs.Open("/d/f/x", kOwrite)), "/d/f: not a directory"},
+      {msg(vfs.Open("/d/f/x/y", kOwrite)), "/d/f: not a directory"},
+      {msg(vfs.Create("/d/f", false)), "/d/f: file already exists"},
+      {msg(vfs.Create("/d//sub/", true)), "/d/sub: file already exists"},
+      {msg(vfs.Create("/", true)), "cannot operate on root"},
+      {msg(vfs.Create("/d/..", true)), "cannot operate on root"},
+      {msg(vfs.Create("/nope/x", false)), "/nope: file does not exist"},
+      {msg(vfs.Create("/d/f/x", false)), "/d/f: not a directory"},
+      {msg(vfs.Create("/d/f/x/y", false)), "/d/f: not a directory"},
+      {msg(vfs.Create("x", false)), ".: file does not exist"},
+      {msg(vfs.Remove("/nope")), "/nope: file does not exist"},
+      {msg(vfs.Remove("/d")), "/d: directory not empty"},
+      {msg(vfs.Remove("/d/sub/../")), "/d: directory not empty"},
+      {msg(vfs.Remove("/")), "cannot operate on root"},
+      {msg(vfs.Remove("/x/y")), "/x: file does not exist"},
+      {msg(vfs.Remove("/d/f/x")), "/d/f/x: file does not exist"},
+      {msg(vfs.ReadFile("/nope")), "/nope: file does not exist"},
+      {msg(vfs.ReadFile("/d/sub/..")), "/d: is a directory"},
+      {msg(vfs.ReadFile("/d/f/x")), "/d/f: not a directory"},
+      {msg(vfs.WriteFile("/d", "x")), "/d: is a directory"},
+      {msg(vfs.AppendFile("/nope/x", "x")), "/nope: file does not exist"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(c.got, c.want);
+  }
 }
 
 // --- Synthetic files -------------------------------------------------------------
