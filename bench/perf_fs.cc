@@ -18,6 +18,31 @@ void BM_VfsWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_VfsWalk);
 
+// A failing probe, the common walk: the shell's command search, mk's
+// prerequisite checks and cpp's include search ask for files that are not
+// there.
+void BM_VfsWalkMiss(benchmark::State& state) {
+  Vfs vfs;
+  vfs.MkdirAll("/usr/rob/src/help/deep/nest");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vfs.Walk("/usr/rob/src/help/deep/nest/missing.h"));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_VfsWalkMiss);
+
+// A path with "..", "." and "//", resolved as CleanPath would.
+void BM_VfsWalkUnclean(benchmark::State& state) {
+  Vfs vfs;
+  vfs.MkdirAll("/usr/rob/src/help/deep/nest");
+  vfs.WriteFile("/usr/rob/src/help/deep/nest/f.c", "x");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vfs.Walk("/usr/rob/src//help/./sub/../deep/nest/f.c"));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_VfsWalkUnclean);
+
 void BM_VfsWriteRead(benchmark::State& state) {
   Vfs vfs;
   std::string payload(static_cast<size_t>(state.range(0)), 'b');

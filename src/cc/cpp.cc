@@ -16,21 +16,21 @@ Result<CSources::File*> CSources::Load(const std::string& path) {
   if (auto it = by_path_.find(path); it != by_path_.end()) {
     return it->second;
   }
-  auto node = vfs_.Walk(path);
-  if (!node.ok()) {
+  NodePtr node = vfs_.Find(path);
+  if (node == nullptr) {
     return static_cast<File*>(nullptr);
   }
   // A regular file's bytes are copied once; anything else (a directory's
   // error, a synthetic file's handler) goes through ReadFile.
   std::string text;
-  if (node.value()->dir() || node.value()->handler() != nullptr) {
+  if (node->dir() || node->handler() != nullptr) {
     auto r = vfs_.ReadFile(path);
     if (!r.ok()) {
       return r.status();
     }
     text = r.take();
   } else {
-    text = node.value()->data();
+    text = node->data();
   }
   File& f = files_.emplace_back();
   f.path = path;

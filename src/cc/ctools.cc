@@ -213,8 +213,7 @@ int VlCmd(ExecContext& ctx, const std::vector<std::string>& argv, Io& io) {
   }
   std::string manifest = "#!binary\n";
   for (const std::string& o : objs) {
-    auto st = ctx.vfs->Stat(JoinPath(ctx.cwd, o));
-    if (!st.ok()) {
+    if (ctx.vfs->Find(JoinPath(ctx.cwd, o)) == nullptr) {
       *io.err += "vl: cannot open " + o + "\n";
       return 1;
     }

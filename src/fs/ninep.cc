@@ -721,7 +721,10 @@ Result<uint32_t> NinepClient::WalkFid(std::string_view path) {
   t.type = MsgType::kTwalk;
   t.fid = root_fid_;
   t.newfid = NextFid();
-  t.wname = PathElements(path);
+  CleanElements elems(path);
+  for (std::string_view elem; elems.Next(&elem);) {
+    t.wname.emplace_back(elem);
+  }
   auto r = Rpc(t);
   if (!r.ok()) {
     return r.status();

@@ -2,101 +2,157 @@
 
 namespace help {
 
-std::string CleanPath(std::string_view path) {
-  bool abs = IsAbsPath(path);
-  std::vector<std::string_view> stack;
-  size_t i = 0;
-  while (i < path.size()) {
-    while (i < path.size() && path[i] == '/') {
-      i++;
+namespace {
+
+// The element of `path` that starts at *pos, which moves past it and the
+// slashes after it.
+std::string_view NextElement(std::string_view path, size_t* pos) {
+  size_t start = *pos;
+  size_t end = path.find('/', start);
+  if (end == std::string_view::npos) {
+    end = path.size();
+  }
+  *pos = end;
+  while (*pos < path.size() && path[*pos] == '/') {
+    (*pos)++;
+  }
+  return path.substr(start, end - start);
+}
+
+std::string CleanCopy(std::string_view path) {
+  std::string out = IsAbsPath(path) ? "/" : "";
+  CleanElements elems(path);
+  std::string_view elem;
+  for (bool first = true; elems.Next(&elem); first = false) {
+    if (!first) {
+      out += '/';
     }
-    size_t start = i;
-    while (i < path.size() && path[i] != '/') {
-      i++;
-    }
-    std::string_view elem = path.substr(start, i - start);
+    out += elem;
+  }
+  return out;
+}
+
+}  // namespace
+
+CleanElements::CleanElements(std::string_view path)
+    : path_(path), abs_(IsAbsPath(path)) {
+  while (pos_ < path_.size() && path_[pos_] == '/') {
+    pos_++;
+  }
+  for (size_t i = pos_; i < path_.size() && !dotdot_;) {
+    dotdot_ = NextElement(path_, &i) == "..";
+  }
+}
+
+bool CleanElements::Cancelled() const {
+  int depth = 0;
+  for (size_t i = pos_; i < path_.size();) {
+    std::string_view elem = NextElement(path_, &i);
     if (elem.empty() || elem == ".") {
       continue;
     }
-    if (elem == "..") {
-      if (!stack.empty() && stack.back() != "..") {
-        stack.pop_back();
-      } else if (!abs) {
-        stack.push_back(elem);  // relative paths keep leading ..
-      }
+    if (elem != "..") {
+      depth++;
+    } else if (depth-- == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool CleanElements::Next(std::string_view* elem) {
+  while (pos_ < path_.size()) {
+    std::string_view e = NextElement(path_, &pos_);
+    if (e.empty() || e == ".") {
       continue;
     }
-    stack.push_back(elem);
-  }
-  std::string out;
-  if (abs) {
-    out = "/";
-  }
-  for (size_t k = 0; k < stack.size(); k++) {
-    if (k > 0) {
-      out += '/';
+    if (e == "..") {
+      // It removes the latest element not yet removed; with none, a
+      // relative path keeps it and an absolute one drops it.
+      if (live_ > 0) {
+        live_--;
+        continue;
+      }
+      if (abs_) {
+        continue;
+      }
+    } else {
+      live_++;
+      if (dotdot_ && Cancelled()) {
+        continue;
+      }
     }
-    out += stack[k];
+    *elem = e;
+    yielded_ = true;
+    return true;
   }
-  if (out.empty()) {
-    out = abs ? "/" : ".";
+  if (!abs_ && !yielded_) {
+    *elem = ".";
+    yielded_ = true;
+    return true;
   }
-  return out;
+  return false;
+}
+
+bool IsCleanPath(std::string_view path) {
+  if (path == "/" || path == ".") {
+    return true;
+  }
+  if (path.empty() || path.back() == '/') {
+    return false;
+  }
+  bool leading = !IsAbsPath(path);  // a relative path may start with ".."s
+  for (size_t i = IsAbsPath(path) ? 1 : 0; i < path.size();) {
+    size_t start = i;
+    std::string_view elem = NextElement(path, &i);
+    if (elem.empty() || elem == "." || (elem == ".." && !leading) ||
+        i - start > elem.size() + 1) {
+      return false;  // an empty, "." or removable ".." element, or a "//"
+    }
+    leading = leading && elem == "..";
+  }
+  return true;
+}
+
+std::string CleanPath(std::string_view path) {
+  return IsCleanPath(path) ? std::string(path) : CleanCopy(path);
 }
 
 std::string JoinPath(std::string_view dir, std::string_view name) {
   if (IsAbsPath(name) || dir.empty()) {
     return CleanPath(name);
   }
-  std::string joined(dir);
-  joined += '/';
-  joined += name;
-  return CleanPath(joined);
+  std::string joined;
+  joined.reserve(dir.size() + 1 + name.size());
+  joined.append(dir).append(dir == "/" ? "" : "/").append(name);
+  return IsCleanPath(joined) ? joined : CleanCopy(joined);
 }
 
 std::string BasePath(std::string_view path) {
-  std::string clean = CleanPath(path);
-  size_t slash = clean.rfind('/');
-  if (slash == std::string::npos) {
-    return clean;
+  if (!IsCleanPath(path)) {
+    return BasePath(CleanCopy(path));
   }
-  if (clean == "/") {
-    return "/";
+  size_t slash = path.rfind('/');
+  if (slash == std::string_view::npos || path == "/") {
+    return std::string(path);
   }
-  return clean.substr(slash + 1);
+  return std::string(path.substr(slash + 1));
 }
 
 std::string DirPath(std::string_view path) {
-  std::string clean = CleanPath(path);
-  size_t slash = clean.rfind('/');
-  if (slash == std::string::npos) {
+  if (!IsCleanPath(path)) {
+    return DirPath(CleanCopy(path));
+  }
+  size_t slash = path.rfind('/');
+  if (slash == std::string_view::npos) {
     return ".";
   }
   if (slash == 0) {
     return "/";
   }
-  return clean.substr(0, slash);
+  return std::string(path.substr(0, slash));
 }
 
 bool IsAbsPath(std::string_view path) { return !path.empty() && path[0] == '/'; }
-
-std::vector<std::string> PathElements(std::string_view path) {
-  std::string clean = CleanPath(path);
-  std::vector<std::string> out;
-  size_t i = 0;
-  while (i < clean.size()) {
-    while (i < clean.size() && clean[i] == '/') {
-      i++;
-    }
-    size_t start = i;
-    while (i < clean.size() && clean[i] != '/') {
-      i++;
-    }
-    if (i > start) {
-      out.emplace_back(clean.substr(start, i - start));
-    }
-  }
-  return out;
-}
 
 }  // namespace help

@@ -6,17 +6,21 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace help {
 
 // Lexically canonicalizes: collapses //, resolves . and .., strips trailing
-// slash (except for "/"). A cleaned relative path stays relative.
+// slash (except for "/"). A cleaned relative path stays relative. A path
+// that is already clean is copied as it is.
 std::string CleanPath(std::string_view path);
+
+// Whether CleanPath(path) == path.
+bool IsCleanPath(std::string_view path);
 
 // Joins and cleans. If `name` is absolute it wins outright — this is exactly
 // help's context rule: relative names get the window's directory prepended,
-// absolute names are taken literally.
+// absolute names are taken literally. Joining a clean name to a clean
+// directory cleans nothing.
 std::string JoinPath(std::string_view dir, std::string_view name);
 
 // Final element ("base name") of a cleaned path.
@@ -28,8 +32,27 @@ std::string DirPath(std::string_view path);
 
 bool IsAbsPath(std::string_view path);
 
-// Splits a cleaned path into elements ("/a/b" -> {"a","b"}; "/" -> {}).
-std::vector<std::string> PathElements(std::string_view path);
+// The elements of CleanPath(path), read in place without building it:
+// "/a//b/../c/" yields "a" then "c", and "/" yields none. As in the cleaned
+// form, a relative path keeps its leading ".."s, and one that cleans to "."
+// yields ".". The views point into `path`, which must outlive the reader.
+class CleanElements {
+ public:
+  explicit CleanElements(std::string_view path);
+  // Sets *elem to the next element; false when there are no more.
+  bool Next(std::string_view* elem);
+
+ private:
+  // Whether the element that ends at pos_ is removed by a later "..".
+  bool Cancelled() const;
+
+  std::string_view path_;
+  size_t pos_ = 0;
+  bool abs_;
+  bool dotdot_ = false;  // path_ has a ".." element, so an element may be cancelled
+  size_t live_ = 0;      // elements since the last kept "..", not yet cancelled
+  bool yielded_ = false;
+};
 
 }  // namespace help
 

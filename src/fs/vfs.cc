@@ -11,8 +11,7 @@ Node::Node(std::string name, bool dir, uint64_t qid_path) : name_(std::move(name
 }
 
 NodePtr Node::Child(std::string_view name) const {
-  auto it = children_.find(std::string(name));
-  if (it != children_.end()) {
+  if (auto it = children_.find(name); it != children_.end()) {
     return it->second;
   }
   if (dir_synth_ != nullptr) {
@@ -26,7 +25,11 @@ void Node::AddChild(NodePtr child) {
   children_[child->name_] = std::move(child);
 }
 
-void Node::RemoveChild(std::string_view name) { children_.erase(std::string(name)); }
+void Node::RemoveChild(std::string_view name) {
+  if (auto it = children_.find(name); it != children_.end()) {
+    children_.erase(it);
+  }
+}
 
 uint64_t Node::length() const {
   if (qid_.dir) {
@@ -88,43 +91,78 @@ Vfs::Vfs() {
   root_ = std::make_shared<Node>("/", /*dir=*/true, NextQid());
 }
 
-Result<NodePtr> Vfs::Walk(std::string_view path) const {
-  NodePtr cur = root_;
-  for (const std::string& elem : PathElements(path)) {
+NodePtr Vfs::Resolve(std::string_view path, const Node** not_dir) const {
+  const Node* cur = root_.get();
+  // A synthesized node may be owned by nothing but the reference its
+  // DirSynth returned; holding the latest keeps it, and everything the walk
+  // reaches below it, alive.
+  NodePtr held;
+  CleanElements elems(path);
+  std::string_view elem;
+  while (elems.Next(&elem)) {
     if (!cur->dir()) {
-      return ErrNotDir(FullPath(*cur));
+      if (not_dir != nullptr) {
+        *not_dir = cur;
+      }
+      return nullptr;
     }
-    NodePtr next = cur->Child(elem);
-    if (next == nullptr) {
-      return ErrNotExist(CleanPath(path));
+    if (auto it = cur->children().find(elem); it != cur->children().end()) {
+      cur = it->second.get();
+      continue;
     }
-    cur = next;
+    if (cur->dir_synth() == nullptr || (held = cur->dir_synth()->Lookup(elem)) == nullptr) {
+      return nullptr;
+    }
+    cur = held.get();
   }
-  return cur;
+  if (cur == held.get()) {
+    return held;
+  }
+  return const_cast<Node*>(cur)->shared_from_this();
 }
 
-Result<NodePtr> Vfs::WalkParent(std::string_view path, std::string* base) const {
-  std::string clean = CleanPath(path);
-  *base = BasePath(clean);
-  if (*base == "/" || base->empty()) {
+Status Vfs::WalkError(std::string_view path, const Node* not_dir) {
+  return not_dir != nullptr ? ErrNotDir(FullPath(*not_dir)) : ErrNotExist(CleanPath(path));
+}
+
+Result<NodePtr> Vfs::Walk(std::string_view path) const {
+  const Node* not_dir = nullptr;
+  NodePtr n = Resolve(path, &not_dir);
+  if (n == nullptr) {
+    return WalkError(path, not_dir);
+  }
+  return n;
+}
+
+NodePtr Vfs::Find(std::string_view path) const { return Resolve(path, nullptr); }
+
+Result<NodePtr> Vfs::WalkParent(std::string_view clean, std::string_view* base) const {
+  if (clean == "/") {
     return Status::Error("cannot operate on root");
   }
-  return Walk(DirPath(clean));
+  size_t slash = clean.rfind('/');
+  if (slash == std::string_view::npos) {
+    *base = clean;
+    return Walk(".");
+  }
+  *base = clean.substr(slash + 1);
+  return Walk(slash == 0 ? "/" : clean.substr(0, slash));
 }
 
 Result<NodePtr> Vfs::Create(std::string_view path, bool dir) {
-  std::string base;
-  auto parent = WalkParent(path, &base);
+  std::string clean = CleanPath(path);
+  std::string_view base;
+  auto parent = WalkParent(clean, &base);
   if (!parent.ok()) {
     return parent;
   }
   if (!parent.value()->dir()) {
-    return ErrNotDir(DirPath(path));
+    return ErrNotDir(DirPath(clean));
   }
   if (parent.value()->Child(base) != nullptr) {
-    return ErrExists(CleanPath(path));
+    return ErrExists(clean);
   }
-  auto node = std::make_shared<Node>(base, dir, NextQid());
+  auto node = std::make_shared<Node>(std::string(base), dir, NextQid());
   node->set_mtime(clock_.Tick());
   parent.value()->AddChild(node);
   parent.value()->Touch(clock_.Now());
@@ -133,33 +171,36 @@ Result<NodePtr> Vfs::Create(std::string_view path, bool dir) {
 
 Status Vfs::MkdirAll(std::string_view path) {
   NodePtr cur = root_;
-  for (const std::string& elem : PathElements(path)) {
+  CleanElements elems(path);
+  std::string_view elem;
+  while (elems.Next(&elem)) {
     NodePtr next = cur->Child(elem);
     if (next == nullptr) {
-      next = std::make_shared<Node>(elem, /*dir=*/true, NextQid());
+      next = std::make_shared<Node>(std::string(elem), /*dir=*/true, NextQid());
       next->set_mtime(clock_.Tick());
       cur->AddChild(next);
       cur->Touch(clock_.Now());
     } else if (!next->dir()) {
-      return ErrNotDir(elem);
+      return ErrNotDir(FullPath(*next));
     }
-    cur = next;
+    cur = std::move(next);
   }
   return Status::Ok();
 }
 
 Status Vfs::Remove(std::string_view path) {
-  std::string base;
-  auto parent = WalkParent(path, &base);
+  std::string clean = CleanPath(path);
+  std::string_view base;
+  auto parent = WalkParent(clean, &base);
   if (!parent.ok()) {
     return parent.status();
   }
   NodePtr victim = parent.value()->Child(base);
   if (victim == nullptr) {
-    return ErrNotExist(CleanPath(path));
+    return ErrNotExist(clean);
   }
   if (victim->dir() && !victim->children().empty()) {
-    return Status::Error(CleanPath(path) + ": directory not empty");
+    return Status::Error(clean + ": directory not empty");
   }
   parent.value()->RemoveChild(base);
   parent.value()->Touch(clock_.Tick());
@@ -214,25 +255,27 @@ Result<std::vector<StatInfo>> Vfs::ReadDir(std::string_view path) const {
 }
 
 Result<OpenFilePtr> Vfs::Open(std::string_view path, uint8_t mode) {
-  auto node = Walk(path);
-  NodePtr n;
-  if (!node.ok()) {
+  const Node* not_dir = nullptr;
+  NodePtr n = Resolve(path, &not_dir);
+  if (n == nullptr) {
     // Opening for write creates the file, which keeps shell redirection and
     // WriteFile simple (Plan 9 create-on-open semantics via the shell).
     if ((mode & 3) == kOread) {
-      return node.status();
+      return WalkError(path, not_dir);
     }
     auto created = Create(path, /*dir=*/false);
     if (!created.ok()) {
       return created.status();
     }
     n = created.take();
-  } else {
-    n = node.take();
   }
   if (n->dir() && (mode & 3) != kOread) {
     return ErrIsDir(CleanPath(path));
   }
+  return OpenNode(std::move(n), mode);
+}
+
+Result<OpenFilePtr> Vfs::OpenNode(NodePtr n, uint8_t mode) {
   auto f = std::make_shared<OpenFile>(n, mode, &clock_);
   if (n->handler() != nullptr) {
     Status s = n->handler()->Open(*f, mode);
@@ -257,7 +300,7 @@ Result<std::string> Vfs::ReadFile(std::string_view path) const {
   }
   if (n->handler() != nullptr) {
     // Whole-file read through a transient open.
-    auto f = const_cast<Vfs*>(this)->Open(path, kOread);
+    auto f = const_cast<Vfs*>(this)->OpenNode(n, kOread);
     if (!f.ok()) {
       return f.status();
     }
@@ -299,11 +342,8 @@ Status Vfs::AppendFile(std::string_view path, std::string_view data) {
 }
 
 Status Vfs::AttachHandler(std::string_view path, std::shared_ptr<FileHandler> handler) {
-  auto node = Walk(path);
-  NodePtr n;
-  if (node.ok()) {
-    n = node.take();
-  } else {
+  NodePtr n = Find(path);
+  if (n == nullptr) {
     Status s = MkdirAll(DirPath(path));
     if (!s.ok()) {
       return s;

@@ -121,10 +121,11 @@ class Node : public std::enable_shared_from_this<Node> {
   FileHandler* handler() const { return handler_.get(); }
   void set_handler(std::shared_ptr<FileHandler> h) { handler_ = std::move(h); }
 
-  // Directory contents, sorted by name (help lists directories in order).
-  // Child() and Vfs::ListDir also consult the DirSynth, if one is set;
-  // children() is the static map only.
-  const std::map<std::string, NodePtr>& children() const { return children_; }
+  // Directory contents, sorted by name (help lists directories in order)
+  // and found by view. Child() and Vfs::ListDir also consult the DirSynth,
+  // if one is set; children() is the static map only.
+  using Children = std::map<std::string, NodePtr, std::less<>>;
+  const Children& children() const { return children_; }
   NodePtr Child(std::string_view name) const;
   void AddChild(NodePtr child);
   void RemoveChild(std::string_view name);
@@ -146,7 +147,7 @@ class Node : public std::enable_shared_from_this<Node> {
   std::string data_;
   std::shared_ptr<FileHandler> handler_;
   std::shared_ptr<DirSynth> dir_synth_;
-  std::map<std::string, NodePtr> children_;
+  Children children_;
   Node* parent_ = nullptr;
 };
 
@@ -191,7 +192,12 @@ class Vfs {
   uint64_t id() const { return id_; }
 
   // --- Namespace operations -------------------------------------------------
+  // Paths are resolved as CleanPath would resolve them, reading the path in
+  // place. A relative path is taken from the root.
   Result<NodePtr> Walk(std::string_view path) const;
+  // The node at `path`, or null where Walk fails. For existence probes: it
+  // builds no error text.
+  NodePtr Find(std::string_view path) const;
   Result<NodePtr> Create(std::string_view path, bool dir);
   Status MkdirAll(std::string_view path);
   Status Remove(std::string_view path);
@@ -221,7 +227,17 @@ class Vfs {
   static std::vector<StatInfo> ListDir(const Node& n);
 
  private:
-  Result<NodePtr> WalkParent(std::string_view path, std::string* base) const;
+  // Walks to the node at `path`, holding a plain pointer until the end. On
+  // failure returns null and sets *not_dir, if given, to the file the walk
+  // tried to pass through (null when an element was missing).
+  NodePtr Resolve(std::string_view path, const Node** not_dir) const;
+  // The error Walk reports for a failed Resolve.
+  static Status WalkError(std::string_view path, const Node* not_dir);
+  // The parent directory of cleaned path `clean`; *base views its last
+  // element.
+  Result<NodePtr> WalkParent(std::string_view clean, std::string_view* base) const;
+  // Opens node `n`, which the caller has walked to.
+  Result<OpenFilePtr> OpenNode(NodePtr n, uint8_t mode);
 
   NodePtr root_;
   Clock clock_;

@@ -56,8 +56,8 @@ int Cp(ExecContext& ctx, const std::vector<std::string>& argv, Io& io) {
     return 1;
   }
   std::string dst = JoinPath(ctx.cwd, argv[2]);
-  auto dnode = ctx.vfs->Walk(dst);
-  if (dnode.ok() && dnode.value()->dir()) {
+  NodePtr dnode = ctx.vfs->Find(dst);
+  if (dnode != nullptr && dnode->dir()) {
     dst = JoinPath(dst, BasePath(argv[1]));
   }
   Status s = ctx.vfs->WriteFile(dst, data.value());
@@ -375,9 +375,9 @@ int HeadTail(bool head, ExecContext& ctx, const std::vector<std::string>& argv, 
 int Touch(ExecContext& ctx, const std::vector<std::string>& argv, Io& io) {
   for (size_t i = 1; i < argv.size(); i++) {
     std::string path = JoinPath(ctx.cwd, argv[i]);
-    auto node = ctx.vfs->Walk(path);
-    if (node.ok()) {
-      node.value()->Touch(ctx.vfs->clock()->Tick());
+    NodePtr node = ctx.vfs->Find(path);
+    if (node != nullptr) {
+      node->Touch(ctx.vfs->clock()->Tick());
     } else {
       Status s = ctx.vfs->WriteFile(path, "");
       if (!s.ok()) {

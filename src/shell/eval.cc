@@ -89,14 +89,14 @@ bool GlobMatch(std::string_view pattern, std::string_view name) {
 std::vector<std::string> GlobExpand(const Vfs& vfs, std::string_view cwd,
                                     std::string_view pattern) {
   std::string full = JoinPath(cwd, pattern);
-  std::vector<std::string> elems = PathElements(full);
+  CleanElements elems(full);
   std::vector<std::string> current = {"/"};
-  for (const std::string& elem : elems) {
+  for (std::string_view elem; elems.Next(&elem);) {
     std::vector<std::string> next;
     if (!ShellHasGlobChars(elem)) {
       for (const std::string& dir : current) {
         std::string candidate = JoinPath(dir, elem);
-        if (vfs.Walk(candidate).ok()) {
+        if (vfs.Find(candidate) != nullptr) {
           next.push_back(candidate);
         }
       }
@@ -130,7 +130,7 @@ std::vector<std::string> GlobExpand(const Vfs& vfs, std::string_view cwd,
 void CommandRegistry::Register(Vfs* vfs, std::string_view path, NativeCommand fn) {
   std::string clean = CleanPath(path);
   commands_[clean] = std::move(fn);
-  if (vfs != nullptr && !vfs->Walk(clean).ok()) {
+  if (vfs != nullptr && vfs->Find(clean) == nullptr) {
     vfs->MkdirAll(DirPath(clean));
     vfs->WriteFile(clean, "#!native " + clean + "\n");
   }
@@ -631,16 +631,16 @@ Result<int> Shell::Run(std::string_view src, Env* env, std::string cwd,
 std::string Shell::ResolveCommand(std::string_view name, std::string_view cwd) const {
   if (IsAbsPath(name)) {
     std::string path = CleanPath(name);
-    auto node = vfs_->Walk(path);
-    return node.ok() && !node.value()->dir() ? path : std::string();
+    NodePtr node = vfs_->Find(path);
+    return node != nullptr && !node->dir() ? path : std::string();
   }
   // Relative names (with or without internal slashes, so the tool-suite
   // convention `help/rcc` works from any directory): current directory
   // first, then the standard directory of program binaries.
   for (std::string_view dir : {cwd, std::string_view("/bin")}) {
     std::string path = JoinPath(dir, name);
-    auto node = vfs_->Walk(path);
-    if (node.ok() && !node.value()->dir()) {
+    NodePtr node = vfs_->Find(path);
+    if (node != nullptr && !node->dir()) {
       return path;
     }
   }

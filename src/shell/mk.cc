@@ -150,8 +150,8 @@ class MkRun {
 
  private:
   uint64_t Mtime(const std::string& name) const {
-    auto st = ctx_.vfs->Stat(JoinPath(ctx_.cwd, name));
-    return st.ok() ? st.value().mtime : 0;
+    NodePtr node = ctx_.vfs->Find(JoinPath(ctx_.cwd, name));
+    return node != nullptr ? node->mtime() : 0;
   }
 
   Status RunRecipe(const MkRule& rule) {

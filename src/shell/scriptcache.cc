@@ -73,12 +73,12 @@ Result<std::shared_ptr<const ShellScript>> ShellScriptCache::GetFile(Vfs& vfs,
                                                                      std::string_view path) {
   std::string fkey;
   FileSig sig;
-  auto st = vfs.Stat(path);
-  if (st.ok() && !st.value().dir) {
+  NodePtr node = vfs.Find(path);
+  if (node != nullptr && !node->dir()) {
     fkey = StrFormat("f:%llu:", static_cast<unsigned long long>(vfs.id())) +
            std::string(path);
-    sig = FileSig{st.value().qid.path, st.value().qid.vers, st.value().mtime,
-                  st.value().length};
+    Qid qid = node->qid();
+    sig = FileSig{qid.path, qid.vers, node->mtime(), node->length()};
     if (auto p = Lookup(fkey, &sig)) {
       OBS_COUNT("shell.compile_cache_hit", 1);
       return p;

@@ -50,9 +50,24 @@ TEST(Path, BaseDir) {
   EXPECT_EQ(DirPath("rel"), ".");
 }
 
+std::vector<std::string> Elements(std::string_view path) {
+  std::vector<std::string> out;
+  CleanElements elems(path);
+  for (std::string_view elem; elems.Next(&elem);) {
+    out.emplace_back(elem);
+  }
+  return out;
+}
+
 TEST(Path, Elements) {
-  EXPECT_EQ(PathElements("/a/b/c"), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(PathElements("/"), (std::vector<std::string>{}));
+  using V = std::vector<std::string>;
+  EXPECT_EQ(Elements("/a/b/c"), (V{"a", "b", "c"}));
+  EXPECT_EQ(Elements("/"), V{});
+  EXPECT_EQ(Elements("//a/./b//../c/"), (V{"a", "c"}));
+  EXPECT_EQ(Elements("/a/b/../../.."), V{});
+  EXPECT_EQ(Elements("a/../../x/y/.."), (V{"..", "x"}));
+  EXPECT_EQ(Elements("a/.."), V{"."});
+  EXPECT_EQ(Elements(""), V{"."});
 }
 
 // Random paths over a small tree: elements that exist, are files, are
@@ -292,6 +307,20 @@ TEST(Vfs, ErrorTextGolden) {
   for (const Case& c : cases) {
     EXPECT_EQ(c.got, c.want);
   }
+}
+
+// MkdirAll, and AttachHandler through it, name the file in the way by its
+// full path, as Walk and Create do.
+TEST(Vfs, MkdirAllNamesTheFullPathOfAFileInTheWay) {
+  Vfs vfs;
+  ASSERT_TRUE(vfs.MkdirAll("/a").ok());
+  ASSERT_TRUE(vfs.WriteFile("/a/b", "x").ok());
+  EXPECT_EQ(vfs.MkdirAll("/a/b/c").message(), "/a/b: not a directory");
+  EXPECT_EQ(vfs.MkdirAll("/a//b/").message(), "/a/b: not a directory");
+  EXPECT_EQ(vfs.MkdirAll("/x/../a/b/c/d").message(), "/a/b: not a directory");
+  EXPECT_EQ(vfs.AttachHandler("/a/b/c/d", nullptr).message(), "/a/b: not a directory");
+  EXPECT_EQ(vfs.Walk("/a/b/c").message(), "/a/b: not a directory");
+  EXPECT_EQ(vfs.Create("/a/b/c/d", false).message(), "/a/b: not a directory");
 }
 
 // --- Synthetic files -------------------------------------------------------------
