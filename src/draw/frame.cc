@@ -6,7 +6,6 @@ namespace help {
 
 void Frame::LayOut() const {
   OBS_COUNT("draw.frame_layouts", 1);
-  stale_ = false;
   rows_.clear();
   runes_.clear();
   size_t n = text_ == nullptr ? 0 : text_->size();

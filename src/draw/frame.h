@@ -5,12 +5,15 @@
 // rune offset (mouse clicks) and rune offset → screen point (showing an
 // addressed line, drawing selections).
 //
-// Layout happens on read. SetRect and Fill only record the rect, the text
-// and the origin; the first read after them (origin, end, lines_used,
-// Visible, PointToOffset, OffsetToPoint, Draw) lays the frame out, against
-// the text as it is then. So a window that is moved, resized or edited many
-// times between two looks at it is laid out once, and one that nobody looks
-// at (hidden, or written headlessly over 9P) is never laid out. Lifetime
+// Layout happens on read, keyed on its inputs. SetRect and Fill only record
+// the rect, the text and the origin; the first read after them (origin,
+// end, lines_used, Visible, PointToOffset, OffsetToPoint, Draw) lays the
+// frame out, against the text as it is then, unless the rect, the Text,
+// the origin and the text's version() all equal those of the last layout.
+// So a window that is moved, resized or edited many times between two
+// looks at it is laid out once, one that nobody looks at (hidden, or
+// written headlessly over 9P) is never laid out, and one re-tiled or
+// refilled with what it already shows is not laid out again. Lifetime
 // rule: the Text passed to Fill must outlive the frame's next read
 // (Subwindow meets it by owning its text).
 #ifndef SRC_DRAW_FRAME_H_
@@ -94,10 +97,19 @@ class Frame {
   };
 
   // Lays the frame out if SetRect or Fill has been called since the last
-  // layout.
+  // layout with inputs other than that layout's.
   void EnsureLaidOut() const {
     if (stale_) {
-      LayOut();
+      stale_ = false;
+      uint64_t version = text_ == nullptr ? 0 : text_->version();
+      if (rect_ != laid_rect_ || text_ != laid_text_ || want_origin_ != laid_origin_ ||
+          version != laid_version_) {
+        laid_rect_ = rect_;
+        laid_text_ = text_;
+        laid_origin_ = want_origin_;
+        laid_version_ = version;
+        LayOut();
+      }
     }
   }
   void LayOut() const;
@@ -109,9 +121,14 @@ class Frame {
   const Text* text_ = nullptr;
   size_t want_origin_ = 0;
 
-  // The layout, written by the first read after SetRect/Fill. The vectors
-  // keep their capacity from one layout to the next.
+  // The layout, written by the first read after SetRect/Fill, and the
+  // inputs it was made from. The vectors keep their capacity from one
+  // layout to the next.
   mutable bool stale_ = false;
+  mutable Rect laid_rect_;
+  mutable const Text* laid_text_ = nullptr;
+  mutable size_t laid_origin_ = 0;
+  mutable uint64_t laid_version_ = 0;
   mutable size_t origin_ = 0;
   mutable size_t end_ = 0;
   mutable std::vector<Row> rows_;

@@ -1,10 +1,16 @@
 #include "src/text/text.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "src/obs/trace.h"
 
 namespace help {
+
+uint64_t Text::NextVersion() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 // Every edit funnels through DoInsert/DoDelete, the editor's hottest path:
 // instrumentation here is capture-gated instants only (a relaxed load and a
@@ -31,7 +37,7 @@ void Text::Insert(size_t pos, RuneStringView s) {
   undo_.push_back({true, pos, RuneString(s), change_id_});
   redo_.clear();
   dirty_ = true;
-  version_++;
+  version_ = NextVersion();
 }
 
 void Text::Delete(size_t pos, size_t n) {
@@ -45,7 +51,7 @@ void Text::Delete(size_t pos, size_t n) {
   undo_.push_back({false, pos, std::move(removed), change_id_});
   redo_.clear();
   dirty_ = true;
-  version_++;
+  version_ = NextVersion();
 }
 
 void Text::Replace(size_t q0, size_t q1, RuneStringView s) {
@@ -60,12 +66,12 @@ void Text::InsertNoUndo(size_t pos, RuneStringView s) {
     return;
   }
   DoInsert(std::min(pos, size()), s);
-  version_++;
+  version_ = NextVersion();
 }
 
 void Text::DeleteNoUndo(size_t pos, size_t n) {
   DoDelete(pos, n);
-  version_++;
+  version_ = NextVersion();
 }
 
 void Text::SetAll(std::string_view utf8) {
@@ -76,7 +82,7 @@ void Text::SetAll(std::string_view utf8) {
   undo_.clear();
   redo_.clear();
   dirty_ = false;
-  version_++;
+  version_ = NextVersion();
 }
 
 Text::Change Text::Invert(const Change& c) const {
@@ -92,7 +98,7 @@ void Text::Apply(const Change& c, size_t* touched) {
   if (touched != nullptr) {
     *touched = std::min(*touched, c.pos);
   }
-  version_++;
+  version_ = NextVersion();
 }
 
 bool Text::Undo(size_t* touched) {

@@ -111,8 +111,9 @@ class Text {
 
   bool dirty() const { return dirty_; }
   void set_dirty(bool d) { dirty_ = d; }
-  // Monotonic counter bumped on every mutation; views compare it to decide
-  // whether to re-layout.
+  // A stamp that changes on every mutation and that no other Text in the
+  // process has had (a Text moved into another keeps it): a frame keys its
+  // layout on it, so a text at a reused address never matches a stale one.
   uint64_t version() const { return version_; }
 
   // Test hook: verifies the line index against a full recount of the buffer.
@@ -127,6 +128,8 @@ class Text {
     uint64_t group;
   };
 
+  static uint64_t NextVersion();
+
   void Apply(const Change& c, size_t* touched);
   Change Invert(const Change& c) const;
 
@@ -140,7 +143,7 @@ class Text {
   std::vector<Change> undo_;
   std::vector<Change> redo_;
   uint64_t change_id_ = 0;
-  uint64_t version_ = 0;
+  uint64_t version_ = NextVersion();
   bool dirty_ = false;
 };
 

@@ -171,11 +171,12 @@ TEST_F(CloneTest, AppendsOverNinepLayOutNothingUntilRender) {
     ASSERT_TRUE(client.AppendFile(WinFile(first_, "bodyapp"), StrFormat("line %d\n", i)).ok());
   }
   EXPECT_EQ(layouts->value(), before);
+  // Only the two body frames show something new; the tags are unchanged.
   std::string screen = h_.Render();
-  EXPECT_EQ(layouts->value(), before + 4);
+  EXPECT_EQ(layouts->value(), before + 2);
   EXPECT_NE(screen.find("line 0"), std::string::npos);
   EXPECT_EQ(h_.Render(), screen);
-  EXPECT_EQ(layouts->value(), before + 4);
+  EXPECT_EQ(layouts->value(), before + 2);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // and selection drawing.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/draw/frame.h"
 #include "src/draw/screen.h"
 #include "src/obs/trace.h"
@@ -347,6 +349,64 @@ TEST_F(FrameTest, LaysOutOncePerReadAfterChange) {
   (void)f_.PointToOffset({1, 1});
   Screen s(20, 6);
   f_.Draw(&s, {0, 0}, true, Style::kNormal);
+  EXPECT_EQ(layouts->value(), before + 1);
+}
+
+// A layout is keyed on the rect, the Text, the origin and the text's
+// version: marking a frame with the inputs it was laid out from costs
+// nothing, and changing any one of them costs one layout.
+TEST_F(FrameTest, LaysOutOnlyWhenInputsChange) {
+  obs::Counter* layouts = obs::Registry::Global().GetCounter("draw.frame_layouts");
+  Text t("one\ntwo\nthree\n");
+  f_.SetRect({0, 0, 10, 5});
+  f_.Fill(t, 0);
+  EXPECT_EQ(f_.origin(), 0u);
+  uint64_t before = layouts->value();
+  f_.SetRect({0, 0, 10, 5});
+  f_.Fill(t, 0);
+  EXPECT_EQ(f_.end(), t.size());
+  EXPECT_EQ(layouts->value(), before);
+
+  t.Insert(0, RunesFromUtf8("zero\n"));
+  f_.Fill(t, 0);
+  EXPECT_EQ(f_.end(), t.size());
+  EXPECT_EQ(layouts->value(), before + 1);
+
+  f_.SetRect({0, 0, 10, 2});
+  EXPECT_EQ(f_.end(), 9u);  // "zero\none\n"
+  EXPECT_EQ(layouts->value(), before + 2);
+
+  f_.Fill(t, 5);
+  EXPECT_EQ(f_.origin(), 5u);
+  EXPECT_EQ(layouts->value(), before + 3);
+
+  // A text moved into another Text keeps its version number there.
+  uint64_t version = t.version();
+  Text moved = std::move(t);
+  ASSERT_EQ(moved.version(), version);
+  f_.Fill(moved, 5);
+  EXPECT_EQ(f_.origin(), 5u);
+  EXPECT_EQ(layouts->value(), before + 4);
+  f_.Fill(moved, 5);
+  (void)f_.origin();
+  EXPECT_EQ(layouts->value(), before + 4);
+}
+
+// Versions are unique across texts: a new Text never carries the version
+// of one laid out before it, whatever address it reuses.
+TEST_F(FrameTest, NewTextNeverMatchesAnOldVersion) {
+  obs::Counter* layouts = obs::Registry::Global().GetCounter("draw.frame_layouts");
+  f_.SetRect({0, 0, 10, 5});
+  auto t = std::make_unique<Text>("old\n");
+  f_.Fill(*t, 0);
+  EXPECT_EQ(f_.end(), 4u);
+  uint64_t old_version = t->version();
+  t.reset();
+  t = std::make_unique<Text>("new text\n");
+  EXPECT_NE(t->version(), old_version);
+  uint64_t before = layouts->value();
+  f_.Fill(*t, 0);
+  EXPECT_EQ(f_.end(), 9u);
   EXPECT_EQ(layouts->value(), before + 1);
 }
 
