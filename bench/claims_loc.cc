@@ -2,8 +2,11 @@
 // reproduction's size, broken down by subsystem, with the help-proper core
 // (the analogue of the paper's 4300 lines: editor + window system + UI +
 // file server, excluding the substrates Plan 9 provided for free) called out.
+// Exits 1 if a directory under src/ with .cc or .h files has no row, so that
+// TOTAL always counts the whole tree.
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "bench/figutil.h"
 
@@ -46,6 +49,7 @@ int main() {
   }
   long core = 0;
   long total = 0;
+  std::set<std::string> counted;
   static const char* kCore[] = {"core", "wm", "draw"};  // help proper
   std::printf("%-12s %8s  %s\n", "subsystem", "lines", "role");
   struct RowInfo {
@@ -63,10 +67,12 @@ int main() {
            {"cc", "substrate: rcc, the code-generator-less compiler"},
            {"proc", "substrate: processes + adb"},
            {"tools", "the /help tool suites + paper corpus + demo driver"},
+           {"obs", "substrate: spans, counters and histograms behind /mnt/help"},
            {"base", "runes, strings, status"},
            {"baseline", "the conventional-UI comparison model"}}) {
     long n = CountLines(src / row.name);
     total += n;
+    counted.insert(row.name);
     for (const char* c : kCore) {
       if (std::string(c) == row.name) {
         core += n;
@@ -75,6 +81,17 @@ int main() {
     std::printf("%-12s %8ld  %s\n", row.name, n, row.role);
   }
   std::printf("%-12s %8ld\n", "TOTAL src/", total);
+  int missing = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(src)) {
+    std::string name = entry.path().filename().string();
+    if (entry.is_directory() && CountLines(entry.path()) > 0 && counted.count(name) == 0) {
+      std::printf("no row for src/%s: TOTAL leaves it out\n", name.c_str());
+      missing++;
+    }
+  }
+  if (missing > 0) {
+    return 1;
+  }
   std::printf("\nhelp proper (core+wm+draw): %ld lines of C++ vs the paper's 4300 of C\n",
               core);
   std::printf("the rest reimplements what Plan 9 gave the original for free.\n");

@@ -59,15 +59,15 @@ constexpr const char* kFiles[] = {"clik.c", "ctrl.c", "errs.c", "exec.c", "file.
                                   "text.c", "util.c", "xtrn.c"};
 
 // The cpp+lex stage of the fig10 query: one source table reads, lexes and
-// interns each file once and splices the 13 units' tokens, as rcc does
+// interns each file once and lists the 13 units' token runs, as rcc does
 // before it parses.
 void BM_CppLexWholeProgram(benchmark::State& state) {
-  std::vector<CToken> toks;
+  CUnit unit;
   for (auto _ : state) {
     CNames names;
     CSources sources(corpus()->h.vfs(), &names);
     for (const char* f : kFiles) {
-      benchmark::DoNotOptimize(sources.Tokens(std::string(kDir) + "/" + f, &toks));
+      benchmark::DoNotOptimize(sources.Unit(std::string(kDir) + "/" + f, &unit));
     }
   }
   state.SetItemsProcessed(state.iterations() * 13);

@@ -4,6 +4,8 @@
 #include <bit>
 #include <tuple>
 
+#include "src/obs/trace.h"
+
 namespace help {
 
 namespace {
@@ -30,10 +32,15 @@ bool IsSpecifierKeyword(const CToken& t) {
 
 class CParser {
  public:
-  CParser(CBrowser* browser, const std::vector<CToken>& toks) : b_(browser), toks_(toks) {}
+  CParser(CBrowser* browser, const CUnit& unit)
+      : b_(browser), unit_(unit), cur_(unit.runs.front().begin) {}
 
   Status Parse() {
-    while (!AtEof()) {
+    while (true) {
+      AtBoundary();
+      if (AtEof()) {
+        break;
+      }
       size_t before = pos_;
       ParseTopLevel();
       if (pos_ == before) {
@@ -45,15 +52,85 @@ class CParser {
 
  private:
   // --- token helpers ---
-  const CToken& Cur() const { return toks_[pos_]; }
+  // The unit's tokens are read in place, run by run; pos_ counts the tokens
+  // read so far, so it is the current token's index in the unit.
+  const CToken& Cur() const { return *cur_; }
   const CToken& Ahead(size_t k) const {
-    size_t i = std::min(pos_ + k, toks_.size() - 1);
-    return toks_[i];
+    const CToken* t = cur_;
+    for (size_t run = run_; k > 0 && t->kind != CTok::kEof; k--) {
+      if (++t == unit_.runs[run].end) {
+        t = unit_.runs[++run].begin;
+      }
+    }
+    return *t;
   }
   bool AtEof() const { return Cur().kind == CTok::kEof; }
   void Next() {
-    if (!AtEof()) {
-      pos_++;
+    if (AtEof()) {
+      return;
+    }
+    prev_ = cur_;
+    pos_++;
+    if (++cur_ == unit_.runs[run_].end) {
+      cur_ = unit_.runs[++run_].begin;
+    }
+  }
+  // Continues at the first token of runs[run].
+  void JumpTo(size_t run) {
+    prev_ = unit_.runs[run - 1].end - 1;
+    run_ = run;
+    cur_ = unit_.runs[run].begin;
+    pos_ = unit_.runs[run].at;
+  }
+
+  // --- headers ---
+  // Between two top-level declarations: finishes the recordings of the
+  // headers that end here, then replays, or starts recording, each header
+  // that starts here. A header entered or left in the middle of a
+  // declaration is parsed, and its record is dropped.
+  void AtBoundary() {
+    while (true) {
+      while (!recording_.empty() && unit_.At(recording_.back().header->last) <= pos_) {
+        const Recording& r = recording_.back();
+        // A parse that stopped at the unit's end may have read past the
+        // header's last token without taking another; one that stopped
+        // before any other token did not read it.
+        if (r.valid && unit_.At(r.header->last) == pos_ && !AtEof()) {
+          b_->Record(unit_, static_cast<size_t>(r.header - unit_.headers.data()), log_, r.begin);
+        }
+        recording_.pop_back();
+      }
+      if (recording_.empty()) {
+        log_.clear();
+      }
+      if (header_ == unit_.headers.size() || unit_.At(unit_.headers[header_].first) > pos_) {
+        return;
+      }
+      const CUnit::Header& h = unit_.headers[header_];
+      if (unit_.At(h.first) < pos_ || h.first == h.last) {
+        header_++;
+        continue;
+      }
+      if (b_->Replay(unit_, header_, recording_.empty() ? nullptr : &log_)) {
+        JumpTo(h.last);
+        header_ = h.inner;
+        continue;
+      }
+      header_++;
+      recording_.push_back({&h, log_.size(), true});
+    }
+  }
+
+  void Log(CBrowser::HeaderOp op) {
+    if (!recording_.empty()) {
+      log_.push_back(op);
+    }
+  }
+  // A parse whose effects depend on more than the header's tokens and the
+  // typedef names it reads is not kept.
+  void Unrecordable() {
+    for (Recording& r : recording_) {
+      r.valid = false;
     }
   }
   // Every punctuator the parser asks about is a single character.
@@ -77,7 +154,7 @@ class CParser {
     }
   }
 
-  bool AtTypeStart() const {
+  bool AtTypeStart() {
     if (Cur().kind == CTok::kKeyword) {
       return IsSpecifierKeyword(Cur()) || IsKw(CKeyword("typedef"));
     }
@@ -95,8 +172,13 @@ class CParser {
 
   // --- names and scopes ---
   // A typedef name counts only in the unit that declared it.
-  bool IsTypedef(const CToken& t) const {
-    return t.kind == CTok::kIdent && b_->NameOf(t.name).typedef_unit == b_->unit_;
+  bool IsTypedef(const CToken& t) {
+    if (t.kind != CTok::kIdent) {
+      return false;
+    }
+    bool is = b_->NameOf(t.name).typedef_unit == b_->unit_;
+    Log({.op = CBrowser::HeaderOp::kTypedefRead, .flag = is, .name = t.name});
+    return is;
   }
 
   // Block scopes are one stack of bindings; a scope is the suffix that
@@ -133,10 +215,18 @@ class CParser {
     } else if (kind != CSymKind::kField) {
       b_->NameOf(name).global = id;
     }
+    if (kind == CSymKind::kParam || kind == CSymKind::kLocal || func >= 0) {
+      Unrecordable();  // a symbol of its own each parse, or owned by one
+    } else {
+      Log({.op = CBrowser::HeaderOp::kDeclare, .flag = is_definition, .kind = kind, .name = name,
+           .sym = id, .at = &at});
+    }
     return id;
   }
 
   void RecordIdentUse(const CToken& tok) {
+    // Only parameters and locals are bound in scopes, and a header that
+    // declares one is not recorded: a recorded use looks up a global.
     int id = Lookup(tok.name);
     if (id < 0) {
       // Implicit extern (strlen, print, ...): declare lazily at first use so
@@ -145,13 +235,23 @@ class CParser {
       b_->NameOf(tok.name).global = id;
     }
     b_->RecordUse(id, tok, /*is_decl=*/false);
+    Log({.op = CBrowser::HeaderOp::kUse, .name = tok.name, .sym = id, .at = &tok});
+  }
+
+  // A use of a tag or typedef name, recorded only if the name is bound.
+  void RecordBoundUse(int name, const CToken& tok) {
+    int id = Lookup(name);
+    if (id >= 0) {
+      b_->RecordUse(id, tok, false);
+    }
+    Log({.op = CBrowser::HeaderOp::kBoundUse, .name = name, .sym = id, .at = &tok});
   }
 
   // Is the current identifier a member name after . or ->, that is, a field
   // reference and not a name use?
   bool AfterMemberOp() const {
-    return pos_ > 0 && toks_[pos_ - 1].kind == CTok::kPunct &&
-           (toks_[pos_ - 1].text == "." || toks_[pos_ - 1].text == "->");
+    return prev_ != nullptr && prev_->kind == CTok::kPunct &&
+           (prev_->text == "." || prev_->text == "->");
   }
 
   // --- grammar ---
@@ -168,6 +268,7 @@ class CParser {
         Declarator d = ParseDeclarator(/*in_params=*/false);
         if (d.name != nullptr) {
           b_->NameOf(d.name->name).typedef_unit = b_->unit_;
+          Log({.op = CBrowser::HeaderOp::kTypedefWrite, .name = d.name->name});
           DeclareSymbol(*d.name, CSymKind::kTypedef);
         }
         if (IsPunct(',')) {
@@ -232,8 +333,8 @@ class CParser {
             Next();
             if (IsPunct('{')) {
               Declare(tag_name, CSymKind::kStructTag, tag, -1);
-            } else if (int id = Lookup(tag_name); id >= 0) {
-              b_->RecordUse(id, tag, false);
+            } else {
+              RecordBoundUse(tag_name, tag);
             }
           }
           if (IsPunct('{')) {
@@ -248,9 +349,7 @@ class CParser {
       }
       if (IsTypedef(Cur()) && !type_seen_guard_) {
         // Typedef name as base type; record the use of the typedef.
-        if (int id = Lookup(Cur().name); id >= 0) {
-          b_->RecordUse(id, Cur(), false);
-        }
+        RecordBoundUse(Cur().name, Cur());
         Next();
         type_seen_guard_ = true;
         continue;
@@ -325,7 +424,8 @@ class CParser {
     }
   }
 
-  // Tokens are referred to in place: toks_ does not change while parsing.
+  // Tokens are referred to in place: the unit's token lists do not change
+  // while parsing.
   struct Declarator {
     const CToken* name = nullptr;  // the declared identifier, if any
     bool is_func = false;
@@ -547,9 +647,22 @@ class CParser {
     }
   }
 
+  // A header whose parse is being recorded, from log_[begin].
+  struct Recording {
+    const CUnit::Header* header;
+    size_t begin;
+    bool valid;
+  };
+
   CBrowser* b_;
-  const std::vector<CToken>& toks_;
+  const CUnit& unit_;
+  size_t run_ = 0;                  // cur_ is in unit_.runs[run_]
+  const CToken* cur_;
+  const CToken* prev_ = nullptr;    // the token before cur_ in the unit
   size_t pos_ = 0;
+  size_t header_ = 0;               // the next of unit_.headers to enter
+  std::vector<Recording> recording_;  // innermost last
+  std::vector<CBrowser::HeaderOp> log_;
   std::vector<std::pair<int, int>> bindings_;  // (name, symbol)
   std::vector<size_t> scope_marks_;
   int current_func_ = -1;
@@ -640,10 +753,115 @@ void CBrowser::RecordUse(int sym, const CToken& at, bool is_decl) {
   }
 }
 
-Status CBrowser::ParseUnit() {
+Status CBrowser::ParseUnit(const CUnit& unit) {
   info_.resize(names_.size());
   unit_++;
-  return CParser(this, toks_).Parse();
+  return CParser(this, unit).Parse();
+}
+
+// Replaying a record does what parsing the header again would: the parse
+// takes the same path through the header's tokens, because it starts
+// between two declarations and the typedef names it reads answer as before,
+// and along that path it declares, binds and uses the same names. Only the
+// symbols those resolve to may differ, and each op resolves them again.
+void CBrowser::Apply(HeaderOp& op) {
+  Name& n = NameOf(op.name);
+  int id = op.sym;
+  switch (op.op) {
+    case HeaderOp::kTypedefRead:
+      return;
+    case HeaderOp::kTypedefWrite:
+      n.typedef_unit = unit_;
+      return;
+    case HeaderOp::kDeclare:
+      id = Intern(op.name, op.kind, *op.at, -1, op.flag);
+      if (op.kind != CSymKind::kField) {
+        n.global = id;
+      }
+      break;
+    case HeaderOp::kUse:
+      if (n.global < 0) {
+        n.global = Intern(op.name, CSymKind::kImplicit, *op.at);
+      }
+      id = n.global;
+      break;
+    case HeaderOp::kBoundUse:
+      id = n.global;
+      break;
+  }
+  // The parse that resolved the op to op.sym recorded that use.
+  if (id >= 0 && id != op.sym) {
+    RecordUse(id, *op.at, op.op == HeaderOp::kDeclare);
+  }
+  op.sym = id;
+}
+
+bool CBrowser::Replay(const CUnit& unit, size_t header, std::vector<HeaderOp>* log) {
+  const CUnit::Header& h = unit.headers[header];
+  if (static_cast<size_t>(h.file) >= headers_.size() || !headers_[h.file].valid) {
+    return false;
+  }
+  HeaderRecord& r = headers_[h.file];
+  if (r.inner.size() != h.inner - header - 1) {
+    return false;
+  }
+  for (size_t i = 0; i < r.inner.size(); i++) {
+    if (r.inner[i] != unit.headers[header + 1 + i].file) {
+      return false;
+    }
+  }
+  for (const auto& [name, is_typedef] : r.reads) {
+    if ((NameOf(name).typedef_unit == unit_) != is_typedef) {
+      return false;
+    }
+  }
+  OBS_COUNT("cc.header_replays", 1);
+  for (HeaderOp& op : r.ops) {
+    Apply(op);
+  }
+  if (log != nullptr) {
+    for (const auto& [name, is_typedef] : r.reads) {
+      log->push_back({.op = HeaderOp::kTypedefRead, .flag = is_typedef, .name = name});
+    }
+    log->insert(log->end(), r.ops.begin(), r.ops.end());
+  }
+  return true;
+}
+
+void CBrowser::Record(const CUnit& unit, size_t header, const std::vector<HeaderOp>& log,
+                      size_t begin) {
+  const CUnit::Header& h = unit.headers[header];
+  if (static_cast<size_t>(h.file) >= headers_.size()) {
+    headers_.resize(static_cast<size_t>(h.file) + 1);
+  }
+  OBS_COUNT("cc.header_records", 1);
+  HeaderRecord& r = headers_[h.file];
+  r.valid = true;
+  r.inner.clear();
+  for (size_t i = header + 1; i < h.inner; i++) {
+    r.inner.push_back(unit.headers[i].file);
+  }
+  r.reads.clear();
+  r.ops.clear();
+  // A read of a name the header has not yet bound, or read, is one a
+  // replay must check; the rest follow from the ops.
+  enum : uint8_t { kUnseen, kRead, kWritten };
+  read_mark_.assign(info_.size(), kUnseen);
+  for (size_t i = begin; i < log.size(); i++) {
+    const HeaderOp& op = log[i];
+    uint8_t& mark = read_mark_[static_cast<size_t>(op.name)];
+    if (op.op == HeaderOp::kTypedefRead) {
+      if (mark == kUnseen) {
+        r.reads.emplace_back(op.name, op.flag);
+        mark = kRead;
+      }
+      continue;
+    }
+    if (op.op == HeaderOp::kTypedefWrite) {
+      mark = kWritten;
+    }
+    r.ops.push_back(op);
+  }
 }
 
 Status CBrowser::AddTranslationUnit(std::string_view text, std::string_view filename) {
@@ -651,18 +869,20 @@ Status CBrowser::AddTranslationUnit(std::string_view text, std::string_view file
   if (!toks.ok()) {
     return toks.status();
   }
-  toks_ = toks.take();
-  return ParseUnit();
+  CUnit unit;
+  unit.Add(toks.value().data(), toks.value().data() + toks.value().size());
+  return ParseUnit(unit);
 }
 
 Status CBrowser::AddFile(const Vfs& vfs, std::string_view path) {
   if (sources_ == nullptr || &sources_->vfs() != &vfs) {
     sources_ = std::make_unique<CSources>(vfs, &names_);
+    headers_.clear();
   }
-  if (Status s = sources_->Tokens(path, &toks_); !s.ok()) {
+  if (Status s = sources_->Unit(path, &unit_runs_); !s.ok()) {
     return s;
   }
-  return ParseUnit();
+  return ParseUnit(unit_runs_);
 }
 
 const CSymbol* CBrowser::ResolveAt(std::string_view name, std::string_view file,

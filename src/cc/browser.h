@@ -69,7 +69,10 @@ class CBrowser {
 
   // Adds the unit rooted at `path` in `vfs`. Each file is read and lexed
   // once per browser, so a browser sees a file as it was when first read:
-  // use one browser per command.
+  // use one browser per command. A header is parsed once: a later unit that
+  // reaches it between two top-level declarations replays what its last
+  // parse did, if every typedef name that parse looked up outside the
+  // header still reads the same. The answers are those of parsing it again.
   Status AddFile(const Vfs& vfs, std::string_view path);
 
   const std::vector<CSymbol>& symbols() const { return symbols_; }
@@ -90,6 +93,34 @@ class CBrowser {
 
  private:
   friend class CParser;
+
+  // One effect of parsing a header on the browser, in parse order, for
+  // replay. `sym` is the symbol the effect last resolved to; a replay that
+  // resolves to it again records no use, since that use is recorded.
+  struct HeaderOp {
+    enum Kind : uint8_t {
+      kTypedefRead,   // was `name` a typedef name (`flag`)
+      kTypedefWrite,  // `name` became a typedef name
+      kDeclare,       // file-scope declaration of `name`, of kind `kind`, at `at`
+      kUse,           // use of `name` at `at`, implicitly declared if unbound
+      kBoundUse,      // use of `name` at `at`, only if it is bound
+    };
+    Kind op;
+    bool flag = false;  // kTypedefRead: the answer; kDeclare: a definition
+    CSymKind kind = CSymKind::kImplicit;
+    int name = -1;
+    int sym = -1;
+    const CToken* at = nullptr;  // in the file's own token list
+  };
+  // What the last parse of a header did: the headers it expanded, which
+  // make its tokens, the typedef answers it read before it bound the name
+  // itself, and its other effects.
+  struct HeaderRecord {
+    bool valid = false;
+    std::vector<int> inner;
+    std::vector<std::pair<int, bool>> reads;
+    std::vector<HeaderOp> ops;
+  };
 
   // Everything known about one spelling, indexed by its id in names_.
   struct Name {
@@ -115,8 +146,16 @@ class CBrowser {
   // The slot of use_slots_ that holds that occurrence, or the empty slot
   // where it would go.
   size_t UseSlot(int sym, std::string_view file, int line, int col) const;
-  // Parses toks_, whose identifiers carry ids from names_, as the next unit.
-  Status ParseUnit();
+  // Parses `unit`, whose identifiers carry ids from names_, as the next unit.
+  Status ParseUnit(const CUnit& unit);
+  // Applies `op` as the parse that recorded it did.
+  void Apply(HeaderOp& op);
+  // Replays the record of unit.headers[header], appending what it did to
+  // `log` if set; false, with nothing done, if it has none or it would
+  // parse differently now.
+  bool Replay(const CUnit& unit, size_t header, std::vector<HeaderOp>* log);
+  // Keeps log[begin, end) as the record of unit.headers[header].
+  void Record(const CUnit& unit, size_t header, const std::vector<HeaderOp>& log, size_t begin);
 
   std::vector<CSymbol> symbols_;
   std::vector<CUse> uses_;
@@ -124,7 +163,9 @@ class CBrowser {
   std::vector<Name> info_;
   std::vector<int> use_slots_;  // uses_ by (sym, file, line, col), open-addressed; -1 is empty
   std::unique_ptr<CSources> sources_;  // every file AddFile has read, read once
-  std::vector<CToken> toks_;           // the unit being parsed
+  CUnit unit_runs_;                    // the unit AddFile is parsing
+  std::vector<HeaderRecord> headers_;  // by sources_' file id
+  std::vector<uint8_t> read_mark_;     // by name: Record's scratch
   int unit_ = 0;  // serial number of the unit being parsed
 };
 

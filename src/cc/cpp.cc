@@ -12,6 +12,12 @@ constexpr char kSysInclude[] = "/sys/include";
 
 }  // namespace
 
+void CUnit::Add(const CToken* begin, const CToken* end) {
+  if (begin != end) {
+    runs.push_back({begin, end, At(runs.size())});
+  }
+}
+
 Result<CSources::File*> CSources::Load(const std::string& path) {
   if (auto it = by_path_.find(path); it != by_path_.end()) {
     return it->second;
@@ -33,6 +39,7 @@ Result<CSources::File*> CSources::Load(const std::string& path) {
     text = node->data();
   }
   File& f = files_.emplace_back();
+  f.id = static_cast<int>(files_.size()) - 1;
   f.path = path;
   f.dir = DirPath(path);
   f.text = std::move(text) + '\n';
@@ -82,11 +89,11 @@ Result<CSources::File*> CSources::Resolve(const File& from, const CInclude& inc)
   return r;
 }
 
-Status CSources::Expand(File* f, std::vector<CToken>* toks, std::string* text, int depth) {
+Status CSources::Expand(File* f, CUnit* unit, std::string* text, int depth) {
   if (depth > 32) {
     return Status::Error("cpp: include nesting too deep at " + f->path);
   }
-  if (Status s = Scan(f, toks != nullptr); !s.ok()) {
+  if (Status s = Scan(f, unit != nullptr); !s.ok()) {
     return s;
   }
   f->unit = unit_;
@@ -96,9 +103,8 @@ Status CSources::Expand(File* f, std::vector<CToken>* toks, std::string* text, i
   size_t tok = 0;
   size_t byte = 0;
   for (const CInclude& inc : f->includes) {
-    if (toks != nullptr) {
-      toks->insert(toks->end(), f->toks.begin() + static_cast<ptrdiff_t>(tok),
-                   f->toks.begin() + static_cast<ptrdiff_t>(inc.tok));
+    if (unit != nullptr) {
+      unit->Add(f->toks.data() + tok, f->toks.data() + inc.tok);
     }
     tok = inc.tok;
     std::string_view skipped(f->text.data() + byte, inc.begin - byte);
@@ -118,8 +124,17 @@ Status CSources::Expand(File* f, std::vector<CToken>* toks, std::string* text, i
     }
     bool expand = g != nullptr && g->unit != unit_;
     if (expand) {
-      if (Status s = Expand(g, toks, text, depth + 1); !s.ok()) {
+      size_t header = 0;
+      if (unit != nullptr) {
+        header = unit->headers.size();
+        unit->headers.push_back({g->id, unit->runs.size(), 0, 0});
+      }
+      if (Status s = Expand(g, unit, text, depth + 1); !s.ok()) {
         return s;
+      }
+      if (unit != nullptr) {
+        unit->headers[header].last = unit->runs.size();
+        unit->headers[header].inner = unit->headers.size();
       }
     }
     if (text == nullptr) {
@@ -141,9 +156,8 @@ Status CSources::Expand(File* f, std::vector<CToken>* toks, std::string* text, i
       text->append(static_cast<size_t>(lines), '\n');
     }
   }
-  if (toks != nullptr) {
-    toks->insert(toks->end(), f->toks.begin() + static_cast<ptrdiff_t>(tok),
-                 f->toks.end() - (depth == 0 ? 0 : 1));
+  if (unit != nullptr) {
+    unit->Add(f->toks.data() + tok, f->toks.data() + f->toks.size() - (depth == 0 ? 0 : 1));
   }
   if (text != nullptr) {
     text->append(f->text, byte);
@@ -151,7 +165,7 @@ Status CSources::Expand(File* f, std::vector<CToken>* toks, std::string* text, i
   return Status::Ok();
 }
 
-Status CSources::Walk(std::string_view path, std::vector<CToken>* toks, std::string* text) {
+Status CSources::Walk(std::string_view path, CUnit* unit, std::string* text) {
   std::string clean = CleanPath(path);
   auto r = Load(clean);
   if (!r.ok()) {
@@ -161,11 +175,12 @@ Status CSources::Walk(std::string_view path, std::vector<CToken>* toks, std::str
     return vfs_.Walk(clean).status();
   }
   unit_++;
-  return Expand(r.value(), toks, text, 0);
+  return Expand(r.value(), unit, text, 0);
 }
 
-Status CSources::Tokens(std::string_view path, std::vector<CToken>* out) {
-  out->clear();
+Status CSources::Unit(std::string_view path, CUnit* out) {
+  out->runs.clear();
+  out->headers.clear();
   return Walk(path, out, nullptr);
 }
 

@@ -162,22 +162,24 @@ int VcCmd(ExecContext& ctx, const std::vector<std::string>& argv, Io& io) {
     return 1;
   }
   CSources sources(*ctx.vfs);
-  std::vector<CToken> toks;
-  if (Status s = sources.Tokens(JoinPath(ctx.cwd, file), &toks); !s.ok()) {
+  CUnit unit;
+  if (Status s = sources.Unit(JoinPath(ctx.cwd, file), &unit); !s.ok()) {
     *io.err += "vc: " + s.message() + "\n";
     return 1;
   }
   // Balanced-delimiter check: the cheapest real syntax diagnostic.
   int brace = 0;
   int paren = 0;
-  for (const CToken& t : toks) {
-    char c = t.kind == CTok::kPunct && t.text.size() == 1 ? t.text[0] : 0;
-    brace += (c == '{') - (c == '}');
-    paren += (c == '(') - (c == ')');
-    if (brace < 0 || paren < 0) {
-      *io.err += StrFormat("vc: %.*s:%d: unbalanced '%c'\n", static_cast<int>(t.file.size()),
-                           t.file.data(), t.line, c);
-      return 1;
+  for (const CUnit::Run& run : unit.runs) {
+    for (const CToken* t = run.begin; t != run.end; t++) {
+      char c = t->kind == CTok::kPunct && t->text.size() == 1 ? t->text[0] : 0;
+      brace += (c == '{') - (c == '}');
+      paren += (c == '(') - (c == ')');
+      if (brace < 0 || paren < 0) {
+        *io.err += StrFormat("vc: %.*s:%d: unbalanced '%c'\n", static_cast<int>(t->file.size()),
+                             t->file.data(), t->line, c);
+        return 1;
+      }
     }
   }
   if (brace != 0 || paren != 0) {
@@ -190,7 +192,7 @@ int VcCmd(ExecContext& ctx, const std::vector<std::string>& argv, Io& io) {
   }
   std::string obj = JoinPath(ctx.cwd, stem + ".v");
   Status s = ctx.vfs->WriteFile(obj, StrFormat("object %s ntokens %zu\n", file.c_str(),
-                                               toks.size()));
+                                               unit.At(unit.runs.size())));
   if (!s.ok()) {
     *io.err += "vc: " + s.message() + "\n";
     return 1;

@@ -27,6 +27,7 @@
 #include "src/cc/browser.h"
 #include "src/cc/clex.h"
 #include "src/cc/cpp.h"
+#include "src/obs/trace.h"
 
 namespace help {
 namespace {
@@ -223,6 +224,11 @@ void MakeSharedWorld(uint32_t seed, World* out) {
     for (int n = 2 + g.Pick(6); n > 0; n--) {
       text += g.HeaderLine(h) + "\n";
     }
+    if (g.Chance(15)) {
+      // A declaration the including file finishes.
+      static const char* kOpen[] = {"struct S1 { int m0; }", "extern int", "T1", "int g2 ="};
+      text += std::string(kOpen[g.Pick(4)]) + "\n";
+    }
     put(StrFormat("/p/h%d.h", h), text);
   }
   std::vector<int> order = {0, 1, 2, 3};
@@ -290,8 +296,14 @@ TEST(CcProperty, SplicedTokensEqualLexedCppText) {
       // so far were only scanned for includes.
       std::string rendered;
       Status rs = table.Text(unit, &rendered);
+      CUnit runs;
+      Status s = table.Unit(unit, &runs);
       std::vector<CToken> toks;
-      Status s = table.Tokens(unit, &toks);
+      for (const CUnit::Run& run : runs.runs) {
+        ASSERT_EQ(run.at, toks.size());
+        ASSERT_NE(run.begin, run.end);
+        toks.insert(toks.end(), run.begin, run.end);
+      }
       auto text = Preprocess(w.vfs, unit);
       ASSERT_EQ(s.ok(), text.ok()) << s.message() << " vs " << text.message();
       ASSERT_EQ(rs.ok(), text.ok()) << rs.message() << " vs " << text.message();
@@ -354,6 +366,10 @@ TEST(CcProperty, IncludeScanMatchesLexer) {
 
 // Seeds up to kSeeds read MakeWorld's worlds, the rest MakeSharedWorld's.
 TEST(CcProperty, AddFileAnswersAsPreprocessedText) {
+  obs::Counter* records = obs::Registry::Global().GetCounter("cc.header_records");
+  obs::Counter* replays = obs::Registry::Global().GetCounter("cc.header_replays");
+  uint64_t records_before = records->value();
+  uint64_t replays_before = replays->value();
   size_t queries = 0;
   for (uint32_t seed = 1; seed <= 2 * kSeeds; seed++) {
     World w;
@@ -392,6 +408,9 @@ TEST(CcProperty, AddFileAnswersAsPreprocessedText) {
     }
   }
   EXPECT_GT(queries, 20 * kSeeds);
+  // AddFile parses most headers once and replays them after.
+  EXPECT_GT(records->value() - records_before, kSeeds);
+  EXPECT_GT(replays->value() - replays_before, kSeeds);
 }
 
 }  // namespace
