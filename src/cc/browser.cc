@@ -672,6 +672,14 @@ class CParser {
 // ---------------------------------------------------------------------------
 // Browser.
 
+std::string_view CBrowser::FileName(std::string_view file) {
+  // A unit's tokens come mostly in long runs from one file.
+  if (file != last_file_) {
+    last_file_ = *file_names_.emplace(file).first;
+  }
+  return last_file_;
+}
+
 int CBrowser::NameId(std::string_view spelling) {
   int id = names_.Id(spelling);
   info_.resize(names_.size());
@@ -705,7 +713,7 @@ int CBrowser::Intern(int name, CSymKind kind, const CToken& at, int func, bool i
       if (promote || kind == e.kind) {
         if (promote || (is_definition && !e.is_definition)) {
           e.kind = kind;
-          e.file = at.file;
+          e.file = FileName(at.file);
           e.line = at.line;
           e.col = at.col;
           e.is_definition = is_definition;
@@ -715,7 +723,7 @@ int CBrowser::Intern(int name, CSymKind kind, const CToken& at, int func, bool i
     }
   }
   int id = static_cast<int>(symbols_.size());
-  symbols_.push_back({id, std::string(names_.Spelling(name)), kind, std::string(at.file), at.line,
+  symbols_.push_back({id, std::string(names_.Spelling(name)), kind, FileName(at.file), at.line,
                       at.col, func, is_definition});
   if (n != nullptr) {
     n->syms.push_back(id);
@@ -749,7 +757,7 @@ void CBrowser::RecordUse(int sym, const CToken& at, bool is_decl) {
   size_t i = UseSlot(sym, at.file, at.line, at.col);
   if (use_slots_[i] < 0) {
     use_slots_[i] = static_cast<int>(uses_.size());
-    uses_.push_back({sym, std::string(at.file), at.line, at.col, is_decl});
+    uses_.push_back({sym, FileName(at.file), at.line, at.col, is_decl});
   }
 }
 
@@ -773,12 +781,18 @@ void CBrowser::Apply(HeaderOp& op) {
     case HeaderOp::kTypedefWrite:
       n.typedef_unit = unit_;
       return;
-    case HeaderOp::kDeclare:
-      id = Intern(op.name, op.kind, *op.at, -1, op.flag);
+    case HeaderOp::kDeclare: {
+      // No two of a name's symbols share an identity, so one that still
+      // has the op's is the one Intern would find.
+      const CSymbol& s = symbols_[static_cast<size_t>(op.sym)];
+      if (s.kind != op.kind || s.line != op.at->line || s.file != op.at->file) {
+        id = Intern(op.name, op.kind, *op.at, -1, op.flag);
+      }
       if (op.kind != CSymKind::kField) {
         n.global = id;
       }
       break;
+    }
     case HeaderOp::kUse:
       if (n.global < 0) {
         n.global = Intern(op.name, CSymKind::kImplicit, *op.at);

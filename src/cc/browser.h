@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "src/base/status.h"
@@ -39,7 +40,7 @@ struct CSymbol {
   int id = -1;
   std::string name;
   CSymKind kind = CSymKind::kImplicit;
-  std::string file;  // declaration coordinate
+  std::string_view file;  // declaration coordinate; see FileName
   int line = 0;
   int col = 0;
   int func = -1;  // enclosing function symbol for params/locals, else -1
@@ -48,7 +49,7 @@ struct CSymbol {
 
 struct CUse {
   int sym = -1;
-  std::string file;
+  std::string_view file;  // see FileName
   int line = 0;
   int col = 0;
   bool is_decl = false;
@@ -130,6 +131,9 @@ class CBrowser {
     std::vector<int> syms;  // its file-scope-kind symbols, for Intern's dedupe
   };
 
+  // `file` as a string the browser owns: symbols and uses view one copy of
+  // each file name, valid while the browser lives.
+  std::string_view FileName(std::string_view file);
   // The id of `spelling`, with room for it in info_.
   int NameId(std::string_view spelling);
   Name& NameOf(int name) { return info_[static_cast<size_t>(name)]; }
@@ -159,6 +163,8 @@ class CBrowser {
 
   std::vector<CSymbol> symbols_;
   std::vector<CUse> uses_;
+  std::unordered_set<std::string> file_names_;  // FileName's copies
+  std::string_view last_file_;                  // the one FileName returned last
   CNames names_;
   std::vector<Name> info_;
   std::vector<int> use_slots_;  // uses_ by (sym, file, line, col), open-addressed; -1 is empty

@@ -65,9 +65,9 @@ RccArgs ParseRccArgs(const std::vector<std::string>& argv) {
 
 // Prints a source coordinate the way the paper's windows show them: paths
 // under `dir` are relative; files reached only via #include get a "./".
-std::string DisplayPath(const std::string& file, const std::string& dir,
+std::string DisplayPath(std::string_view file, const std::string& dir,
                         const std::vector<std::string>& named_files) {
-  std::string rel = file;
+  std::string rel(file);
   std::string prefix = dir == "/" ? dir : dir + "/";
   if (HasPrefix(rel, prefix)) {
     rel = rel.substr(prefix.size());

@@ -91,34 +91,41 @@ Vfs::Vfs() {
   root_ = std::make_shared<Node>("/", /*dir=*/true, NextQid());
 }
 
+namespace {
+
+// The child `name` of directory `dir`, or null, found without copying a
+// NodePtr. A synthesized node may be owned by nothing but the reference its
+// DirSynth returned: *held keeps the latest alive, and with it everything a
+// walk reaches below it.
+Node* ChildOf(const Node& dir, std::string_view name, NodePtr* held) {
+  if (auto it = dir.children().find(name); it != dir.children().end()) {
+    return it->second.get();
+  }
+  if (dir.dir_synth() == nullptr) {
+    return nullptr;
+  }
+  *held = dir.dir_synth()->Lookup(name);
+  return held->get();
+}
+
+}  // namespace
+
 NodePtr Vfs::Resolve(std::string_view path, const Node** not_dir) const {
-  const Node* cur = root_.get();
-  // A synthesized node may be owned by nothing but the reference its
-  // DirSynth returned; holding the latest keeps it, and everything the walk
-  // reaches below it, alive.
+  Node* cur = root_.get();
   NodePtr held;
   CleanElements elems(path);
-  std::string_view elem;
-  while (elems.Next(&elem)) {
+  for (std::string_view elem; elems.Next(&elem);) {
     if (!cur->dir()) {
       if (not_dir != nullptr) {
         *not_dir = cur;
       }
       return nullptr;
     }
-    if (auto it = cur->children().find(elem); it != cur->children().end()) {
-      cur = it->second.get();
-      continue;
-    }
-    if (cur->dir_synth() == nullptr || (held = cur->dir_synth()->Lookup(elem)) == nullptr) {
+    if ((cur = ChildOf(*cur, elem, &held)) == nullptr) {
       return nullptr;
     }
-    cur = held.get();
   }
-  if (cur == held.get()) {
-    return held;
-  }
-  return const_cast<Node*>(cur)->shared_from_this();
+  return cur == held.get() ? held : cur->shared_from_this();
 }
 
 Status Vfs::WalkError(std::string_view path, const Node* not_dir) {
@@ -170,20 +177,21 @@ Result<NodePtr> Vfs::Create(std::string_view path, bool dir) {
 }
 
 Status Vfs::MkdirAll(std::string_view path) {
-  NodePtr cur = root_;
+  Node* cur = root_.get();
+  NodePtr held;
   CleanElements elems(path);
-  std::string_view elem;
-  while (elems.Next(&elem)) {
-    NodePtr next = cur->Child(elem);
+  for (std::string_view elem; elems.Next(&elem);) {
+    Node* next = ChildOf(*cur, elem, &held);
     if (next == nullptr) {
-      next = std::make_shared<Node>(std::string(elem), /*dir=*/true, NextQid());
-      next->set_mtime(clock_.Tick());
-      cur->AddChild(next);
+      auto dir = std::make_shared<Node>(std::string(elem), /*dir=*/true, NextQid());
+      dir->set_mtime(clock_.Tick());
+      next = dir.get();
+      cur->AddChild(std::move(dir));
       cur->Touch(clock_.Now());
     } else if (!next->dir()) {
       return ErrNotDir(FullPath(*next));
     }
-    cur = std::move(next);
+    cur = next;
   }
   return Status::Ok();
 }

@@ -273,10 +273,12 @@ std::string Answer(const CBrowser& b, const std::string& id, const std::string& 
   if (s == nullptr) {
     return "unresolved\n";
   }
-  std::string out = StrFormat("%s:%d:%d %s kind %d\n", s->file.c_str(), s->line, s->col,
+  std::string out = StrFormat("%.*s:%d:%d %s kind %d\n", static_cast<int>(s->file.size()),
+                              s->file.data(), s->line, s->col,
                               s->name.c_str(), static_cast<int>(s->kind));
   for (const CUse& u : b.UsesOf(s->id)) {
-    out += StrFormat("%s:%d:%d%s\n", u.file.c_str(), u.line, u.col, u.is_decl ? " decl" : "");
+    out += StrFormat("%.*s:%d:%d%s\n", static_cast<int>(u.file.size()), u.file.data(), u.line,
+                     u.col, u.is_decl ? " decl" : "");
   }
   return out;
 }

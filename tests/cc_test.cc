@@ -207,7 +207,7 @@ class BrowserTest : public ::testing::Test {
       if (!out.empty()) {
         out += " ";
       }
-      out += u.file + ":" + std::to_string(u.line);
+      out += std::string(u.file) + ":" + std::to_string(u.line);
     }
     return out;
   }
