@@ -8,9 +8,9 @@ namespace {
 // slashes after it.
 std::string_view NextElement(std::string_view path, size_t* pos) {
   size_t start = *pos;
-  size_t end = path.find('/', start);
-  if (end == std::string_view::npos) {
-    end = path.size();
+  size_t end = start;
+  while (end < path.size() && path[end] != '/') {
+    end++;
   }
   *pos = end;
   while (*pos < path.size() && path[*pos] == '/') {
@@ -35,12 +35,9 @@ std::string CleanCopy(std::string_view path) {
 }  // namespace
 
 CleanElements::CleanElements(std::string_view path)
-    : path_(path), abs_(IsAbsPath(path)) {
+    : path_(path), abs_(IsAbsPath(path)), dotdot_(path.find("..") != std::string_view::npos) {
   while (pos_ < path_.size() && path_[pos_] == '/') {
     pos_++;
-  }
-  for (size_t i = pos_; i < path_.size() && !dotdot_;) {
-    dotdot_ = NextElement(path_, &i) == "..";
   }
 }
 
@@ -102,14 +99,16 @@ bool IsCleanPath(std::string_view path) {
     return false;
   }
   bool leading = !IsAbsPath(path);  // a relative path may start with ".."s
-  for (size_t i = IsAbsPath(path) ? 1 : 0; i < path.size();) {
-    size_t start = i;
-    std::string_view elem = NextElement(path, &i);
-    if (elem.empty() || elem == "." || (elem == ".." && !leading) ||
-        i - start > elem.size() + 1) {
-      return false;  // an empty, "." or removable ".." element, or a "//"
+  for (size_t start = IsAbsPath(path) ? 1 : 0, i = start; i <= path.size(); i++) {
+    if (i < path.size() && path[i] != '/') {
+      continue;
+    }
+    std::string_view elem = path.substr(start, i - start);
+    if (elem.empty() || elem == "." || (elem == ".." && !leading)) {
+      return false;  // a "//", or a "." or removable ".." element
     }
     leading = leading && elem == "..";
+    start = i + 1;
   }
   return true;
 }

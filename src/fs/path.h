@@ -49,7 +49,7 @@ class CleanElements {
   std::string_view path_;
   size_t pos_ = 0;
   bool abs_;
-  bool dotdot_ = false;  // path_ has a ".." element, so an element may be cancelled
+  bool dotdot_;          // path_ may have a ".." element, so an element may be cancelled
   size_t live_ = 0;      // elements since the last kept "..", not yet cancelled
   bool yielded_ = false;
 };
