@@ -860,10 +860,10 @@ void CBrowser::Record(const CUnit& unit, size_t header, const std::vector<Header
   // A read of a name the header has not yet bound, or read, is one a
   // replay must check; the rest follow from the ops.
   enum : uint8_t { kUnseen, kRead, kWritten };
-  read_mark_.assign(info_.size(), kUnseen);
+  std::vector<uint8_t> marks(info_.size(), kUnseen);
   for (size_t i = begin; i < log.size(); i++) {
     const HeaderOp& op = log[i];
-    uint8_t& mark = read_mark_[static_cast<size_t>(op.name)];
+    uint8_t& mark = marks[static_cast<size_t>(op.name)];
     if (op.op == HeaderOp::kTypedefRead) {
       if (mark == kUnseen) {
         r.reads.emplace_back(op.name, op.flag);

@@ -171,7 +171,6 @@ class CBrowser {
   std::unique_ptr<CSources> sources_;  // every file AddFile has read, read once
   CUnit unit_runs_;                    // the unit AddFile is parsing
   std::vector<HeaderRecord> headers_;  // by sources_' file id
-  std::vector<uint8_t> read_mark_;     // by name: Record's scratch
   int unit_ = 0;  // serial number of the unit being parsed
 };
 

@@ -4,7 +4,7 @@
 // "local" headers, directives mid-file and inside comments, #line
 // directives, files without a final newline) are read two ways:
 //
-//  1. The spliced tokens of CSources::Tokens must equal, token for token,
+//  1. The tokens of CSources::Unit's runs, in order, must equal, token for token,
 //     CLex of the text cpp renders (Preprocess), or both must fail alike;
 //     the same table, asked for the text first, must render that text.
 //  2. A browser fed through AddFile must answer exactly as one fed
@@ -14,7 +14,7 @@
 //  3. CLexIncludes, which cpp's text path scans with, must report the
 //     same includes and errors as CLex, file by file.
 //
-// Runs under ASan/UBSan too (ctest label `property`): spliced tokens view
+// Runs under ASan/UBSan too (ctest label `property`): a unit's tokens view
 // strings the table owns.
 #include <gtest/gtest.h>
 
@@ -294,7 +294,7 @@ TEST(CcProperty, SplicedTokensEqualLexedCppText) {
     CSources table(w.vfs);
     for (const std::string& unit : w.units) {
       SCOPED_TRACE(StrFormat("seed %u unit %s", seed, unit.c_str()));
-      // The table renders the unit first, so Tokens must lex files that
+      // The table renders the unit first, so Unit must lex files that
       // so far were only scanned for includes.
       std::string rendered;
       Status rs = table.Text(unit, &rendered);
