@@ -463,8 +463,8 @@ class Evaluator {
     if (name == "cd") {
       if (argv.size() > 1) {
         std::string to = JoinPath(cwd_, argv[1]);
-        auto node = shell_->vfs()->Walk(to);
-        if (!node.ok() || !node.value()->dir()) {
+        NodePtr node = shell_->vfs()->Find(to);
+        if (node == nullptr || !node->dir()) {
           *io.err += "cd: " + to + ": bad directory\n";
           return 1;
         }
