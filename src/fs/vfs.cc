@@ -150,7 +150,7 @@ Result<NodePtr> Vfs::WalkParent(std::string_view clean, std::string_view* base) 
   size_t slash = clean.rfind('/');
   if (slash == std::string_view::npos) {
     *base = clean;
-    return Walk(".");
+    return Walk(".");  // a relative name's parent, which no walk finds
   }
   *base = clean.substr(slash + 1);
   return Walk(slash == 0 ? "/" : clean.substr(0, slash));
