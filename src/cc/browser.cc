@@ -108,7 +108,7 @@ class CParser {
       }
       const CUnit::Header& h = unit_.headers[header_];
       if (unit_.At(h.first) < pos_ || h.first == h.last) {
-        header_++;
+        header_++;  // entered mid-declaration, or no tokens to replay
         continue;
       }
       if (b_->Replay(unit_, header_, recording_.empty() ? nullptr : &log_)) {
