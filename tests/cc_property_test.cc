@@ -185,20 +185,27 @@ class SharedGen : public Gen {
         return Chance(50) ? "int " + Name("f") + "(void) { return " + Name("g") + "; }"
                           : "int " + Name("f") + "(int " + Name("p") + ") { " + Name("T") + " " +
                                 Name("l") + "; return " + Name("p") + " + " + Name("g") + "; }";
-      default: {
-        // A nested include of a header later in the list.
-        int other = self + 1 + Pick(3);
-        return other < 4 ? StrFormat("#include \"h%d.h\"", other) : "struct S0 *" + Name("g") + ";";
-      }
+      default:
+        // A nested include, of a header later in the list or, now and
+        // then, of any header (include-once ends the cycle).
+        if (int other = Chance(30) ? Pick(4) : self + 1 + Pick(3); other < 4 && other != self) {
+          return StrFormat("#include \"h%d.h\"", other);
+        }
+        return "struct S0 *" + Name("g") + ";";
     }
   }
 
   std::string BodyLine() {
-    switch (Pick(5)) {
+    switch (Pick(7)) {
       case 0:
         return "typedef int " + Name("T") + ";";
       case 1:
         return "int " + Name("g") + ";";
+      case 5:
+        // Names a header uses, bound here to a symbol of another kind.
+        return Chance(50) ? "typedef int " + Name("g") + ";" : "int " + Name("f") + ";";
+      case 6:
+        return "enum { " + Name("g") + " };";
       case 2:
         return "void " + Name("f") + "(" + Name("T") + " " + Name("p") + ")\n{\n\t" + Name("T") +
                " " + Name("l") + ";\n\t" + Name("l") + " = " + Name("p") + " + " + Name("g") +
@@ -221,6 +228,11 @@ void MakeSharedWorld(uint32_t seed, World* out) {
   };
   for (int h = 0; h < 4; h++) {
     std::string text;
+    if (h == 0 && g.Chance(40)) {
+      // Units that include h2 or h3 first make h0 expand the other one:
+      // the same number of nested headers, not the same ones.
+      text += "#include \"h2.h\"\n#include \"h3.h\"\n";
+    }
     for (int n = 2 + g.Pick(6); n > 0; n--) {
       text += g.HeaderLine(h) + "\n";
     }
@@ -252,7 +264,8 @@ void MakeSharedWorld(uint32_t seed, World* out) {
         text += g.BodyLine() + "\n";
       }
     }
-    for (int n = 1 + g.Pick(4); n > 0; n--) {
+    // Some units end with an include.
+    for (int n = g.Chance(15) ? 0 : 1 + g.Pick(4); n > 0; n--) {
       text += g.BodyLine() + "\n";
     }
     std::string unit = StrFormat("/p/u%d.c", i);
