@@ -43,6 +43,26 @@ void BM_VfsWalkUnclean(benchmark::State& state) {
 }
 BENCHMARK(BM_VfsWalkUnclean);
 
+// A long path whose ".."s all come at its end, "/a/x/x/.../x/../../..", as a
+// 9P Tcreate name may be. Cleaning is one pass, so the time per byte stays
+// level as the path grows.
+void BM_VfsWalkLongDotDot(benchmark::State& state) {
+  Vfs vfs;
+  vfs.MkdirAll("/a");
+  std::string xs = "/a";
+  std::string dotdots;
+  while (xs.size() + dotdots.size() < static_cast<size_t>(state.range(0))) {
+    xs += "/x";
+    dotdots += "/..";
+  }
+  std::string path = xs + dotdots;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vfs.Walk(path));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(path.size()));
+}
+BENCHMARK(BM_VfsWalkLongDotDot)->Range(1 << 10, 1 << 16);
+
 void BM_VfsWriteRead(benchmark::State& state) {
   Vfs vfs;
   std::string payload(static_cast<size_t>(state.range(0)), 'b');

@@ -1,94 +1,76 @@
 #include "src/fs/path.h"
 
+#include <vector>
+
 namespace help {
 
 namespace {
 
-// The element of `path` that starts at *pos, which moves past it and the
-// slashes after it.
-std::string_view NextElement(std::string_view path, size_t* pos) {
-  size_t start = *pos;
-  size_t end = start;
-  while (end < path.size() && path[end] != '/') {
-    end++;
+// CleanPath for a path that is not clean: one pass over its elements with a
+// stack of the ones kept.
+std::string Clean(std::string_view path) {
+  bool abs = IsAbsPath(path);
+  std::vector<std::string_view> stack;
+  size_t i = 0;
+  while (i < path.size()) {
+    while (i < path.size() && path[i] == '/') {
+      i++;
+    }
+    size_t start = i;
+    while (i < path.size() && path[i] != '/') {
+      i++;
+    }
+    std::string_view elem = path.substr(start, i - start);
+    if (elem.empty() || elem == ".") {
+      continue;
+    }
+    if (elem == "..") {
+      if (!stack.empty() && stack.back() != "..") {
+        stack.pop_back();
+      } else if (!abs) {
+        stack.push_back(elem);  // relative paths keep leading ..
+      }
+      continue;
+    }
+    stack.push_back(elem);
   }
-  *pos = end;
-  while (*pos < path.size() && path[*pos] == '/') {
-    (*pos)++;
+  std::string out;
+  if (abs) {
+    out = "/";
   }
-  return path.substr(start, end - start);
-}
-
-std::string CleanCopy(std::string_view path) {
-  std::string out = IsAbsPath(path) ? "/" : "";
-  CleanElements elems(path);
-  std::string_view elem;
-  for (bool first = true; elems.Next(&elem); first = false) {
-    if (!first) {
+  for (size_t k = 0; k < stack.size(); k++) {
+    if (k > 0) {
       out += '/';
     }
-    out += elem;
+    out += stack[k];
+  }
+  if (out.empty()) {
+    out = abs ? "/" : ".";
   }
   return out;
 }
 
 }  // namespace
 
-CleanElements::CleanElements(std::string_view path)
-    : path_(path), abs_(IsAbsPath(path)), dotdot_(path.find("..") != std::string_view::npos) {
-  while (pos_ < path_.size() && path_[pos_] == '/') {
-    pos_++;
+CleanElements::CleanElements(std::string_view path) : path_(path) {
+  if (!IsCleanPath(path_)) {
+    clean_ = Clean(path_);
+    path_ = clean_;
   }
-}
-
-bool CleanElements::Cancelled() const {
-  int depth = 0;
-  for (size_t i = pos_; i < path_.size();) {
-    std::string_view elem = NextElement(path_, &i);
-    if (elem.empty() || elem == ".") {
-      continue;
-    }
-    if (elem != "..") {
-      depth++;
-    } else if (depth-- == 0) {
-      return true;
-    }
-  }
-  return false;
+  pos_ = IsAbsPath(path_) ? 1 : 0;
 }
 
 bool CleanElements::Next(std::string_view* elem) {
-  while (pos_ < path_.size()) {
-    std::string_view e = NextElement(path_, &pos_);
-    if (e.empty() || e == ".") {
-      continue;
-    }
-    if (e == "..") {
-      // It removes the latest element not yet removed; with none, a
-      // relative path keeps it and an absolute one drops it.
-      if (live_ > 0) {
-        live_--;
-        continue;
-      }
-      if (abs_) {
-        continue;
-      }
-    } else {
-      live_++;
-      if (dotdot_ && Cancelled()) {
-        continue;
-      }
-    }
-    *elem = e;
-    yielded_ = true;
-    return true;
+  if (pos_ >= path_.size()) {
+    return false;
   }
-  if (!abs_ && !yielded_) {
-    *elem = ".";
-    yielded_ = true;
-    return true;
+  size_t end = path_.find('/', pos_);
+  if (end == std::string_view::npos) {
+    end = path_.size();
   }
-  return false;
+  *elem = path_.substr(pos_, end - pos_);
+  pos_ = end + 1;
+  return true;
 }
 
 bool IsCleanPath(std::string_view path) {
@@ -114,7 +96,7 @@ bool IsCleanPath(std::string_view path) {
 }
 
 std::string CleanPath(std::string_view path) {
-  return IsCleanPath(path) ? std::string(path) : CleanCopy(path);
+  return IsCleanPath(path) ? std::string(path) : Clean(path);
 }
 
 std::string JoinPath(std::string_view dir, std::string_view name) {
@@ -124,12 +106,12 @@ std::string JoinPath(std::string_view dir, std::string_view name) {
   std::string joined;
   joined.reserve(dir.size() + 1 + name.size());
   joined.append(dir).append(dir == "/" ? "" : "/").append(name);
-  return IsCleanPath(joined) ? joined : CleanCopy(joined);
+  return IsCleanPath(joined) ? joined : Clean(joined);
 }
 
 std::string BasePath(std::string_view path) {
   if (!IsCleanPath(path)) {
-    return BasePath(CleanCopy(path));
+    return BasePath(Clean(path));
   }
   size_t slash = path.rfind('/');
   if (slash == std::string_view::npos || path == "/") {
@@ -140,7 +122,7 @@ std::string BasePath(std::string_view path) {
 
 std::string DirPath(std::string_view path) {
   if (!IsCleanPath(path)) {
-    return DirPath(CleanCopy(path));
+    return DirPath(Clean(path));
   }
   size_t slash = path.rfind('/');
   if (slash == std::string_view::npos) {

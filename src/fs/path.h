@@ -32,26 +32,23 @@ std::string DirPath(std::string_view path);
 
 bool IsAbsPath(std::string_view path);
 
-// The elements of CleanPath(path), read in place without building it:
-// "/a//b/../c/" yields "a" then "c", and "/" yields none. As in the cleaned
-// form, a relative path keeps its leading ".."s, and one that cleans to "."
-// yields ".". The views point into `path`, which must outlive the reader.
+// The elements of CleanPath(path): "/a//b/../c/" yields "a" then "c", and
+// "/" yields none. As in the cleaned form, a relative path keeps its leading
+// ".."s, and one that cleans to "." yields ".". A clean path is split in
+// place, with no copy; any other is cleaned once into the reader. The views
+// are valid while both the reader and `path` live.
 class CleanElements {
  public:
   explicit CleanElements(std::string_view path);
+  CleanElements(const CleanElements&) = delete;
+  CleanElements& operator=(const CleanElements&) = delete;
   // Sets *elem to the next element; false when there are no more.
   bool Next(std::string_view* elem);
 
  private:
-  // Whether the element that ends at pos_ is removed by a later "..".
-  bool Cancelled() const;
-
-  std::string_view path_;
-  size_t pos_ = 0;
-  bool abs_;
-  bool dotdot_;          // path_ may have a ".." element, so an element may be cancelled
-  size_t live_ = 0;      // elements since the last kept "..", not yet cancelled
-  bool yielded_ = false;
+  std::string clean_;      // CleanPath(path) when path is not clean
+  std::string_view path_;  // a clean path
+  size_t pos_;             // start of the next element
 };
 
 }  // namespace help

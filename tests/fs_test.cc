@@ -70,6 +70,21 @@ TEST(Path, Elements) {
   EXPECT_EQ(Elements(""), V{"."});
 }
 
+// A 64 KiB name of 32k elements that ends in "..": every element but the
+// last is kept.
+TEST(Path, LongDotDotPath) {
+  std::string path;
+  while (path.size() < 65536) {
+    path += "/a";
+  }
+  std::string kept = path.substr(0, path.size() - 2);
+  path += "/b/..";
+  EXPECT_EQ(CleanPath(path), path.substr(0, path.size() - 5));
+  EXPECT_EQ(Elements(path).size(), 32768u);
+  EXPECT_EQ(CleanPath(path + "/.."), kept);
+  EXPECT_EQ(Elements(path + "/..").size(), 32767u);
+}
+
 // Random paths over a small tree: elements that exist, are files, are
 // missing, and ".", ".." and "", joined by one or two slashes, absolute or
 // relative, with or without a trailing slash.
