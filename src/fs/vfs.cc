@@ -110,33 +110,32 @@ Node* ChildOf(const Node& dir, std::string_view name, NodePtr* held) {
 
 }  // namespace
 
-NodePtr Vfs::Resolve(std::string_view path, const Node** not_dir) const {
+NodePtr Vfs::Resolve(std::string_view path, Status* err) const {
   Node* cur = root_.get();
   NodePtr held;
   CleanElements elems(path);
   for (std::string_view elem; elems.Next(&elem);) {
     if (!cur->dir()) {
-      if (not_dir != nullptr) {
-        *not_dir = cur;
+      if (err != nullptr) {
+        *err = ErrNotDir(FullPath(*cur));  // while `held` keeps cur alive
       }
       return nullptr;
     }
     if ((cur = ChildOf(*cur, elem, &held)) == nullptr) {
+      if (err != nullptr) {
+        *err = ErrNotExist(CleanPath(path));
+      }
       return nullptr;
     }
   }
   return cur == held.get() ? held : cur->shared_from_this();
 }
 
-Status Vfs::WalkError(std::string_view path, const Node* not_dir) {
-  return not_dir != nullptr ? ErrNotDir(FullPath(*not_dir)) : ErrNotExist(CleanPath(path));
-}
-
 Result<NodePtr> Vfs::Walk(std::string_view path) const {
-  const Node* not_dir = nullptr;
-  NodePtr n = Resolve(path, &not_dir);
+  Status err;
+  NodePtr n = Resolve(path, &err);
   if (n == nullptr) {
-    return WalkError(path, not_dir);
+    return err;
   }
   return n;
 }
@@ -263,13 +262,14 @@ Result<std::vector<StatInfo>> Vfs::ReadDir(std::string_view path) const {
 }
 
 Result<OpenFilePtr> Vfs::Open(std::string_view path, uint8_t mode) {
-  const Node* not_dir = nullptr;
-  NodePtr n = Resolve(path, &not_dir);
+  bool reading = (mode & 3) == kOread;
+  Status err;
+  NodePtr n = Resolve(path, reading ? &err : nullptr);
   if (n == nullptr) {
     // Opening for write creates the file, which keeps shell redirection and
     // WriteFile simple (Plan 9 create-on-open semantics via the shell).
-    if ((mode & 3) == kOread) {
-      return WalkError(path, not_dir);
+    if (reading) {
+      return err;
     }
     auto created = Create(path, /*dir=*/false);
     if (!created.ok()) {

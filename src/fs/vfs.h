@@ -228,11 +228,8 @@ class Vfs {
 
  private:
   // Walks to the node at `path`, holding a plain pointer until the end. On
-  // failure returns null and sets *not_dir, if given, to the file the walk
-  // tried to pass through (null when an element was missing).
-  NodePtr Resolve(std::string_view path, const Node** not_dir) const;
-  // The error Walk reports for a failed Resolve.
-  static Status WalkError(std::string_view path, const Node* not_dir);
+  // failure returns null and sets *err, if given, to the error Walk reports.
+  NodePtr Resolve(std::string_view path, Status* err) const;
   // The parent directory of cleaned path `clean`; *base views its last
   // element.
   Result<NodePtr> WalkParent(std::string_view clean, std::string_view* base) const;
