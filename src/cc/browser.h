@@ -40,7 +40,9 @@ struct CSymbol {
   int id = -1;
   std::string name;
   CSymKind kind = CSymKind::kImplicit;
-  std::string_view file;  // declaration coordinate; see FileName
+  // Declaration coordinate. `file` views the browser's one copy of the
+  // file name, so it is valid only while the browser lives.
+  std::string_view file;
   int line = 0;
   int col = 0;
   int func = -1;  // enclosing function symbol for params/locals, else -1
@@ -49,7 +51,7 @@ struct CSymbol {
 
 struct CUse {
   int sym = -1;
-  std::string_view file;  // see FileName
+  std::string_view file;  // the browser's copy, as in CSymbol
   int line = 0;
   int col = 0;
   bool is_decl = false;
