@@ -48,8 +48,8 @@ int main() {
   std::printf("body: %s\n", out->body().text->Utf8().c_str());
 
   // --- 3. The same interface, from an external process over 9P --------------
-  NinepServer server(&h.vfs());
-  NinepClient client(server.Transport());
+  NinepServer& server = h.ninep();
+  NinepClient client(server.TransportFor(server.OpenSession()));
   client.Connect("external-tool");
   // Create a window purely over the protocol...
   auto ctl = client.ReadFile("/mnt/help/new/ctl");

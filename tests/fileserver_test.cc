@@ -142,8 +142,8 @@ TEST_F(FileServerTest, ClosedWindowFilesReportGone) {
 // edits windows through the protocol.
 TEST_F(FileServerTest, WorksOverNinep) {
   auto w = h_.OpenFile("/usr/rob/f.c", "/", nullptr);
-  NinepServer server(&h_.vfs());
-  NinepClient client(server.Transport());
+  NinepServer& server = h_.ninep();
+  NinepClient client(server.TransportFor(server.OpenSession()));
   ASSERT_TRUE(client.Connect().ok());
   std::string body_path = StrFormat("/mnt/help/%d/body", w.value()->id());
   auto body = client.ReadFile(body_path);

@@ -14,8 +14,8 @@ namespace {
 TEST(Integration, RemoteProcessBuildsAWindowOver9P) {
   PaperSession s;
   Help& h = s.help;
-  NinepServer server(&h.vfs());
-  NinepClient client(server.Transport());
+  NinepServer& server = h.ninep();
+  NinepClient client(server.TransportFor(server.OpenSession()));
   ASSERT_TRUE(client.Connect("remote").ok());
 
   // Create a window, read back its number.

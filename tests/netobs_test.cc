@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <functional>
 #include <map>
 #include <set>
@@ -341,6 +343,68 @@ TEST(NetFs, PerConnectionTreeOverTheWire) {
   for (const StatInfo& st : after.value()) {
     EXPECT_NE(st.name, std::to_string(cid)) << "dead conn dir still listed";
   }
+  ::unlink(path.c_str());
+}
+
+// The net files read a session's fid count without the dispatch lock, while
+// the listener's thread grows and shrinks that session's fid table. Every
+// count read must be one the table really had: the root fid, plus at most
+// the one walked fid.
+TEST(NetFs, FidCountReadableWhileTheSessionChurnsFids) {
+  Help::Options opt;
+  opt.install_userland = false;
+  Help h(opt);
+  NinepServer& srv = h.ninep();
+  NinepListener lis(&srv);
+  std::string path = SockPath("fidchurn");
+  ASSERT_TRUE(lis.ListenUnix(path).ok());
+  ASSERT_TRUE(lis.Start().ok());
+
+  auto tr = SocketTransport::ConnectUnix(path);
+  ASSERT_TRUE(tr.ok()) << tr.message();
+  NinepClient client(tr.value()->AsTransport());
+  ASSERT_TRUE(client.Connect("churn").ok());
+  ASSERT_EQ(srv.net().conn_count(), 1u);
+  uint64_t cid = srv.net().List()[0]->cid();
+  std::string status_path = StrFormat("/mnt/help/net/%llu/status",
+                                      static_cast<unsigned long long>(cid));
+  std::string line_head = StrFormat("%llu unix active %u ",
+                                    static_cast<unsigned long long>(cid),
+                                    kDefaultMsize);
+
+  // The number after `head` in the file at `file`, or -1.
+  auto fids_in = [&](const std::string& file, const std::string& head) {
+    auto text = h.vfs().ReadFile(file);
+    long fids = -1;
+    size_t at = text.ok() ? text.value().find(head) : std::string::npos;
+    if (at == std::string::npos ||
+        std::sscanf(text.value().c_str() + at + head.size(), "%ld", &fids) != 1) {
+      ADD_FAILURE() << file << ": " << (text.ok() ? text.value() : text.message());
+    }
+    return fids;
+  };
+
+  std::atomic<bool> done{false};
+  std::thread churn([&] {
+    for (int i = 0; i < 300; i++) {
+      auto fid = client.WalkFid("/mnt/help/index");
+      if (!fid.ok() || !client.Clunk(fid.value()).ok()) {
+        ADD_FAILURE() << "walk and clunk " << i;
+        break;
+      }
+    }
+    done = true;
+  });
+  while (!done.load()) {
+    for (long fids : {fids_in(status_path, "\nfids "),
+                      fids_in("/mnt/help/net/clients", line_head)}) {
+      EXPECT_GE(fids, 1);
+      EXPECT_LE(fids, 2);
+    }
+  }
+  churn.join();
+  EXPECT_EQ(srv.open_fids(cid), 1u);
+  lis.Stop();
   ::unlink(path.c_str());
 }
 

@@ -9,6 +9,8 @@
 //   2. Wire-level: hand-built bursts of [reads][Twrite][reads] in ONE send,
 //      where the pre-write reads must see the pre-write body and the
 //      post-write reads the post-write body, replies matched by tag.
+// A last case pins the same order for Tflush: [Twrite][Tflush of it] in one
+// send is answered Rwrite, then Rflush.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -263,6 +265,75 @@ TEST(NinepPipelineProperty, WireBurstsRespectMutationBarriers) {
   close(fd.value());
   lis.Stop();
   ::unlink(path.c_str());
+}
+
+// A connection is served in arrival order, so a Tflush sent right behind its
+// target in one burst reaches the server after the target was answered: the
+// target's reply comes first, the flush cancels nothing, and the write lands.
+TEST(NinepPipelineProperty, FlushBehindItsTargetInOneBurstCancelsNothing) {
+  Help::Options hopt;
+  hopt.install_userland = false;
+  Help h(hopt);
+  ASSERT_TRUE(h.vfs().WriteFile("/f", "").ok());
+  NinepListener lis(&h.ninep());
+  std::string path = SockPath("prop3");
+  ASSERT_TRUE(lis.ListenUnix(path).ok());
+  ASSERT_TRUE(lis.Start().ok());
+
+  auto fd = DialUnix(path);
+  ASSERT_TRUE(fd.ok());
+  Fcall tv;
+  tv.type = MsgType::kTversion;
+  tv.tag = kNoTag;
+  tv.msize = kDefaultMsize;
+  tv.version = "9P.help";
+  ASSERT_TRUE(RawRpc(fd.value(), tv).ok());
+  Fcall ta;
+  ta.type = MsgType::kTattach;
+  ta.tag = 1;
+  ta.fid = 0;
+  ta.uname = "prop3";
+  ASSERT_EQ(RawRpc(fd.value(), ta).value().type, MsgType::kRattach);
+  Fcall tw;
+  tw.type = MsgType::kTwalk;
+  tw.tag = 2;
+  tw.fid = 0;
+  tw.newfid = 1;
+  tw.wname = {"f"};
+  ASSERT_EQ(RawRpc(fd.value(), tw).value().type, MsgType::kRwalk);
+  Fcall to;
+  to.type = MsgType::kTopen;
+  to.tag = 3;
+  to.fid = 1;
+  to.mode = kOwrite;
+  ASSERT_EQ(RawRpc(fd.value(), to).value().type, MsgType::kRopen);
+
+  Fcall w;
+  w.type = MsgType::kTwrite;
+  w.tag = 60;
+  w.fid = 1;
+  w.offset = 0;
+  w.data = "landed";
+  Fcall flush;
+  flush.type = MsgType::kTflush;
+  flush.tag = 61;
+  flush.oldtag = 60;
+  ASSERT_TRUE(WriteFull(fd.value(), EncodeFcall(w) + EncodeFcall(flush)).ok());
+
+  auto first = DecodeFcall(RecvFrame(fd.value()));
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.value().type, MsgType::kRwrite) << first.value().ename;
+  EXPECT_EQ(first.value().tag, 60);
+  EXPECT_EQ(first.value().count, 6u);
+  auto second = DecodeFcall(RecvFrame(fd.value()));
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second.value().type, MsgType::kRflush);
+  EXPECT_EQ(second.value().tag, 61);
+
+  close(fd.value());
+  lis.Stop();
+  ::unlink(path.c_str());
+  EXPECT_EQ(h.vfs().ReadFile("/f").value(), "landed");
 }
 
 }  // namespace

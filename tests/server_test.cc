@@ -334,6 +334,51 @@ TEST(NinepServerConcurrent, DuplicateInflightTagRejected) {
   EXPECT_EQ(again.type, MsgType::kRread);
 }
 
+// A session has one driver, so a Tflush always arrives after the request it
+// names has been answered. 9P allows that: the flush cancels nothing and is
+// answered Rflush, as is a flush of a tag never sent, and the flushed tag is
+// free for the next request.
+TEST(NinepServerSerial, FlushOfAnAnsweredOrUnsentTagIsRflush) {
+  Vfs vfs;
+  vfs.WriteFile("/f", "plain");
+  NinepServer srv(&vfs);
+  NinepServer::SessionId sid = srv.OpenSession();
+  NinepClient client(srv.TransportFor(sid));
+  ASSERT_TRUE(client.Connect().ok());
+  auto fid = client.WalkFid("/f");
+  ASSERT_TRUE(fid.ok());
+  ASSERT_TRUE(client.OpenFid(fid.value(), kOread).ok());
+  auto send = [&](const Fcall& t) {
+    auto r = DecodeFcall(srv.HandleBytes(sid, EncodeFcall(t)));
+    EXPECT_TRUE(r.ok());
+    return r.ok() ? r.value() : Fcall{};
+  };
+
+  Fcall read = send(TreadOf(fid.value(), 50));
+  EXPECT_EQ(read.type, MsgType::kRread);
+  EXPECT_EQ(read.tag, 50);
+  EXPECT_EQ(read.data, "plain");
+
+  Fcall flush;
+  flush.type = MsgType::kTflush;
+  flush.tag = 51;
+  flush.oldtag = 50;
+  Fcall r = send(flush);
+  EXPECT_EQ(r.type, MsgType::kRflush);
+  EXPECT_EQ(r.tag, 51);
+
+  flush.tag = 52;
+  flush.oldtag = 77;  // never sent
+  r = send(flush);
+  EXPECT_EQ(r.type, MsgType::kRflush);
+  EXPECT_EQ(r.tag, 52);
+
+  Fcall again = send(TreadOf(fid.value(), 50));
+  EXPECT_EQ(again.type, MsgType::kRread);
+  EXPECT_EQ(again.tag, 50);
+  EXPECT_EQ(again.data, "plain");
+}
+
 // /mnt/help/index is snapshotted at open, under the dispatch lock: a reader
 // paging through it in small chunks sees one consistent listing even while
 // other sessions create windows.
