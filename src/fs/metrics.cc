@@ -82,7 +82,6 @@ NinepMetrics::NinepMetrics() {
   bytes_in_ = reg.GetCounter("ninep.bytes_in");
   bytes_out_ = reg.GetCounter("ninep.bytes_out");
   in_flight_ = reg.GetCounter("ninep.in_flight");
-  flush_cancels_ = reg.GetCounter("ninep.flush_cancels");
   lock_wait_ = reg.GetHistogram("ninep.lock.wait_us");
   net_accepts_ = reg.GetCounter("net.accepts");
   net_active_ = reg.GetCounter("net.active_conns");
@@ -144,11 +143,10 @@ std::string NinepMetrics::Render() const {
     out += line;
   }
   std::snprintf(line, sizeof(line),
-                "bytes_in %llu\nbytes_out %llu\nin_flight %llu\nflush_cancels %llu\n",
+                "bytes_in %llu\nbytes_out %llu\nin_flight %llu\n",
                 static_cast<unsigned long long>(bytes_in()),
                 static_cast<unsigned long long>(bytes_out()),
-                static_cast<unsigned long long>(in_flight()),
-                static_cast<unsigned long long>(flush_cancels()));
+                static_cast<unsigned long long>(in_flight()));
   out += line;
   // Later blocks are appended after the first one so consumers that parse
   // from the top keep working.
@@ -185,7 +183,6 @@ void NinepMetrics::Reset() {
   }
   bytes_in_->Store(0);
   bytes_out_->Store(0);
-  flush_cancels_->Store(0);
   lock_wait_->Reset();
   net_accepts_->Store(0);
   net_reaped_->Store(0);

@@ -52,7 +52,6 @@ class NinepMetrics {
   void AddBytesOut(uint64_t n) { bytes_out_->Add(n); }
   void BeginRequest() { in_flight_->Add(); }
   void EndRequest() { in_flight_->Sub(); }
-  void RecordFlushCancel() { flush_cancels_->Add(); }
   // Time a dispatch spent waiting for the dispatch lock.
   void RecordLockWait(uint64_t wait_us) { lock_wait_->Record(wait_us); }
   // PR 7 socket transport: connection-layer counters ("net.*" in the
@@ -81,7 +80,6 @@ class NinepMetrics {
   uint64_t bytes_in() const { return bytes_in_->value(); }
   uint64_t bytes_out() const { return bytes_out_->value(); }
   uint64_t in_flight() const { return in_flight_->value(); }
-  uint64_t flush_cancels() const { return flush_cancels_->value(); }
   uint64_t net_accepts() const { return net_accepts_->value(); }
   uint64_t net_active_conns() const { return net_active_->value(); }
   uint64_t net_reaped() const { return net_reaped_->value(); }
@@ -118,7 +116,6 @@ class NinepMetrics {
   obs::Counter* bytes_in_;
   obs::Counter* bytes_out_;
   obs::Counter* in_flight_;
-  obs::Counter* flush_cancels_;
   obs::Histogram* lock_wait_;
   obs::Counter* net_accepts_;
   obs::Counter* net_active_;

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "src/base/strings.h"
-#include "src/fs/lockorder.h"
 
 namespace help {
 
@@ -355,61 +354,15 @@ namespace {
 Fcall Error(uint16_t tag, std::string_view msg) { return ErrorFcall(tag, msg); }
 }  // namespace
 
-bool Session::BeginTag(uint16_t tag) {
-  if (tag == kNoTag) {
-    return true;  // kNoTag is never tracked (Tversion convention)
-  }
-  std::lock_guard<std::mutex> lk(tag_mu_);
-  LockOrderScope lo(kLockLevelLeaf);
-  return inflight_.insert(tag).second;
-}
-
-void Session::EndTag(uint16_t tag) {
-  std::lock_guard<std::mutex> lk(tag_mu_);
-  LockOrderScope lo(kLockLevelLeaf);
-  inflight_.erase(tag);
-  flushed_.erase(tag);
-}
-
-bool Session::TagInFlight(uint16_t tag) const {
-  std::lock_guard<std::mutex> lk(tag_mu_);
-  LockOrderScope lo(kLockLevelLeaf);
-  return inflight_.count(tag) != 0;
-}
-
-bool Session::FlushTag(uint16_t oldtag) {
-  std::lock_guard<std::mutex> lk(tag_mu_);
-  LockOrderScope lo(kLockLevelLeaf);
-  if (inflight_.count(oldtag) == 0) {
-    return false;  // already completed (or never sent): flush is a no-op
-  }
-  flushed_.insert(oldtag);
-  return true;
-}
-
-bool Session::ConsumeFlushed(uint16_t tag) {
-  std::lock_guard<std::mutex> lk(tag_mu_);
-  LockOrderScope lo(kLockLevelLeaf);
-  return flushed_.erase(tag) != 0;
-}
-
-size_t Session::open_fids() const {
-  std::lock_guard<std::mutex> lk(fid_mu_);
-  LockOrderScope lo(kLockLevelLeaf);
-  return fids_.size();
-}
-
 Session::FidState* Session::FindFid(uint32_t fid) {
-  std::lock_guard<std::mutex> lk(fid_mu_);
-  LockOrderScope lo(kLockLevelLeaf);
   auto it = fids_.find(fid);
   return it == fids_.end() ? nullptr : &it->second;
 }
 
-// fid_mu_ discipline inside Dispatch: the map structure is only touched
-// under fid_mu_, and fid_mu_ is never held across a Vfs or handler call
-// (those can re-enter the server's dispatch lock). Per-fid state (node,
-// open, dirbuf) needs no lock: dispatches never overlap.
+// A fid state that must die (clunk, remove, walk rebind, version reset) is
+// moved out of fids_ first and destroyed after the table change is done:
+// destroying an open file runs its handler's Clunk, which must not see fids_
+// mid-change.
 Fcall Session::Dispatch(const Fcall& t) {
   Fcall r;
   r.tag = t.tag;
@@ -421,32 +374,23 @@ Fcall Session::Dispatch(const Fcall& t) {
       r.msize = msize();
       r.version = "9P.help";
       std::map<uint32_t, FidState> doomed;  // version resets the session
-      {
-        std::lock_guard<std::mutex> lk(fid_mu_);
-        LockOrderScope lo(kLockLevelLeaf);
-        doomed.swap(fids_);
-      }
+      doomed.swap(fids_);
+      CountFids();
       attached_ = false;
-      // doomed's open files are destroyed on return, after fid_mu_ dropped:
-      // their handler Clunks may re-enter the dispatch lock.
       return r;
     }
 
     case MsgType::kTflush:
-      // Normally answered by the server front end without entering the
-      // serialized dispatch path; kept here so a bare Session is complete.
+      // The request it names has already been answered: nothing to cancel.
       r.type = MsgType::kRflush;
       return r;
 
     case MsgType::kTattach: {
-      std::lock_guard<std::mutex> lk(fid_mu_);
-      LockOrderScope lo(kLockLevelLeaf);
       if (fids_.count(t.fid) != 0) {
         return Error(t.tag, "fid in use");
       }
-      FidState st;
-      st.node = vfs_->root();
-      fids_[t.fid] = st;
+      fids_[t.fid].node = vfs_->root();
+      CountFids();
       attached_ = true;
       uname_ = t.uname;
       r.type = MsgType::kRattach;
@@ -455,14 +399,7 @@ Fcall Session::Dispatch(const Fcall& t) {
     }
 
     case MsgType::kTwalk: {
-      // When newfid == fid the walk rebinds the fid; the old state (possibly
-      // an open file whose Clunk re-enters the dispatch lock) is moved here
-      // and destroyed only after fid_mu_ drops.
-      FidState replaced;
-      // The whole walk runs under fid_mu_: it only reads the tree (no Vfs or
-      // handler calls that could re-enter the dispatch lock).
-      std::lock_guard<std::mutex> lk(fid_mu_);
-      LockOrderScope lo(kLockLevelLeaf);
+      FidState replaced;  // newfid == fid: the state the walk rebinds away
       auto it = fids_.find(t.fid);
       if (it == fids_.end()) {
         return Error(t.tag, "unknown fid");
@@ -499,9 +436,10 @@ Fcall Session::Dispatch(const Fcall& t) {
       auto nit = fids_.find(t.newfid);
       if (nit != fids_.end()) {
         replaced = std::move(nit->second);  // newfid == fid: rebind
-        nit->second = st;
+        nit->second = std::move(st);
       } else {
-        fids_[t.newfid] = st;
+        fids_[t.newfid] = std::move(st);
+        CountFids();
       }
       return r;
     }
@@ -519,8 +457,6 @@ Fcall Session::Dispatch(const Fcall& t) {
           return Error(t.tag, st->node->name() + ": is a directory");
         }
       } else {
-        // Vfs::Open runs the handler's Open, which may re-enter the dispatch
-        // lock — so it runs outside fid_mu_.
         auto f = vfs_->Open(Vfs::FullPath(*st->node), t.mode);
         if (!f.ok()) {
           return Error(t.tag, f.message());
@@ -614,35 +550,25 @@ Fcall Session::Dispatch(const Fcall& t) {
     }
 
     case MsgType::kTclunk: {
-      FidState doomed;
-      {
-        std::lock_guard<std::mutex> lk(fid_mu_);
-        LockOrderScope lo(kLockLevelLeaf);
-        auto it = fids_.find(t.fid);
-        if (it == fids_.end()) {
-          return Error(t.tag, "unknown fid");
-        }
-        doomed = std::move(it->second);
-        fids_.erase(it);
+      auto it = fids_.find(t.fid);
+      if (it == fids_.end()) {
+        return Error(t.tag, "unknown fid");
       }
+      FidState doomed = std::move(it->second);
+      fids_.erase(it);
+      CountFids();
       r.type = MsgType::kRclunk;
-      // doomed's open file (if any) is destroyed on return, outside fid_mu_:
-      // its handler Clunk may re-enter the dispatch lock.
       return r;
     }
 
     case MsgType::kTremove: {
-      FidState doomed;  // remove always clunks
-      {
-        std::lock_guard<std::mutex> lk(fid_mu_);
-        LockOrderScope lo(kLockLevelLeaf);
-        auto it = fids_.find(t.fid);
-        if (it == fids_.end()) {
-          return Error(t.tag, "unknown fid");
-        }
-        doomed = std::move(it->second);
-        fids_.erase(it);
+      auto it = fids_.find(t.fid);
+      if (it == fids_.end()) {
+        return Error(t.tag, "unknown fid");
       }
+      FidState doomed = std::move(it->second);  // remove always clunks
+      fids_.erase(it);
+      CountFids();
       std::string path = Vfs::FullPath(*doomed.node);
       Status s = vfs_->Remove(path);
       if (!s.ok()) {

@@ -13,18 +13,18 @@
 //     synchronous NinepClient. The multi-client front end lives in
 //     src/fs/server.h (NinepServer).
 //   * A Session owns one connection's protocol state: its fid table, its
-//     negotiated msize, and its attach identity. N concurrent clients each
-//     hold an independent Session against the same Vfs tree, so fid 7 in one
+//     negotiated msize, and its attach identity. N clients each hold an
+//     independent Session against the same Vfs tree, so fid 7 in one
 //     session and fid 7 in another never collide.
-//   * NinepServer runs every Session::Dispatch under its one dispatch lock,
-//     so dispatches never overlap. The session's own leaf locks exist for
-//     the callers outside that lock: the fid count read by /mnt/help/net
-//     status files, and the tag table.
-//   * Tflush lets a client cancel an in-flight tagged request: a request
-//     still waiting for the dispatch lock when its tag is flushed is answered
-//     with Rerror "interrupted" instead of running (the byte transport is
-//     one-reply-per-request, so a cancelled request still gets a reply).
-//     Duplicate in-flight tags on one session are rejected, per the protocol.
+//   * A session has one driver at a time: the listener runs a connection's
+//     frames in arrival order, and an in-process transport has one caller.
+//     NinepServer runs every Session::Dispatch under its one dispatch lock,
+//     and the fid table is touched only there. The fid count and msize are
+//     also kept in atomics, for the /mnt/help/net files that read them
+//     without the lock.
+//   * Tflush is answered Rflush in order, like any request. On a serial
+//     session the request it names has already been answered, so it cancels
+//     nothing, which 9P allows.
 #ifndef SRC_FS_NINEP_H_
 #define SRC_FS_NINEP_H_
 
@@ -32,8 +32,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -118,41 +116,23 @@ Fcall ErrorFcall(uint16_t tag, std::string_view msg);
 
 // ---------------------------------------------------------------------------
 
-// One client connection's protocol state: fid table, negotiated msize,
-// auth/attach identity, and in-flight tag bookkeeping. NinepServer runs
-// Dispatch under its dispatch lock. The fid table additionally carries a
-// leaf lock so open_fids() may be read from outside that lock, and the tag
-// methods lock internally so Tflush never waits behind a dispatch.
+// One client connection's protocol state: fid table, negotiated msize and
+// auth/attach identity. NinepServer runs Dispatch under its dispatch lock.
 class Session {
  public:
   Session(Vfs* vfs, uint64_t id) : vfs_(vfs), id_(id) {}
 
-  // Handles one T-message (everything except Tflush, which the server
-  // answers without entering the dispatch path). Callers must hold the
-  // server's dispatch lock.
+  // Handles one T-message. Callers must hold the server's dispatch lock.
   Fcall Dispatch(const Fcall& t);
 
   uint64_t id() const { return id_; }
-  // Relaxed load: read by /mnt/help/net status handlers on other threads
-  // while Tversion may be renegotiating. Any stale value is a value the
+  // Relaxed loads: read by /mnt/help/net status handlers on other threads
+  // while a dispatch may be changing them. Any stale value is a value the
   // session legitimately had.
   uint32_t msize() const { return msize_.load(std::memory_order_relaxed); }
+  size_t open_fids() const { return fid_count_.load(std::memory_order_relaxed); }
   bool attached() const { return attached_; }
   const std::string& uname() const { return uname_; }
-  size_t open_fids() const;
-
-  // --- In-flight tag bookkeeping (thread-safe; tag_mu_ is a leaf lock) -----
-  // Registers `tag` as in flight; false if that tag is already in flight
-  // (the protocol forbids duplicate in-flight tags per connection).
-  bool BeginTag(uint16_t tag);
-  void EndTag(uint16_t tag);
-  bool TagInFlight(uint16_t tag) const;
-  // Tflush(oldtag): marks a still-queued request cancelled. Returns whether
-  // the tag was in flight at all (Rflush is sent either way).
-  bool FlushTag(uint16_t oldtag);
-  // A queued request checks (and clears) its cancellation mark right before
-  // dispatching; true means it was flushed and must not run.
-  bool ConsumeFlushed(uint16_t tag);
 
  private:
   struct FidState {
@@ -162,22 +142,18 @@ class Session {
     bool dirbuf_valid = false;
   };
 
-  // Looks up a fid under fid_mu_. The returned pointer stays valid after the
-  // lock drops: only this session's own dispatches mutate the map, and they
-  // never overlap (std::map never relocates nodes anyway).
   FidState* FindFid(uint32_t fid);
+  // Publishes fids_.size() to open_fids(); called wherever fids_ grows or
+  // shrinks.
+  void CountFids() { fid_count_.store(fids_.size(), std::memory_order_relaxed); }
 
   Vfs* vfs_;
   uint64_t id_;
   std::string uname_;
   bool attached_ = false;
   std::map<uint32_t, FidState> fids_;
+  std::atomic<size_t> fid_count_{0};
   std::atomic<uint32_t> msize_{kDefaultMsize};
-  std::set<uint16_t> inflight_;
-  std::set<uint16_t> flushed_;
-
-  mutable std::mutex fid_mu_;   // guards the fids_ map structure; leaf
-  mutable std::mutex tag_mu_;   // guards inflight_/flushed_; leaf
 };
 
 // ---------------------------------------------------------------------------
@@ -213,9 +189,9 @@ class NinepClient {
   Status Clunk(uint32_t fid);
   Status RemoveFid(uint32_t fid);
   Result<StatInfo> StatFid(uint32_t fid);
-  // Cancels the in-flight request carrying `oldtag` (no-op if it already
-  // completed). The synchronous client never has its own request in flight;
-  // this exists for callers sharing a session across threads.
+  // Sends Tflush(oldtag). The server answers a session's requests in
+  // order, so the request it names has already been answered and the flush
+  // cancels nothing.
   Status Flush(uint16_t oldtag);
 
   // Issues one Tread per range on `fid`, keeping up to `window` requests in

@@ -2,18 +2,14 @@
 
 #include <chrono>
 
-#include "src/fs/lockorder.h"
 #include "src/obs/trace.h"
 
 namespace help {
 
 namespace {
 
-// Which server the calling thread currently holds the dispatch lock of. One
-// entry suffices even when a handler serializes against a *different* server
-// mid-dispatch (SerializedHandler taking Help's own server's LockDispatch
-// while the bytes arrived through another NinepServer over the same Vfs): the
-// inner guard saves the outer holder and restores it on release.
+// The server whose dispatch lock the calling thread holds, so a handler
+// called from a dispatch can take LockDispatch again without deadlocking.
 thread_local const NinepServer* tls_holder = nullptr;
 
 // The RequestObs of the request this thread is currently dispatching, set by
@@ -85,20 +81,13 @@ size_t NinepServer::open_fids() const {
   return open_fids(id);
 }
 
-bool NinepServer::TagInFlight(SessionId id, uint16_t tag) const {
-  std::shared_ptr<Session> s = FindSession(id);
-  return s != nullptr && s->TagInFlight(tag);
-}
-
 void NinepServer::DispatchGuard::Release() {
   if (srv_ == nullptr) {
     return;
   }
-  tls_holder = prev_srv_;
-  LockOrderReleased();
+  tls_holder = nullptr;
   srv_->dispatch_mu_.unlock();
   srv_ = nullptr;
-  prev_srv_ = nullptr;
 }
 
 NinepServer::DispatchGuard NinepServer::LockDispatch() {
@@ -107,13 +96,8 @@ NinepServer::DispatchGuard NinepServer::LockDispatch() {
     // Nothing to acquire — and nothing to release when the guard dies.
     return DispatchGuard();
   }
-  // Entering a different server's lock mid-dispatch starts a new lock-order
-  // frame (lockorder.h): the two servers' locks are independent
-  // hierarchies, and the outer holder is restored when this guard releases.
-  const NinepServer* prev = tls_holder;
   auto start = std::chrono::steady_clock::now();
   dispatch_mu_.lock();
-  LockOrderAcquired(kLockLevelDispatch, /*new_frame=*/prev != nullptr);
   auto wait_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
@@ -128,57 +112,28 @@ NinepServer::DispatchGuard NinepServer::LockDispatch() {
     }
   }
   tls_holder = this;
-  return DispatchGuard(this, prev);
+  return DispatchGuard(this);
 }
 
 Fcall NinepServer::Process(SessionId id, const Fcall& t) {
-  // Tag bookkeeping and Tflush run against the session's tag table only —
-  // never under the dispatch lock — so a client can cancel or be rejected
-  // while another request is executing.
+  DispatchGuard dl = LockDispatch();
+  // Looked up under the lock, so a session is never closed mid-dispatch.
   std::shared_ptr<Session> s = FindSession(id);
   if (s == nullptr) {
     return ErrorFcall(t.tag, "unknown session");
   }
-  if (t.type == MsgType::kTflush) {
-    s->FlushTag(t.oldtag);
-    Fcall r;
-    r.type = MsgType::kRflush;
-    r.tag = t.tag;
-    return r;
+  OBS_SPAN("ninep.dispatch");
+  if (tls_req_obs == nullptr) {
+    return s->Dispatch(t);
   }
-  if (!s->BeginTag(t.tag)) {
-    return ErrorFcall(t.tag, "duplicate tag");
+  obs::Tracer& tr = obs::Tracer::Global();
+  uint64_t h0 = tr.NowNs();
+  Fcall r = s->Dispatch(t);
+  uint64_t dur = tr.NowNs() - h0;
+  tls_req_obs->handler_ns += dur;
+  if (tls_req_obs->rid != 0 && tr.enabled()) {
+    tr.EmitAt(obs::EventKind::kComplete, "req.handler", dur, tls_req_obs->rid, h0);
   }
-  Fcall r;
-  {
-    DispatchGuard dl = LockDispatch();
-    if (FindSession(id) == nullptr) {
-      // Closed while this request waited for the lock.
-      r = ErrorFcall(t.tag, "unknown session");
-    } else if (s->ConsumeFlushed(t.tag)) {
-      // The flush check sits under the lock — the blocking point — so a
-      // Tflush issued while we waited still cancels us.
-      metrics_.RecordFlushCancel();
-      OBS_INSTANT("ninep.flush_cancel", t.tag);
-      r = ErrorFcall(t.tag, "interrupted");
-    } else {
-      OBS_SPAN("ninep.dispatch");
-      if (tls_req_obs != nullptr) {
-        obs::Tracer& tr = obs::Tracer::Global();
-        uint64_t h0 = tr.NowNs();
-        r = s->Dispatch(t);
-        uint64_t dur = tr.NowNs() - h0;
-        tls_req_obs->handler_ns += dur;
-        if (tls_req_obs->rid != 0 && tr.enabled()) {
-          tr.EmitAt(obs::EventKind::kComplete, "req.handler", dur,
-                    tls_req_obs->rid, h0);
-        }
-      } else {
-        r = s->Dispatch(t);
-      }
-    }
-  }
-  s->EndTag(t.tag);
   return r;
 }
 

@@ -1,36 +1,26 @@
 // The multi-client 9P service front end. A NinepServer serves any number of
-// transports — each client connection is a Session (see ninep.h) — and may be
-// driven from any thread: the socket listener's loop, the in-process
-// transports, and the UI thread touching /mnt/help files directly.
+// transports; each client connection is a Session (see ninep.h).
+//
+// The contract: a Vfs is served by exactly one NinepServer (Help::ninep()
+// for Help's tree), and a session has one driver at a time. The listener
+// runs each connection's frames in arrival order on its one thread, and an
+// in-process transport has one caller. Several threads may still use one
+// server: the listener's loop, in-process transports, and the UI thread
+// touching /mnt/help files through the Vfs.
 //
 // Every dispatch runs under one exclusive dispatch lock, so the Vfs and
 // Help's synthetic-file handlers always see a single-threaded tree. Decode
-// and encode run outside it. The listener serves all sockets from one
-// thread, so on the socket path the lock is uncontended unless the UI
-// thread or an in-process transport holds it.
+// and encode run outside it. Tflush is dispatched like any request and
+// answered Rflush: on a serial session the request it names was answered
+// before it arrived. A thread never takes the dispatch lock twice: re-entry
+// (a /mnt/help handler invoked from a dispatch that already holds the lock)
+// is detected with a thread-local holder check and becomes a no-op.
 //
-// Tflush and duplicate-tag rejection happen against the session's tag table
-// before the dispatch lock, so a client can cancel a request that is still
-// waiting for the lock; the waiting request checks its cancellation mark
-// once it holds the lock. Per-op counters and latency histograms — plus the
-// lock-wait histogram — are recorded into a NinepMetrics (a view over the
-// process-wide obs::Registry) which /mnt/help/stats serves.
-//
-// Lock order (acquire strictly downward — enforced in debug builds by
-// src/fs/lockorder.h when HELP_LOCK_ASSERT is on):
-//   1. dispatch_mu_          the dispatch lock, held around each dispatch
-//                            and by LockDispatch
-//   leaf: Session::fid_mu_   per-session fid-table bookkeeping; held only
-//                            around map lookups/mutations, never across a
-//                            handler call
-//   leaf: state_mu_          the session table; held briefly, nothing else
-//                            is ever acquired under it
-//   leaf: Session::tag_mu_   tag bookkeeping, taken from outside the
-//                            dispatch path too (Tflush must never wait
-//                            behind a dispatch)
-// A thread never takes dispatch_mu_ twice: re-entry (a /mnt/help handler
-// invoked from a dispatch that already holds the lock) is detected with a
-// thread-local holder check and becomes a no-op.
+// state_mu_ guards the session table, which the listener and the
+// /mnt/help/net files reach outside the dispatch lock; it is held briefly
+// and nothing is taken under it. Per-op counters and latency histograms,
+// plus the lock-wait histogram, are recorded into a NinepMetrics (a view
+// over the process-wide obs::Registry) which /mnt/help/stats serves.
 #ifndef SRC_FS_SERVER_H_
 #define SRC_FS_SERVER_H_
 
@@ -75,18 +65,12 @@ class NinepServer {
   class DispatchGuard {
    public:
     DispatchGuard() = default;
-    DispatchGuard(DispatchGuard&& o) noexcept
-        : srv_(o.srv_), prev_srv_(o.prev_srv_) {
-      o.srv_ = nullptr;
-      o.prev_srv_ = nullptr;
-    }
+    DispatchGuard(DispatchGuard&& o) noexcept : srv_(o.srv_) { o.srv_ = nullptr; }
     DispatchGuard& operator=(DispatchGuard&& o) noexcept {
       if (this != &o) {
         Release();
         srv_ = o.srv_;
-        prev_srv_ = o.prev_srv_;
         o.srv_ = nullptr;
-        o.prev_srv_ = nullptr;
       }
       return *this;
     }
@@ -96,16 +80,10 @@ class NinepServer {
 
    private:
     friend class NinepServer;
-    DispatchGuard(NinepServer* srv, const NinepServer* prev_srv)
-        : srv_(srv), prev_srv_(prev_srv) {}
+    explicit DispatchGuard(NinepServer* srv) : srv_(srv) {}
     void Release();
 
     NinepServer* srv_ = nullptr;  // nullptr: owns no lock
-    // The thread's dispatch holder to restore on release. Normally null;
-    // non-null when this guard nested inside a different server's dispatch
-    // (a handler serializing against Help's own server while the request
-    // arrived through another NinepServer over the same Vfs).
-    const NinepServer* prev_srv_ = nullptr;
   };
 
   explicit NinepServer(Vfs* vfs);
@@ -120,7 +98,7 @@ class NinepServer {
   size_t session_count() const;
 
   // Full byte path for one client: decode, dispatch under the dispatch
-  // lock, encode. Thread-safe; any thread may drive any session. Every reply,
+  // lock, encode. Any thread may drive a session, one at a time. Every reply,
   // Rread included, is built by EncodeFcall from the dispatch's Fcall.
   std::string HandleBytes(SessionId id, std::string_view packet);
   // As above, with a request-observability context (see RequestObs; the
@@ -144,8 +122,9 @@ class NinepServer {
   size_t open_fids(SessionId id) const;
 
   // The msize a session negotiated via Tversion (kDefaultMsize before, 0 for
-  // unknown sessions). Leaf locks + one relaxed load — safe from the
-  // /mnt/help/net status handlers, which must not touch the dispatch lock.
+  // unknown sessions). This and open_fids(id) take only state_mu_ and read
+  // an atomic, so the /mnt/help/net status handlers, which must not touch
+  // the dispatch lock, may call them.
   uint32_t session_msize(SessionId id) const;
 
   // Serializes arbitrary work with protocol dispatch: acquires the dispatch
@@ -163,22 +142,17 @@ class NinepServer {
   NetState& net() { return net_; }
   const NetState& net() const { return net_; }
 
-  // Test hook: is `tag` currently in flight on `id`?
-  bool TagInFlight(SessionId id, uint16_t tag) const;
-
  private:
   std::shared_ptr<Session> FindSession(SessionId id) const;
   SessionId EnsureDefaultSession();
-  // Tag bookkeeping and Tflush, then the dispatch itself under the lock.
+  // Looks up the session and dispatches `t` under the lock.
   Fcall Process(SessionId id, const Fcall& t);
 
   Vfs* vfs_;
   NinepMetrics metrics_;
   NetState net_{this};
 
-  // state_mu_ guards the session table only; per-session bookkeeping lives
-  // behind each Session's own locks (see ninep.h), so sessions never contend
-  // with each other on fid or tag bookkeeping.
+  // state_mu_ guards the session table only.
   mutable std::mutex state_mu_;
   std::mutex dispatch_mu_;
   std::map<SessionId, std::shared_ptr<Session>> sessions_;

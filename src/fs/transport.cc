@@ -310,8 +310,8 @@ Status SocketTransport::Send(std::string_view packet) {
 
 std::string SocketTransport::RecvReply() {
   // On failure the synthesized Rerror answers the OLDEST outstanding
-  // request. Replies arrive in some server order, but once the stream is
-  // dead no reply is coming for *any* of them, and the caller collects
+  // request. Once the stream is dead no reply is coming for *any* of
+  // them, and the caller collects
   // failures in the order it sent — front-of-queue is the only pairing that
   // gives every in-flight request exactly one reply with its own tag.
   auto fail = [&](std::string_view why) {
@@ -362,8 +362,9 @@ std::string SocketTransport::RecvReply() {
   }
   std::string reply(rbuf_, rpos_, size);
   rpos_ += size;
-  // A real reply retires its own tag wherever it sits in the queue (the
-  // server may answer out of order since the dispatch layer pipelines).
+  // A real reply retires its own tag. Replies leave each connection in
+  // request order, so that is the front of the queue from this server; the
+  // search still pairs a reply from a peer that answers out of order.
   uint16_t rtag = FrameTag(reply);
   for (auto it = inflight_.begin(); it != inflight_.end(); ++it) {
     if (*it == rtag) {

@@ -171,11 +171,11 @@ TEST(StatsMetricsParity, EveryStatsEntrySurfacesInMetrics) {
   auto metrics = h.vfs().ReadFile("/mnt/help/metrics");
   ASSERT_TRUE(metrics.ok());
   std::vector<std::string> expected = {
-      "ninep.bytes_in",      "ninep.bytes_out",       "ninep.in_flight",
-      "ninep.flush_cancels", "ninep.lock.wait_us",    "net.accepts",
-      "net.active_conns",    "net.reaped",            "net.backpressure_stalls",
-      "net.frame_errors",    "net.bytes_in",          "net.bytes_out",
-      "net.queue_wait_us",   "net.writev_calls",
+      "ninep.bytes_in",          "ninep.bytes_out",  "ninep.in_flight",
+      "ninep.lock.wait_us",      "net.accepts",      "net.active_conns",
+      "net.reaped",              "net.backpressure_stalls",
+      "net.frame_errors",        "net.bytes_in",     "net.bytes_out",
+      "net.queue_wait_us",       "net.writev_calls",
   };
   for (size_t i = 0; i < kNinepOpCount; i++) {
     const char* op = NinepOpName(static_cast<NinepOp>(i));

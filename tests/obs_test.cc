@@ -323,7 +323,7 @@ TEST(ObsTracer, ChromeJsonIsWellFormed) {
 
 // The /mnt/help/stats byte format, pinned exactly: header line, one
 // "op count errs p50us p99us" row per op with traffic (enum order), the
-// four scalar totals, the lock-wait line, the socket-layer lines, then the
+// three scalar totals, the lock-wait line, the socket-layer lines, then the
 // outbox-drain line. NinepMetrics is a registry view; its Render() must not
 // drift.
 TEST(NinepMetricsCompat, StatsByteFormatPinnedExactly) {
@@ -334,7 +334,6 @@ TEST(NinepMetricsCompat, StatsByteFormatPinnedExactly) {
   m.RecordOp(NinepOp::kRead, 3, false);   // bucket 2 → upper bound 3us
   m.AddBytesIn(5);
   m.AddBytesOut(7);
-  m.RecordFlushCancel();
   EXPECT_EQ(m.Render(),
             "op count errs p50us p99us\n"
             "walk 2 1 127 127\n"
@@ -342,7 +341,6 @@ TEST(NinepMetricsCompat, StatsByteFormatPinnedExactly) {
             "bytes_in 5\n"
             "bytes_out 7\n"
             "in_flight 0\n"
-            "flush_cancels 1\n"
             "lock_wait_p99us 0\n"
             "net_accepts 0\n"
             "net_active_conns 0\n"
@@ -361,7 +359,7 @@ TEST(NinepMetricsCompat, StatsByteFormatPinnedExactly) {
   m.Reset();
   EXPECT_EQ(m.Render(),
             "op count errs p50us p99us\n"
-            "bytes_in 0\nbytes_out 0\nin_flight 0\nflush_cancels 0\n"
+            "bytes_in 0\nbytes_out 0\nin_flight 0\n"
             "lock_wait_p99us 0\n"
             "net_accepts 0\nnet_active_conns 0\nnet_reaped 0\n"
             "net_backpressure_stalls 0\nnet_frame_errors 0\n"
