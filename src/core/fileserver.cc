@@ -578,7 +578,6 @@ void InstallHelpFs(Help* h) {
 
 void Help::RegisterWindowFiles(Window* w) {
   std::string dir = StrFormat("/mnt/help/%d", w->id());
-  vfs_.MkdirAll(dir);
   using K = WindowFileHandler::Kind;
   for (auto [name, kind] : {std::pair{"tag", K::kTag}, std::pair{"body", K::kBody},
                             std::pair{"bodyapp", K::kBodyApp},

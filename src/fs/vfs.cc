@@ -168,10 +168,14 @@ Result<NodePtr> Vfs::Create(std::string_view path, bool dir) {
   if (parent.value()->Child(base) != nullptr) {
     return ErrExists(clean);
   }
-  auto node = std::make_shared<Node>(std::string(base), dir, NextQid());
+  return AddNode(parent.value().get(), base, dir);
+}
+
+NodePtr Vfs::AddNode(Node* parent, std::string_view name, bool dir) {
+  auto node = std::make_shared<Node>(std::string(name), dir, NextQid());
   node->set_mtime(clock_.Tick());
-  parent.value()->AddChild(node);
-  parent.value()->Touch(clock_.Now());
+  parent->AddChild(node);
+  parent->Touch(clock_.Now());
   return node;
 }
 
@@ -182,11 +186,7 @@ Status Vfs::MkdirAll(std::string_view path) {
   for (std::string_view elem; elems.Next(&elem);) {
     Node* next = ChildOf(*cur, elem, &held);
     if (next == nullptr) {
-      auto dir = std::make_shared<Node>(std::string(elem), /*dir=*/true, NextQid());
-      dir->set_mtime(clock_.Tick());
-      next = dir.get();
-      cur->AddChild(std::move(dir));
-      cur->Touch(clock_.Now());
+      next = AddNode(cur, elem, /*dir=*/true).get();
     } else if (!next->dir()) {
       return ErrNotDir(FullPath(*next));
     }
@@ -350,19 +350,22 @@ Status Vfs::AppendFile(std::string_view path, std::string_view data) {
 }
 
 Status Vfs::AttachHandler(std::string_view path, std::shared_ptr<FileHandler> handler) {
-  NodePtr n = Find(path);
-  if (n == nullptr) {
-    Status s = MkdirAll(DirPath(path));
-    if (!s.ok()) {
-      return s;
+  Node* cur = root_.get();
+  NodePtr held;
+  CleanElements elems(path);
+  std::string_view next_elem;
+  for (bool more = elems.Next(&next_elem); more;) {
+    std::string_view elem = next_elem;
+    more = elems.Next(&next_elem);  // whether elem names a directory
+    Node* next = ChildOf(*cur, elem, &held);
+    if (next == nullptr) {
+      next = AddNode(cur, elem, /*dir=*/more).get();
+    } else if (more && !next->dir()) {
+      return ErrNotDir(FullPath(*next));
     }
-    auto created = Create(path, /*dir=*/false);
-    if (!created.ok()) {
-      return created.status();
-    }
-    n = created.take();
+    cur = next;
   }
-  n->set_handler(std::move(handler));
+  cur->set_handler(std::move(handler));
   return Status::Ok();
 }
 

@@ -9,10 +9,11 @@
 // which serves this same tree.
 //
 // Threading: the VFS carries no locks of its own — nodes, handlers, and the
-// clock are unsynchronized. Concurrent 9P clients are safe because
-// NinepServer (src/fs/server.h) runs every tree-touching dispatch under its
-// dispatch lock. Anything else that shares a Vfs with a live NinepServer
-// must serialize through NinepServer::LockDispatch().
+// clock are unsynchronized. A Vfs is served by exactly one NinepServer
+// (src/fs/server.h; Help::ninep() for Help's tree), which runs every
+// tree-touching dispatch under its dispatch lock, so concurrent 9P clients
+// are safe. Anything else that shares a Vfs with a live NinepServer must
+// serialize through that server's LockDispatch().
 #ifndef SRC_FS_VFS_H_
 #define SRC_FS_VFS_H_
 
@@ -212,7 +213,8 @@ class Vfs {
   Status WriteFile(std::string_view path, std::string_view data);   // create/truncate
   Status AppendFile(std::string_view path, std::string_view data);  // create/append
 
-  // Installs a synthetic file (creates the node if absent).
+  // Installs a synthetic file, making the node and any missing parent
+  // directories, in one walk, if absent.
   Status AttachHandler(std::string_view path, std::shared_ptr<FileHandler> handler);
 
   // Full path of a node (walks parent links).
@@ -235,6 +237,8 @@ class Vfs {
   Result<NodePtr> WalkParent(std::string_view clean, std::string_view* base) const;
   // Opens node `n`, which the caller has walked to.
   Result<OpenFilePtr> OpenNode(NodePtr n, uint8_t mode);
+  // Makes `name` in directory `parent`, which has no such child.
+  NodePtr AddNode(Node* parent, std::string_view name, bool dir);
 
   NodePtr root_;
   Clock clock_;
