@@ -324,8 +324,8 @@ class TraceCtlHandler : public FileHandler {
 // open (or between Walk and Topen), and a re-lookup per open answers
 // "connection is gone" exactly like a window file whose window was deleted.
 // Like the other observability files, not Serialized — ConnInfo is all
-// relaxed atomics and the server queries are leaf-locked, so these stay
-// readable while a dispatch is stuck.
+// relaxed atomics and the server queries take only the session-table lock,
+// so these stay readable while a dispatch is stuck.
 class ConnFileHandler : public FileHandler {
  public:
   enum class Kind : uint8_t { kStatus, kStats };

@@ -138,7 +138,7 @@ class ConnInfo {
 
   // /mnt/help/net/<cid>/status: peer, state, negotiated msize, live fid
   // count, frame/byte totals. Queries the owning server's session table
-  // (leaf locks only — never the dispatch lock).
+  // (state_mu_ and atomics only — never the dispatch lock).
   std::string RenderStatus() const;
   // /mnt/help/net/<cid>/stats: per-connection op table + latency and
   // queue-wait histograms, same shape as the global /mnt/help/stats table.
