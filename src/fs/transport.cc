@@ -364,7 +364,7 @@ std::string SocketTransport::RecvReply() {
   rpos_ += size;
   // A real reply retires its own tag. Replies leave each connection in
   // request order, so that is the front of the queue from this server; the
-  // search still pairs a reply from a peer that answers out of order.
+  // search pairs a reply from a peer that answers out of order.
   uint16_t rtag = FrameTag(reply);
   for (auto it = inflight_.begin(); it != inflight_.end(); ++it) {
     if (*it == rtag) {
