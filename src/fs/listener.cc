@@ -4,18 +4,14 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <string.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <deque>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
 
 #include "src/obs/trace.h"
 
@@ -26,118 +22,6 @@ namespace {
 bool WouldBlock() { return errno == EAGAIN || errno == EWOULDBLOCK; }
 
 }  // namespace
-
-// --- Pollers -----------------------------------------------------------------
-
-#if defined(__linux__)
-class EpollPoller : public Poller {
- public:
-  EpollPoller() : ep_(epoll_create1(EPOLL_CLOEXEC)) {}
-  ~EpollPoller() override {
-    if (ep_ >= 0) {
-      close(ep_);
-    }
-  }
-
-  bool ok() const { return ep_ >= 0; }
-
-  Status Add(int fd, bool want_read, bool want_write) override {
-    return Ctl(EPOLL_CTL_ADD, fd, want_read, want_write);
-  }
-  Status Mod(int fd, bool want_read, bool want_write) override {
-    return Ctl(EPOLL_CTL_MOD, fd, want_read, want_write);
-  }
-  void Del(int fd) override {
-    epoll_event ev{};
-    epoll_ctl(ep_, EPOLL_CTL_DEL, fd, &ev);
-  }
-
-  int Wait(std::vector<Event>* out, int timeout_ms) override {
-    epoll_event evs[256];
-    int n = epoll_wait(ep_, evs, 256, timeout_ms);
-    if (n < 0) {
-      return errno == EINTR ? 0 : -1;
-    }
-    for (int i = 0; i < n; i++) {
-      out->push_back(Event{evs[i].data.fd, (evs[i].events & EPOLLIN) != 0,
-                           (evs[i].events & EPOLLOUT) != 0,
-                           (evs[i].events & (EPOLLERR | EPOLLHUP)) != 0});
-    }
-    return n;
-  }
-
- private:
-  Status Ctl(int op, int fd, bool want_read, bool want_write) {
-    epoll_event ev{};
-    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    if (epoll_ctl(ep_, op, fd, &ev) < 0) {
-      return Status::Error(std::string("epoll_ctl: ") + strerror(errno));
-    }
-    return Status::Ok();
-  }
-
-  int ep_;
-};
-#endif  // __linux__
-
-// poll(2) fallback: interest is a map rebuilt into a pollfd vector per Wait.
-// O(conns) per wait, which is exactly why epoll is the default on Linux —
-// but the semantics are identical, including ERR/HUP being reported even for
-// fds with no requested events (how a stalled, read-parked connection's
-// hangup is still noticed).
-class PollPoller : public Poller {
- public:
-  Status Add(int fd, bool want_read, bool want_write) override {
-    return Mod(fd, want_read, want_write);
-  }
-  Status Mod(int fd, bool want_read, bool want_write) override {
-    interest_[fd] = static_cast<short>((want_read ? POLLIN : 0) |
-                                       (want_write ? POLLOUT : 0));
-    return Status::Ok();
-  }
-  void Del(int fd) override { interest_.erase(fd); }
-
-  int Wait(std::vector<Event>* out, int timeout_ms) override {
-    fds_.clear();
-    for (const auto& [fd, ev] : interest_) {
-      fds_.push_back(pollfd{fd, ev, 0});
-    }
-    int n = poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n < 0) {
-      return errno == EINTR ? 0 : -1;
-    }
-    int emitted = 0;
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) {
-        continue;
-      }
-      out->push_back(Event{p.fd, (p.revents & POLLIN) != 0,
-                           (p.revents & POLLOUT) != 0,
-                           (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0});
-      emitted++;
-    }
-    return emitted;
-  }
-
- private:
-  std::map<int, short> interest_;
-  std::vector<pollfd> fds_;
-};
-
-std::unique_ptr<Poller> MakePoller(PollerKind kind) {
-#if defined(__linux__)
-  if (kind != PollerKind::kPoll) {
-    auto ep = std::make_unique<EpollPoller>();
-    if (ep->ok()) {
-      return ep;
-    }
-  }
-#else
-  (void)kind;
-#endif
-  return std::make_unique<PollPoller>();
-}
 
 // --- Connection state --------------------------------------------------------
 
@@ -151,28 +35,19 @@ struct InFrame {
   uint64_t arrive_ns = 0;
 };
 
-// A dispatched reply whose bytes are in the outbox but not yet on the wire.
+// A dispatched request whose reply bytes are in the outbox. rec.total_ns
+// holds the time from arrival to the append until the reply is written.
 // end_total is the connection's outbox_appended watermark after this reply;
-// once outbox_written reaches it, the reply — and therefore the request — is
-// complete: the outbox-drain phase event fires and the record goes to the
-// flight recorder.
-struct PendingReply {
-  uint64_t rid = 0;
-  uint16_t tag = 0;
-  NinepOp op = NinepOp::kBad;
-  uint64_t arrive_ns = 0;
-  uint64_t queue_ns = 0;
-  uint64_t lock_ns = 0;
-  uint64_t handler_ns = 0;
-  uint64_t encode_ns = 0;
+// once outbox_written reaches it, the request is complete: the outbox-drain
+// phase event fires and the record goes to the flight recorder.
+struct Replied {
+  RequestRecord rec;
   uint64_t append_ns = 0;  // when the reply entered the outbox
   uint64_t end_total = 0;
 };
 
 // Every field is touched by the loop thread only.
 struct NinepListener::Conn {
-  explicit Conn(uint32_t max_frame) : reader(max_frame) {}
-
   int fd = -1;
   FrameReader reader;
   uint64_t last_active_ms = 0;
@@ -187,7 +62,7 @@ struct NinepListener::Conn {
   size_t outbox_off = 0;             // outbox[0, outbox_off) is already sent
   uint64_t outbox_appended = 0;      // lifetime bytes ever appended
   uint64_t outbox_written = 0;       // lifetime bytes ever sent
-  std::deque<PendingReply> pending;  // appended, not yet fully written
+  std::deque<Replied> pending;       // appended, not yet fully written
   bool stalled = false;              // backpressure: dispatch and reads parked
   bool closing = false;              // the socket was torn down
 
@@ -258,26 +133,23 @@ Status NinepListener::Start() {
   if (listen_fds_.empty()) {
     return Status::Error("listener has no endpoints");
   }
-  poller_ = MakePoller(opt_.poller);
-  int pfd[2];
-  if (pipe(pfd) < 0) {
-    return Status::Error(std::string("pipe: ") + strerror(errno));
+  Status s;
+  int pfd[2] = {-1, -1};
+  ep_ = epoll_create1(EPOLL_CLOEXEC);
+  if (ep_ < 0 || pipe2(pfd, O_NONBLOCK | O_CLOEXEC) < 0) {
+    s = Status::Error(std::string("listener: ") + strerror(errno));
   }
   wake_rd_ = pfd[0];
   wake_wr_ = pfd[1];
-  SetNonBlocking(wake_rd_);
-  SetNonBlocking(wake_wr_);
-  fcntl(wake_rd_, F_SETFD, FD_CLOEXEC);
-  fcntl(wake_wr_, F_SETFD, FD_CLOEXEC);
-  Status s = poller_->Add(wake_rd_, /*want_read=*/true, /*want_write=*/false);
-  if (!s.ok()) {
-    return s;
+  if (s.ok()) {
+    s = Watch(EPOLL_CTL_ADD, wake_rd_, /*want_read=*/true, /*want_write=*/false);
   }
-  for (int fd : listen_fds_) {
-    s = poller_->Add(fd, /*want_read=*/true, /*want_write=*/false);
-    if (!s.ok()) {
-      return s;
-    }
+  for (size_t i = 0; s.ok() && i < listen_fds_.size(); i++) {
+    s = Watch(EPOLL_CTL_ADD, listen_fds_[i], /*want_read=*/true, /*want_write=*/false);
+  }
+  if (!s.ok()) {
+    CloseLoopFds();
+    return s;
   }
   stop_.store(false);
   running_.store(true);
@@ -313,15 +185,21 @@ void NinepListener::Stop() {
     close(fd);
   }
   deferred_close_.clear();
-  close(wake_rd_);
-  close(wake_wr_);
-  wake_rd_ = wake_wr_ = -1;
-  poller_.reset();
+  CloseLoopFds();
   if (!unix_path_.empty()) {
     unlink(unix_path_.c_str());
     unix_path_.clear();
   }
   running_.store(false);
+}
+
+void NinepListener::CloseLoopFds() {
+  for (int* fd : {&ep_, &wake_rd_, &wake_wr_}) {
+    if (*fd >= 0) {
+      close(*fd);
+      *fd = -1;
+    }
+  }
 }
 
 size_t NinepListener::active_conns() const {
@@ -352,40 +230,39 @@ void NinepListener::DrainWakePipe() {
 
 void NinepListener::LoopMain() {
   obs::Tracer::Global().SetThreadName("net.loop");
-  std::vector<Poller::Event> events;
+  epoll_event events[256];
   while (!stop_.load()) {
-    events.clear();
-    int reap_cadence = opt_.reap_tick_ms > 0
-                           ? std::min(opt_.reap_tick_ms, opt_.idle_timeout_ms)
-                           : opt_.idle_timeout_ms;
-    int timeout = opt_.idle_timeout_ms > 0
-                      ? std::min(opt_.tick_ms, reap_cadence)
-                      : opt_.tick_ms;
-    poller_->Wait(&events, timeout);
+    int timeout = -1;  // Stop() wakes the loop through the pipe
+    if (opt_.idle_timeout_ms > 0) {
+      uint64_t now = NowMs();
+      timeout = next_reap_ms_ > now ? static_cast<int>(next_reap_ms_ - now) : 0;
+    }
+    int n = epoll_wait(ep_, events, 256, timeout);  // EINTR: n < 0, no events
     if (stop_.load()) {
       break;
     }
-    for (const Poller::Event& ev : events) {
-      if (ev.fd == wake_rd_) {
+    for (int i = 0; i < n; i++) {
+      int fd = events[i].data.fd;
+      if (fd == wake_rd_) {
         DrainWakePipe();
         continue;
       }
-      if (std::find(listen_fds_.begin(), listen_fds_.end(), ev.fd) !=
+      if (std::find(listen_fds_.begin(), listen_fds_.end(), fd) !=
           listen_fds_.end()) {
-        HandleAccept(ev.fd);
+        HandleAccept(fd);
         continue;
       }
       // Only this thread mutates conns_, so the lookup needs no lock.
-      auto it = conns_.find(ev.fd);
+      auto it = conns_.find(fd);
       if (it == conns_.end()) {
         continue;  // closed earlier in this batch (fd close is deferred)
       }
       ConnPtr c = it->second;
-      if (ev.error) {
+      if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0) {
         CloseConn(c, /*reaped=*/false);
-      } else if (ev.readable) {
+      } else if ((events[i].events & EPOLLIN) != 0) {
         HandleReadable(c);  // ends in Pump, which also flushes
-      } else if (ev.writable) {
+      } else if ((events[i].events & EPOLLOUT) != 0) {
         Pump(c);
       }
     }
@@ -401,19 +278,16 @@ void NinepListener::LoopMain() {
   }
 }
 
-// Idle reaping, on its own cadence: reap_tick_ms > 0 scans at that
-// deadline-driven interval (prompt with a short tick, amortized with a long
-// one on busy listeners whose events keep the loop spinning); reap_tick_ms
-// == 0 scans on every wakeup.
 void NinepListener::ReapIdle() {
   uint64_t now = NowMs();
-  if (opt_.reap_tick_ms > 0) {
-    next_reap_ms_ = now + static_cast<uint64_t>(opt_.reap_tick_ms);
-  }
+  uint64_t timeout = static_cast<uint64_t>(opt_.idle_timeout_ms);
+  next_reap_ms_ = now + timeout;
   std::vector<ConnPtr> idle;
   for (const auto& [fd, c] : conns_) {
-    if (now - c->last_active_ms >= static_cast<uint64_t>(opt_.idle_timeout_ms)) {
+    if (now - c->last_active_ms >= timeout) {
       idle.push_back(c);
+    } else {
+      next_reap_ms_ = std::min(next_reap_ms_, c->last_active_ms + timeout);
     }
   }
   for (const ConnPtr& c : idle) {
@@ -424,26 +298,21 @@ void NinepListener::ReapIdle() {
 
 void NinepListener::HandleAccept(int listen_fd) {
   for (int i = 0; i < 64; i++) {  // cap per event; level-trigger re-fires
-    int fd = accept(listen_fd, nullptr, nullptr);
+    int fd = accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) {
         continue;
       }
       return;  // EAGAIN or transient (EMFILE etc.): try again next event
     }
-    if (!SetNonBlocking(fd).ok()) {
-      close(fd);
-      continue;
-    }
-    fcntl(fd, F_SETFD, FD_CLOEXEC);
     int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));  // no-op on unix
-    auto c = std::make_shared<Conn>(opt_.max_frame);
+    auto c = std::make_shared<Conn>();
     c->fd = fd;
     c->sid = srv_->OpenSession();
     c->info = srv_->net().Register(c->sid, PeerString(fd));
     c->last_active_ms = NowMs();
-    if (!poller_->Add(fd, /*want_read=*/true, /*want_write=*/false).ok()) {
+    if (!Watch(EPOLL_CTL_ADD, fd, /*want_read=*/true, /*want_write=*/false).ok()) {
       close(fd);
       srv_->net().Deregister(c->sid);
       srv_->CloseSession(c->sid);
@@ -568,15 +437,16 @@ void NinepListener::Dispatch(const ConnPtr& c) {
     c->info->RecordOp(obs.op, (done - pickup) / 1000, obs.error);
     c->info->RecordQueueWait(queue_ns / 1000);
     srv_->metrics().RecordNetQueueWait(queue_ns / 1000);
-    PendingReply p;
-    p.rid = f.rid;
-    p.tag = f.tag;
-    p.op = obs.op;
-    p.arrive_ns = f.arrive_ns;
-    p.queue_ns = queue_ns;
-    p.lock_ns = obs.lock_wait_ns;
-    p.handler_ns = obs.handler_ns;
-    p.encode_ns = obs.encode_ns;
+    Replied p;
+    p.rec.rid = f.rid;
+    p.rec.cid = c->sid;
+    p.rec.tag = f.tag;
+    p.rec.op = obs.op;
+    p.rec.total_ns = done - f.arrive_ns;
+    p.rec.queue_ns = queue_ns;
+    p.rec.lock_ns = obs.lock_wait_ns;
+    p.rec.handler_ns = obs.handler_ns;
+    p.rec.encode_ns = obs.encode_ns;
     p.append_ns = done;
     c->AppendReply(std::move(reply.bytes));
     p.end_total = c->outbox_appended;
@@ -618,26 +488,15 @@ bool NinepListener::Flush(const ConnPtr& c) {
   obs::Tracer& tr = obs::Tracer::Global();
   while (!c->pending.empty() &&
          c->pending.front().end_total <= c->outbox_written) {
-    PendingReply p = c->pending.front();
-    c->pending.pop_front();
-    uint64_t now = tr.NowNs();
-    uint64_t outbox_ns = now - p.append_ns;
-    if (tr.enabled() && p.rid != 0) {
-      tr.EmitAt(obs::EventKind::kComplete, "req.outbox", outbox_ns, p.rid,
-                p.append_ns);
+    Replied& p = c->pending.front();
+    p.rec.outbox_ns = tr.NowNs() - p.append_ns;
+    p.rec.total_ns += p.rec.outbox_ns;
+    if (tr.enabled() && p.rec.rid != 0) {
+      tr.EmitAt(obs::EventKind::kComplete, "req.outbox", p.rec.outbox_ns,
+                p.rec.rid, p.append_ns);
     }
-    RequestRecord rec;
-    rec.rid = p.rid;
-    rec.cid = c->sid;
-    rec.tag = p.tag;
-    rec.op = p.op;
-    rec.total_ns = now - p.arrive_ns;
-    rec.queue_ns = p.queue_ns;
-    rec.lock_ns = p.lock_ns;
-    rec.handler_ns = p.handler_ns;
-    rec.encode_ns = p.encode_ns;
-    rec.outbox_ns = outbox_ns;
-    srv_->net().recorder().Record(rec);
+    srv_->net().recorder().Record(p.rec);
+    c->pending.pop_front();
   }
   if (broken) {
     CloseConn(c, /*reaped=*/false);
@@ -646,13 +505,23 @@ bool NinepListener::Flush(const ConnPtr& c) {
   return true;
 }
 
+Status NinepListener::Watch(int op, int fd, bool want_read, bool want_write) {
+  epoll_event ev{};
+  ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  if (epoll_ctl(ep_, op, fd, &ev) < 0) {
+    return Status::Error(std::string("epoll_ctl: ") + strerror(errno));
+  }
+  return Status::Ok();
+}
+
 void NinepListener::UpdateInterest(const ConnPtr& c) {
   bool want_read = !c->stalled;
   bool want_write = c->unsent() > 0;
   if (want_read != c->want_read || want_write != c->want_write) {
     c->want_read = want_read;
     c->want_write = want_write;
-    poller_->Mod(c->fd, want_read, want_write);
+    Watch(EPOLL_CTL_MOD, c->fd, want_read, want_write);
   }
 }
 
@@ -661,7 +530,8 @@ void NinepListener::CloseConn(const ConnPtr& c, bool reaped) {
     return;
   }
   c->closing = true;
-  poller_->Del(c->fd);
+  epoll_event ev{};
+  epoll_ctl(ep_, EPOLL_CTL_DEL, c->fd, &ev);
   deferred_close_.push_back(c->fd);
   {
     std::lock_guard<std::mutex> lk(conns_mu_);

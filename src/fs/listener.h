@@ -1,16 +1,18 @@
-// The socket front end of the 9P service: one event-loop thread multiplexes
-// every accepted connection with epoll (poll on non-Linux, or on request) and
-// runs each request to completion. One connection == one Session, so fid
-// tables, msize, and tag bookkeeping isolate exactly as they do in-process.
+// The socket front end of the 9P service, for Linux: one event-loop thread
+// multiplexes every accepted connection on its own epoll fd and runs each
+// request to completion. One connection == one Session, so fid tables, msize,
+// and tag bookkeeping isolate exactly as they do in-process.
 //
 // The loop thread does everything: accept, read, deframe, dispatch, flush,
-// timers, close. Each readable event deframes what arrived, runs the frames
-// through NinepServer::HandleBytes in arrival order, appends every reply to
-// the connection's outbox (one byte string), and drains it with one send.
-// Replies therefore leave each connection in request order. A pipelining
-// client still gains from its window: one wakeup and one send carry many
-// requests and replies. The dispatch lock is still taken per
+// idle reaping, close. Each readable event deframes what arrived, runs the
+// frames through NinepServer::HandleBytes in arrival order, appends every
+// reply to the connection's outbox (one byte string), and drains it with one
+// send. Replies therefore leave each connection in request order. A
+// pipelining client still gains from its window: one wakeup and one send
+// carry many requests and replies. The dispatch lock is still taken per
 // request, because the UI thread and the in-process transports dispatch too.
+// The loop wakes only for socket events, the wake pipe (Stop), and the idle
+// deadline.
 //
 // Backpressure: each connection's outbound queue is bounded. When the outbox
 // exceeds max_outbox_bytes the loop stops dispatching that connection
@@ -24,9 +26,13 @@
 // Idle reaping: a connection with no traffic for idle_timeout_ms is closed
 // and its session torn down — CloseSession clunks every open fid through the
 // normal handler path, so an abandoned client cannot pin windows or leak
-// sessions. Counted in net.reaped.
+// sessions. Counted in net.reaped. The loop keeps one deadline, the earliest
+// last-activity time plus the timeout, and scans the connections only when
+// it passes: activity only moves a connection's deadline later, and a new
+// connection's deadline is never earlier than an existing one's, so the
+// deadline is never late.
 //
-// Hostile-wire policy: a frame header that lies (size < 7 or > max_frame)
+// Hostile-wire policy: a frame header that lies (size < 7 or > kMaxFrameSize)
 // poisons the stream — the connection is closed immediately, counted in
 // net.frame_errors. There is no resynchronizing a framed stream after a bad
 // length. On EOF, a poisoned stream, or a broken socket, frames not yet
@@ -49,45 +55,13 @@
 
 namespace help {
 
-// Readiness-notification backend: epoll on Linux, poll(2) everywhere (and on
-// Linux when forced, so the fallback stays tested on CI hardware that has
-// epoll).
-class Poller {
- public:
-  struct Event {
-    int fd;
-    bool readable;
-    bool writable;
-    bool error;  // EPOLLERR/EPOLLHUP (POLLERR/POLLHUP/POLLNVAL)
-  };
-
-  virtual ~Poller() = default;
-  virtual Status Add(int fd, bool want_read, bool want_write) = 0;
-  virtual Status Mod(int fd, bool want_read, bool want_write) = 0;
-  virtual void Del(int fd) = 0;
-  // Blocks up to timeout_ms; appends ready fds to *out. Returns the event
-  // count (0 on timeout), -1 on hard failure.
-  virtual int Wait(std::vector<Event>* out, int timeout_ms) = 0;
-};
-
-// kAuto picks epoll on Linux, poll elsewhere.
-enum class PollerKind : uint8_t { kAuto, kEpoll, kPoll };
-std::unique_ptr<Poller> MakePoller(PollerKind kind);
-
-// Namespace-scope (not nested) so `NinepListener(&srv, {.tick_ms = 10})` and
-// the defaulted-argument constructor both work — a nested aggregate's default
-// member initializers are not usable until the enclosing class is complete.
+// Namespace-scope (not nested) so `NinepListener(&srv, {.idle_timeout_ms =
+// 100})` and the defaulted-argument constructor both work — a nested
+// aggregate's default member initializers are not usable until the enclosing
+// class is complete.
 struct ListenerOptions {
-  uint32_t max_frame = kMaxFrameSize;  // inbound frame cap (protocol limit)
-  size_t max_outbox_bytes = 1 << 20;   // backpressure high-water per conn
-  int idle_timeout_ms = 0;             // 0 = never reap idle connections
-  int tick_ms = 50;                    // loop wakeup granularity
-  // Cadence of the idle-reap scan. 0 scans on every loop wakeup (bounded by
-  // tick_ms / idle_timeout_ms, the historical behavior); a short tick makes
-  // reaping prompt even when tick_ms is long, a long one amortizes the scan
-  // on busy listeners.
-  int reap_tick_ms = 0;
-  PollerKind poller = PollerKind::kAuto;
+  size_t max_outbox_bytes = 1 << 20;  // backpressure high-water per conn
+  int idle_timeout_ms = 0;            // 0 = never reap idle connections
 };
 
 class NinepListener {
@@ -123,7 +97,7 @@ class NinepListener {
   void HandleReadable(const ConnPtr& c);
   // Dispatches c's inbox and flushes its outbox until the inbox is empty,
   // the connection stalls on a full outbox the socket cannot drain, or it
-  // closes; then updates its poller interest.
+  // closes; then updates its epoll interest.
   void Pump(const ConnPtr& c);
   // Runs inbox frames through the server in order until the inbox is empty
   // or the outbox exceeds max_outbox_bytes (which stalls the connection).
@@ -132,18 +106,25 @@ class NinepListener {
   // and frees the buffer once it is empty. False when the socket broke and
   // the connection closed.
   bool Flush(const ConnPtr& c);
+  // Registers (EPOLL_CTL_ADD) or changes (EPOLL_CTL_MOD) fd's interest.
+  Status Watch(int op, int fd, bool want_read, bool want_write);
+  // Issues EPOLL_CTL_MOD only when c's read or write interest changed.
   void UpdateInterest(const ConnPtr& c);
   // Deregisters the fd (its close(2) waits for the end of this event batch),
   // erases the connection, and tears its session down.
   void CloseConn(const ConnPtr& c, bool reaped);
+  // Closes every connection idle for idle_timeout_ms and sets next_reap_ms_
+  // to the earliest deadline among the survivors.
   void ReapIdle();
+  // Closes the epoll fd and the wake pipe, whichever are open.
+  void CloseLoopFds();
   void WakeLoop();
   void DrainWakePipe();
   uint64_t NowMs() const;
 
   NinepServer* srv_;
   Options opt_;
-  std::unique_ptr<Poller> poller_;
+  int ep_ = -1;  // the epoll fd
   std::vector<int> listen_fds_;
   std::string unix_path_;  // unlinked on Stop
   uint16_t port_ = 0;
@@ -164,7 +145,7 @@ class NinepListener {
   // a just-closed fd cannot be reused by an accept earlier in the same batch
   // and alias a stale event.
   std::vector<int> deferred_close_;
-  uint64_t next_reap_ms_ = 0;  // 0 or overdue: scan on the next pass
+  uint64_t next_reap_ms_ = 0;  // the idle deadline; 0: scan on the first pass
 };
 
 }  // namespace help

@@ -66,6 +66,36 @@ const char* NinepOpName(NinepOp op) {
   return "?";
 }
 
+std::string RenderOpTable(const OpTallies& ops) {
+  char line[160];
+  std::string out = "op count errs p50us p99us\n";
+  for (size_t i = 0; i < kNinepOpCount; i++) {
+    const OpTally& t = ops[i];
+    if (t.count == 0) {
+      continue;
+    }
+    std::snprintf(
+        line, sizeof(line), "%s %llu %llu %llu %llu\n",
+        NinepOpName(static_cast<NinepOp>(i)),
+        static_cast<unsigned long long>(t.count),
+        static_cast<unsigned long long>(t.errors),
+        static_cast<unsigned long long>(obs::Histogram::PercentileOf(t.latency_us, 50)),
+        static_cast<unsigned long long>(obs::Histogram::PercentileOf(t.latency_us, 99)));
+    out += line;
+  }
+  return out;
+}
+
+LatencyBuckets MergedLatency(const OpTallies& ops) {
+  LatencyBuckets h{};
+  for (const OpTally& t : ops) {
+    for (size_t b = 0; b < h.size(); b++) {
+      h[b] += t.latency_us[b];
+    }
+  }
+  return h;
+}
+
 NinepMetrics::NinepMetrics() {
   // All NinepServer instances in a process share the registry entries:
   // /mnt/help/metrics and /mnt/help/stats agree by construction, and the
@@ -111,37 +141,22 @@ uint64_t NinepMetrics::total_ops() const {
   return total;
 }
 
-uint64_t NinepMetrics::LatencyPercentileUs(NinepOp op, double p) const {
-  return ops_[Idx(op)].latency->Percentile(p);
+OpTallies NinepMetrics::Tally() const {
+  OpTallies t;
+  for (size_t i = 0; i < kNinepOpCount; i++) {
+    t[i] = {ops_[i].count->value(), ops_[i].errors->value(),
+            ops_[i].latency->Snapshot()};
+  }
+  return t;
 }
 
 uint64_t NinepMetrics::OverallPercentileUs(double p) const {
-  std::array<uint64_t, kBuckets> h{};
-  for (const PerOp& per : ops_) {
-    std::array<uint64_t, kBuckets> s = per.latency->Snapshot();
-    for (size_t b = 0; b < kBuckets; b++) {
-      h[b] += s[b];
-    }
-  }
-  return obs::Histogram::PercentileOf(h, p);
+  return obs::Histogram::PercentileOf(MergedLatency(Tally()), p);
 }
 
 std::string NinepMetrics::Render() const {
   char line[160];
-  std::string out = "op count errs p50us p99us\n";
-  for (size_t i = 0; i < kNinepOpCount; i++) {
-    NinepOp op = static_cast<NinepOp>(i);
-    uint64_t n = count(op);
-    if (n == 0) {
-      continue;
-    }
-    std::snprintf(line, sizeof(line), "%s %llu %llu %llu %llu\n", NinepOpName(op),
-                  static_cast<unsigned long long>(n),
-                  static_cast<unsigned long long>(errors(op)),
-                  static_cast<unsigned long long>(LatencyPercentileUs(op, 50)),
-                  static_cast<unsigned long long>(LatencyPercentileUs(op, 99)));
-    out += line;
-  }
+  std::string out = RenderOpTable(Tally());
   std::snprintf(line, sizeof(line),
                 "bytes_in %llu\nbytes_out %llu\nin_flight %llu\n",
                 static_cast<unsigned long long>(bytes_in()),

@@ -1,10 +1,9 @@
 // Observability for the 9P service: per-op counters, error counts, byte
-// totals, an in-flight gauge, and log2-bucketed latency histograms. Since
-// PR 3 this is a *view* over the process-wide obs::Registry (src/obs/trace.h)
-// — the values live in named registry entries ("ninep.walk.count",
-// "ninep.walk.latency_us", "ninep.bytes_in", ...) so /mnt/help/metrics sees
-// the same numbers — but the public API and the byte format Render() produces
-// for /mnt/help/stats are unchanged from PR 1.
+// totals, an in-flight gauge, and log2-bucketed latency histograms.
+// NinepMetrics is a view over the process-wide obs::Registry
+// (src/obs/trace.h): every value lives in a named registry entry
+// ("ninep.walk.count", "ninep.walk.latency_us", "ninep.bytes_in", ...), so
+// /mnt/help/metrics and /mnt/help/stats read the same numbers.
 #ifndef SRC_FS_METRICS_H_
 #define SRC_FS_METRICS_H_
 
@@ -39,12 +38,26 @@ inline constexpr size_t kNinepOpCount = static_cast<size_t>(NinepOp::kBad) + 1;
 NinepOp OpOfMsgType(MsgType t);
 const char* NinepOpName(NinepOp op);
 
+// A log2 latency histogram's bucket counts (see obs::Histogram).
+using LatencyBuckets = std::array<uint64_t, obs::Histogram::kBuckets>;
+
+// One op's traffic as the stats files print it: requests, failures, and
+// their latency in microseconds.
+struct OpTally {
+  uint64_t count = 0;
+  uint64_t errors = 0;
+  LatencyBuckets latency_us{};
+};
+using OpTallies = std::array<OpTally, kNinepOpCount>;
+
+// The op table that opens /mnt/help/stats and /mnt/help/net/<cid>/stats:
+// "op count errs p50us p99us", then one row per op with traffic.
+std::string RenderOpTable(const OpTallies& ops);
+// Every op's latency histogram merged into one.
+LatencyBuckets MergedLatency(const OpTallies& ops);
+
 class NinepMetrics {
  public:
-  // Latency buckets: bucket i holds samples with floor(log2(us)) == i-1,
-  // bucket 0 holds sub-microsecond samples. 2^31 us ≈ 36 min caps the top.
-  static constexpr size_t kBuckets = obs::Histogram::kBuckets;
-
   NinepMetrics();
 
   void RecordOp(NinepOp op, uint64_t latency_us, bool error);
@@ -54,8 +67,8 @@ class NinepMetrics {
   void EndRequest() { in_flight_->Sub(); }
   // Time a dispatch spent waiting for the dispatch lock.
   void RecordLockWait(uint64_t wait_us) { lock_wait_->Record(wait_us); }
-  // PR 7 socket transport: connection-layer counters ("net.*" in the
-  // registry), recorded by NinepListener. bytes here are raw wire bytes —
+  // Connection-layer counters ("net.*" in the registry), recorded by
+  // NinepListener. bytes here are raw wire bytes —
   // ninep.bytes_{in,out} keep counting framed protocol bytes, so the two
   // pairs agree only when every byte frames cleanly.
   void RecordAccept() {
@@ -90,15 +103,11 @@ class NinepMetrics {
   uint64_t net_writev_calls() const { return net_writev_calls_->value(); }
   uint64_t total_ops() const;
 
-  // Approximate percentile (0 < p <= 100) of one op's latency, in
+  // Approximate percentile (0 < p <= 100) of all ops' latency combined, in
   // microseconds: the upper bound of the bucket holding the p-th sample.
-  // Returns 0 when the op has no samples.
-  uint64_t LatencyPercentileUs(NinepOp op, double p) const;
-  // Percentile over all ops combined (used by the benchmarks).
   uint64_t OverallPercentileUs(double p) const;
 
-  // The /mnt/help/stats payload: one "op count errs p50us p99us" line per
-  // op that has traffic, then the scalar totals. Byte-compatible with PR 1.
+  // The /mnt/help/stats payload: the op table, then the scalar totals.
   std::string Render() const;
 
   void Reset();
@@ -111,6 +120,8 @@ class NinepMetrics {
   };
 
   static size_t Idx(NinepOp op) { return static_cast<size_t>(op); }
+  // Every op's count, errors and latency.
+  OpTallies Tally() const;
 
   std::array<PerOp, kNinepOpCount> ops_{};
   obs::Counter* bytes_in_;

@@ -113,20 +113,30 @@ ConnInfo::ConnInfo(NinepServer* srv, uint64_t cid, std::string peer)
     : srv_(srv), cid_(cid), peer_(std::move(peer)) {}
 
 void ConnInfo::RecordOp(NinepOp op, uint64_t latency_us, bool error) {
-  op_counts_[static_cast<size_t>(op)].fetch_add(1, std::memory_order_relaxed);
+  PerOp& p = ops_[static_cast<size_t>(op)];
+  p.count.fetch_add(1, std::memory_order_relaxed);
   if (error) {
-    op_errors_[static_cast<size_t>(op)].fetch_add(1, std::memory_order_relaxed);
+    p.errors.fetch_add(1, std::memory_order_relaxed);
   }
-  latency_us_.Record(latency_us);
-  replies_out_.fetch_add(1, std::memory_order_relaxed);
+  p.latency_us.Record(latency_us);
 }
 
 uint64_t ConnInfo::total_ops() const {
   uint64_t total = 0;
-  for (const auto& c : op_counts_) {
-    total += c.load(std::memory_order_relaxed);
+  for (const PerOp& p : ops_) {
+    total += p.count.load(std::memory_order_relaxed);
   }
   return total;
+}
+
+OpTallies ConnInfo::Tally() const {
+  OpTallies t;
+  for (size_t i = 0; i < kNinepOpCount; i++) {
+    t[i] = {ops_[i].count.load(std::memory_order_relaxed),
+            ops_[i].errors.load(std::memory_order_relaxed),
+            ops_[i].latency_us.Snapshot()};
+  }
+  return t;
 }
 
 std::string ConnInfo::RenderStatus() const {
@@ -144,30 +154,18 @@ std::string ConnInfo::RenderStatus() const {
 }
 
 std::string ConnInfo::RenderStats() const {
-  // Same table shape as the global /mnt/help/stats so the same scripts parse
-  // both, then the connection-wide histograms.
+  OpTallies ops = Tally();
+  LatencyBuckets latency = MergedLatency(ops);
+  uint64_t total = total_ops();  // also the number of latency samples
+  std::string out = RenderOpTable(ops);
   char line[160];
-  std::string out = "op count errs p50us p99us\n";
-  for (size_t i = 0; i < kNinepOpCount; i++) {
-    NinepOp op = static_cast<NinepOp>(i);
-    uint64_t n = op_count(op);
-    if (n == 0) {
-      continue;
-    }
-    std::snprintf(line, sizeof(line), "%s %llu %llu %llu %llu\n",
-                  NinepOpName(op), static_cast<unsigned long long>(n),
-                  static_cast<unsigned long long>(op_errors(op)),
-                  static_cast<unsigned long long>(latency_us_.Percentile(50)),
-                  static_cast<unsigned long long>(latency_us_.Percentile(99)));
-    out += line;
-  }
   std::snprintf(line, sizeof(line),
                 "total_ops %llu\nlatency_us %llu %llu %llu\n"
                 "queue_wait_us %llu %llu %llu\n",
-                static_cast<unsigned long long>(total_ops()),
-                static_cast<unsigned long long>(latency_us_.count()),
-                static_cast<unsigned long long>(latency_us_.Percentile(50)),
-                static_cast<unsigned long long>(latency_us_.Percentile(99)),
+                static_cast<unsigned long long>(total),
+                static_cast<unsigned long long>(total),
+                static_cast<unsigned long long>(obs::Histogram::PercentileOf(latency, 50)),
+                static_cast<unsigned long long>(obs::Histogram::PercentileOf(latency, 99)),
                 static_cast<unsigned long long>(queue_wait_us_.count()),
                 static_cast<unsigned long long>(queue_wait_us_.Percentile(50)),
                 static_cast<unsigned long long>(queue_wait_us_.Percentile(99)));

@@ -45,7 +45,7 @@ struct RequestRecord {
   NinepOp op = NinepOp::kBad;
   uint64_t total_ns = 0;
   uint64_t queue_ns = 0;    // inbox wait: frame yield → dispatch
-  uint64_t lock_ns = 0;     // dispatch-lock wait, summed over raced-read retries
+  uint64_t lock_ns = 0;     // dispatch-lock wait
   uint64_t handler_ns = 0;  // Session::Dispatch (the handler proper)
   uint64_t encode_ns = 0;   // reply encode
   uint64_t outbox_ns = 0;   // outbox append → wire write completed
@@ -122,31 +122,30 @@ class ConnInfo {
   uint64_t bytes_in() const { return bytes_in_.load(std::memory_order_relaxed); }
   uint64_t bytes_out() const { return bytes_out_.load(std::memory_order_relaxed); }
   uint64_t frames_in() const { return frames_in_.load(std::memory_order_relaxed); }
-  uint64_t replies_out() const { return replies_out_.load(std::memory_order_relaxed); }
+  // Every request gets exactly one reply, so this is total_ops().
+  uint64_t replies_out() const { return total_ops(); }
   uint64_t writev_calls() const {
     return writev_calls_.load(std::memory_order_relaxed);
   }
   uint64_t op_count(NinepOp op) const {
-    return op_counts_[static_cast<size_t>(op)].load(std::memory_order_relaxed);
-  }
-  uint64_t op_errors(NinepOp op) const {
-    return op_errors_[static_cast<size_t>(op)].load(std::memory_order_relaxed);
+    return ops_[static_cast<size_t>(op)].count.load(std::memory_order_relaxed);
   }
   uint64_t total_ops() const;
-  const obs::Histogram& latency_us() const { return latency_us_; }
-  const obs::Histogram& queue_wait_us() const { return queue_wait_us_; }
 
   // /mnt/help/net/<cid>/status: peer, state, negotiated msize, live fid
   // count, frame/byte totals. Queries the owning server's session table
   // (state_mu_ and atomics only — never the dispatch lock).
   std::string RenderStatus() const;
-  // /mnt/help/net/<cid>/stats: per-connection op table + latency and
-  // queue-wait histograms, same shape as the global /mnt/help/stats table.
+  // /mnt/help/net/<cid>/stats: the op table of /mnt/help/stats for this
+  // connection, then its latency (all ops merged) and queue-wait histograms.
   std::string RenderStats() const;
   // One roll-up line for /mnt/help/net/clients.
   std::string RenderClientLine() const;
 
  private:
+  // Every op's count, errors and latency on this connection.
+  OpTallies Tally() const;
+
   NinepServer* srv_;
   uint64_t cid_;
   std::string peer_;
@@ -154,11 +153,13 @@ class ConnInfo {
   std::atomic<uint64_t> bytes_in_{0};
   std::atomic<uint64_t> bytes_out_{0};
   std::atomic<uint64_t> frames_in_{0};
-  std::atomic<uint64_t> replies_out_{0};
   std::atomic<uint64_t> writev_calls_{0};
-  std::array<std::atomic<uint64_t>, kNinepOpCount> op_counts_{};
-  std::array<std::atomic<uint64_t>, kNinepOpCount> op_errors_{};
-  obs::Histogram latency_us_{"latency_us"};
+  struct PerOp {
+    std::atomic<uint64_t> count{0};
+    std::atomic<uint64_t> errors{0};
+    obs::Histogram latency_us{"latency_us"};
+  };
+  std::array<PerOp, kNinepOpCount> ops_;
   obs::Histogram queue_wait_us_{"queue_wait_us"};
 };
 

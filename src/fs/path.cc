@@ -1,5 +1,6 @@
 #include "src/fs/path.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace help {
@@ -53,23 +54,31 @@ std::string Clean(std::string_view path) {
 }  // namespace
 
 CleanElements::CleanElements(std::string_view path) : path_(path) {
-  if (!IsCleanPath(path_)) {
+  // Next drops "" and "." elements as it splits. A ".." element may remove
+  // one Next would already have handed out, so a path with ".." in it is
+  // cleaned first.
+  if (path_.find("..") != std::string_view::npos) {
     clean_ = Clean(path_);
     path_ = clean_;
   }
-  pos_ = IsAbsPath(path_) ? 1 : 0;
 }
 
 bool CleanElements::Next(std::string_view* elem) {
-  if (pos_ >= path_.size()) {
+  while (pos_ < path_.size()) {
+    size_t end = std::min(path_.find('/', pos_), path_.size());
+    std::string_view e = path_.substr(pos_, end - pos_);
+    pos_ = end + 1;
+    if (!e.empty() && e != ".") {
+      *elem = e;
+      yielded_ = true;
+      return true;
+    }
+  }
+  if (yielded_ || IsAbsPath(path_)) {
     return false;
   }
-  size_t end = path_.find('/', pos_);
-  if (end == std::string_view::npos) {
-    end = path_.size();
-  }
-  *elem = path_.substr(pos_, end - pos_);
-  pos_ = end + 1;
+  yielded_ = true;  // a relative path that cleans to "."
+  *elem = ".";
   return true;
 }
 

@@ -34,9 +34,10 @@ bool IsAbsPath(std::string_view path);
 
 // The elements of CleanPath(path): "/a//b/../c/" yields "a" then "c", and
 // "/" yields none. As in the cleaned form, a relative path keeps its leading
-// ".."s, and one that cleans to "." yields ".". A clean path is split in
-// place, with no copy; any other is cleaned once into the reader. The views
-// are valid while both the reader and `path` live.
+// ".."s, and one that cleans to "." yields ".". A path with no ".." in it
+// is split in place in one pass, dropping "" and "." elements as it goes;
+// any other is cleaned once into the reader first. The views are valid
+// while both the reader and `path` live.
 class CleanElements {
  public:
   explicit CleanElements(std::string_view path);
@@ -46,9 +47,10 @@ class CleanElements {
   bool Next(std::string_view* elem);
 
  private:
-  std::string clean_;      // CleanPath(path) when path is not clean
-  std::string_view path_;  // a clean path
-  size_t pos_;             // start of the next element
+  std::string clean_;      // CleanPath(path) when path has a ".."
+  std::string_view path_;  // path, or clean_
+  size_t pos_ = 0;         // start of the next element
+  bool yielded_ = false;   // an element was handed out
 };
 
 }  // namespace help

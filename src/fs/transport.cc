@@ -51,7 +51,7 @@ FrameReader::Next FrameReader::Pop(std::string* frame) {
     return Next::kNeedMore;
   }
   uint32_t size = PeekU32(buf_, 0);
-  if (size < kMinFrameSize || size > max_frame_) {
+  if (size < kMinFrameSize || size > kMaxFrameSize) {
     poisoned_ = true;
     error_ = StrFormat("ninep: bad frame size %u", size);
     return Next::kError;

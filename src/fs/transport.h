@@ -45,16 +45,13 @@ inline constexpr uint32_t kMaxFrameSize = kDefaultMsize;
 
 // Incremental deframer for a length-prefixed 9P byte stream. Feed() raw
 // bytes as they arrive; Pop() yields complete frames in order. Once a frame
-// header lies (size out of [kMinFrameSize, max_frame]) the stream is
+// header lies (size out of [kMinFrameSize, kMaxFrameSize]) the stream is
 // poisoned: every further Pop() returns kError and the caller must close the
 // connection — there is no way to resynchronize a framed stream after a bad
 // length.
 class FrameReader {
  public:
   enum class Next { kFrame, kNeedMore, kError };
-
-  explicit FrameReader(uint32_t max_frame = kMaxFrameSize)
-      : max_frame_(max_frame) {}
 
   void Feed(std::string_view bytes);
 
@@ -63,13 +60,13 @@ class FrameReader {
 
   bool poisoned() const { return poisoned_; }
   const std::string& error() const { return error_; }
-  // Bytes buffered but not yet popped (bounded by max_frame once a header is
-  // visible; the connection layer stops reading on backpressure anyway).
+  // Bytes buffered but not yet popped (bounded by kMaxFrameSize once a
+  // header is visible; the connection layer stops reading on backpressure
+  // anyway).
   size_t buffered() const { return buf_.size(); }
 
  private:
   std::string buf_;
-  uint32_t max_frame_;
   bool poisoned_ = false;
   std::string error_;
 };

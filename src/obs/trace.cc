@@ -319,7 +319,7 @@ std::string Tracer::RenderText() const {
   char line[224];
   for (const TraceEvent& e : Snapshot()) {
     // Request-scoped events carry one extra trailing column, the trace id in
-    // hex; plain events keep the PR 3 seven-column format.
+    // hex; plain events have the seven columns "seq ns tick tid kind name arg".
     if (e.rid != 0) {
       std::snprintf(line, sizeof(line), "%llu %llu %llu %u %c %s %llu 0x%llx\n",
                     static_cast<unsigned long long>(e.seq),

@@ -53,8 +53,8 @@ class Counter {
 };
 
 // Log2-bucketed histogram: bucket i holds samples with floor(log2(v)) == i-1,
-// bucket 0 holds zero-valued samples. Identical bucketing and percentile math
-// to PR 1's NinepMetrics, which is now a view over these.
+// bucket 0 holds zero-valued samples. The /mnt/help stats files print
+// Percentile's value as their p50us/p99us columns.
 class Histogram {
  public:
   static constexpr size_t kBuckets = 32;

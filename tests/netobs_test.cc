@@ -148,6 +148,22 @@ TEST(ConnInfo, RenderFormatsPinned) {
   EXPECT_NE(info.RenderStatus().find("state stalled\n"), std::string::npos);
 }
 
+// Each op row reads that op's own latency; the latency_us line merges them.
+TEST(ConnInfo, EachOpRowReadsItsOwnLatency) {
+  Help::Options opt;
+  opt.install_userland = false;
+  Help h(opt);
+  ConnInfo info(&h.ninep(), 7, "unix");
+  info.RecordOp(NinepOp::kRead, 0, false);
+  info.RecordOp(NinepOp::kWalk, 1000, true);
+  EXPECT_EQ(info.RenderStats(),
+            "op count errs p50us p99us\n"
+            "walk 1 1 1023 1023\n"
+            "read 1 0 0 0\n"
+            "total_ops 2\nlatency_us 2 1023 1023\nqueue_wait_us 0 0 0\n"
+            "writev_calls 0\n");
+}
+
 // --- Stats/metrics parity ----------------------------------------------------
 
 // Every counter and histogram the /mnt/help/stats view renders is a named

@@ -289,25 +289,6 @@ TEST(NinepListenerTest, TcpSocketRoundTrip) {
   EXPECT_TRUE(idx.ok());
 }
 
-TEST(NinepListenerTest, PollFallbackRoundTrip) {
-  Help::Options opt;
-  opt.install_userland = false;
-  Help h(opt);
-  NinepListener::Options lopt;
-  lopt.poller = PollerKind::kPoll;
-  NinepListener lis(&h.ninep(), lopt);
-  std::string path = SockPath("poll_rt");
-  ASSERT_TRUE(lis.ListenUnix(path).ok());
-  ASSERT_TRUE(lis.Start().ok());
-
-  auto tr = SocketTransport::ConnectUnix(path);
-  ASSERT_TRUE(tr.ok()) << tr.message();
-  NinepClient client(tr.value()->AsTransport());
-  ASSERT_TRUE(client.Connect("poll").ok());
-  auto idx = client.ReadFile("/mnt/help/index");
-  EXPECT_TRUE(idx.ok());
-}
-
 // --- Protocol limits ---------------------------------------------------------
 
 TEST(NinepListenerTest, MsizeIsClampedAndOversizedFramesHangUp) {
@@ -380,7 +361,6 @@ TEST(NinepListenerTest, IdleReapClunksFidsAndFreesTheSession) {
 
   NinepListener::Options lopt;
   lopt.idle_timeout_ms = 100;
-  lopt.tick_ms = 10;
   NinepListener lis(&srv, lopt);
   std::string path = SockPath("reap");
   ASSERT_TRUE(lis.ListenUnix(path).ok());
@@ -408,11 +388,10 @@ TEST(NinepListenerTest, IdleReapClunksFidsAndFreesTheSession) {
   EXPECT_FALSE(client.ReadFid(fid.value(), 0, 16).ok());
 }
 
-// reap_tick_ms decouples the reap scan from the loop tick: with a 10s loop
-// tick — which without the option would also cap the scan's promptness via
-// min(tick_ms, idle_timeout_ms) — a 10ms reap tick still collects an idle
-// connection right after the timeout elapses.
-TEST(NinepListenerTest, ShortReapTickReapsPromptlyDespiteLongLoopTick) {
+// The loop sleeps until the earliest idle deadline: a connection that keeps
+// talking is never reaped, and one that falls silent is reaped soon after
+// the timeout even when no other traffic wakes the loop.
+TEST(NinepListenerTest, IdleDeadlineReapsPromptlyAndSparesActiveConnections) {
   Help::Options opt;
   opt.install_userland = false;
   Help h(opt);
@@ -421,28 +400,53 @@ TEST(NinepListenerTest, ShortReapTickReapsPromptlyDespiteLongLoopTick) {
 
   NinepListener::Options lopt;
   lopt.idle_timeout_ms = 100;
-  lopt.tick_ms = 10000;
-  lopt.reap_tick_ms = 10;
   NinepListener lis(&srv, lopt);
-  std::string path = SockPath("reaptick");
+  std::string path = SockPath("reapdeadline");
   ASSERT_TRUE(lis.ListenUnix(path).ok());
   ASSERT_TRUE(lis.Start().ok());
 
-  auto tr = SocketTransport::ConnectUnix(path);
-  ASSERT_TRUE(tr.ok());
-  NinepClient client(tr.value()->AsTransport());
-  ASSERT_TRUE(client.Connect("idler").ok());
-  EXPECT_EQ(srv.session_count(), 1u);
+  auto idle_tr = SocketTransport::ConnectUnix(path);
+  ASSERT_TRUE(idle_tr.ok());
+  NinepClient idler(idle_tr.value()->AsTransport());
+  ASSERT_TRUE(idler.Connect("idler").ok());
+  auto busy_tr = SocketTransport::ConnectUnix(path);
+  ASSERT_TRUE(busy_tr.ok());
+  NinepClient busy(busy_tr.value()->AsTransport());
+  ASSERT_TRUE(busy.Connect("busy").ok());
+  EXPECT_EQ(srv.session_count(), 2u);
 
   auto t0 = std::chrono::steady_clock::now();
-  ASSERT_TRUE(
-      WaitFor([&] { return srv.metrics().net_reaped() == reaped0 + 1; }));
-  auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  // Prompt means a few reap ticks past the idle timeout — nowhere near the
-  // 10s loop tick. Generous bound for loaded CI machines.
-  EXPECT_LT(elapsed_ms, 2000);
+  auto elapsed_ms = [&] {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  // The busy client talks every 20 ms until the idler is reaped, and then
+  // for three more timeouts. Prompt means the timeout plus bounded slack
+  // for a loaded CI machine.
+  const long slack_ms = 1900;
+  long reaped_at_ms = -1;
+  while (elapsed_ms() < 5000) {
+    ASSERT_TRUE(busy.ReadFile("/mnt/help/index").ok());
+    if (reaped_at_ms < 0 && srv.metrics().net_reaped() == reaped0 + 1) {
+      reaped_at_ms = elapsed_ms();
+    }
+    if (reaped_at_ms >= 0 && elapsed_ms() > reaped_at_ms + 3 * lopt.idle_timeout_ms) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ASSERT_GE(reaped_at_ms, 0) << "the idle connection was never reaped";
+  EXPECT_LT(reaped_at_ms, lopt.idle_timeout_ms + slack_ms);
+  EXPECT_EQ(srv.metrics().net_reaped(), reaped0 + 1);
+  EXPECT_EQ(lis.active_conns(), 1u);
+  EXPECT_EQ(srv.session_count(), 1u);
+  EXPECT_FALSE(idler.ReadFile("/mnt/help/index").ok());
+
+  // Now the busy client falls silent too, and nothing else wakes the loop.
+  t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(WaitFor([&] { return srv.metrics().net_reaped() == reaped0 + 2; }));
+  EXPECT_LT(elapsed_ms(), lopt.idle_timeout_ms + slack_ms);
   ASSERT_TRUE(WaitFor([&] { return srv.session_count() == 0; }));
   EXPECT_EQ(lis.active_conns(), 0u);
 }
